@@ -118,32 +118,6 @@ def normalized_angles(theta: float, phi: float) -> tuple[float, float]:
     return 0.5 * math.cos(phi) * math.sin(theta), 0.5 * math.sin(phi)
 
 
-def steering_vector(band: BandConfig, theta: float, phi: float) -> np.ndarray:
-    """Unit-modulus steering vector, Kronecker product azimuth (x) elevation."""
-    psi, zeta = normalized_angles(theta, phi)
-    ay = np.exp(-2j * np.pi * psi * np.arange(band.n_y))
-    az = np.exp(-2j * np.pi * zeta * np.arange(band.n_z))
-    return np.kron(ay, az)
-
-
-def direct_array_response(band: BandConfig, theta: float, phi: float,
-                          theta_hat: float, phi_hat: float) -> float:
-    """|AF|^2 by brute-force double sum over elements.
-
-    Element (m, n) contributes exp(j*[(m-1)*2*pi*psi + (n-1)*2*pi*zeta + delta_mn])
-    with steering phase delta_mn = -(m-1)*2*pi*psi_hat - (n-1)*2*pi*zeta_hat.
-    Kept free of the Dirichlet shortcut so it can serve as an oracle for
-    gain(); peak value is (Ny*Nz)^2 at perfect alignment.
-    """
-    psi, zeta = normalized_angles(theta, phi)
-    psi_h, zeta_h = normalized_angles(theta_hat, phi_hat)
-    m = np.arange(band.n_y)[:, None]
-    n = np.arange(band.n_z)[None, :]
-    phase = 2.0 * np.pi * (m * (psi - psi_h) + n * (zeta - zeta_h))
-    af = np.exp(1j * phase).sum()
-    return float(np.abs(af) ** 2)
-
-
 def dirichlet_ratio_abs(delta: float, n: int) -> float:
     """|sin(pi*n*delta) / sin(pi*delta)|, stable near integer delta.
 

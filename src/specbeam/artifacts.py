@@ -76,7 +76,6 @@ def model_digest(model: PomdpModel) -> str:
         "window": model.mobility.window,
         "num_states": model.num_states,
         "num_actions": model.num_actions,
-        "cross_product": model.actions.cross_product,
     }
     h.update(json.dumps(key, sort_keys=True).encode())
     return h.hexdigest()

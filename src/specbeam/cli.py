@@ -19,15 +19,25 @@ from . import artifacts, pbvi
 from .config import ConfigError, ExperimentConfig
 from .pomdp import initial_belief
 from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
-                       fixed_path_eval, monte_carlo, perfect_info_rates,
-                       run_trial)
+                       aggregate, monte_carlo, perfect_info_rates,
+                       simulate_trials)
 
 ROBUSTNESS_P = (0.35, 0.95)
-SWEEP_COLUMNS = ("agent", "p", "mean_rate_bps", "ci_halfwidth",
-                 "util_15", "util_39", "util_60", "num_trials", "seed")
-ROBUST_COLUMNS = ("agent", "p", "speed_kmh", "mean_rate_bps", "ci_halfwidth",
-                  "util_15", "util_39", "util_60", "num_trials", "seed")
-_UTIL_LABELS = ("15ghz", "39ghz", "60ghz")
+
+
+def _util_column(band_label: str) -> str:
+    """CSV column of a band's utilization: util_15 for band 15ghz."""
+    return f"util_{band_label.removesuffix('ghz')}"
+
+
+def sweep_columns(band_labels) -> tuple[str, ...]:
+    return ("agent", "p", "mean_rate_bps", "ci_halfwidth",
+            *map(_util_column, band_labels), "num_trials", "seed")
+
+
+def robust_columns(band_labels) -> tuple[str, ...]:
+    return ("agent", "p", "speed_kmh", "mean_rate_bps", "ci_halfwidth",
+            *map(_util_column, band_labels), "num_trials", "seed")
 
 
 def policy_filename(agent: str, p: float) -> str:
@@ -46,7 +56,7 @@ def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
-def _metric_row(m: Metrics, agent: str, p: float, seed: int,
+def _metric_row(m: Metrics, band_labels, agent: str, p: float, seed: int,
                 speed_kmh: float | None = None) -> dict:
     row = {
         "agent": agent,
@@ -56,8 +66,8 @@ def _metric_row(m: Metrics, agent: str, p: float, seed: int,
         "num_trials": m.num_trials,
         "seed": seed,
     }
-    for lbl in _UTIL_LABELS:
-        row[f"util_{lbl.removesuffix('ghz')}"] = m.utilization.get(lbl, 0.0)
+    for lbl in band_labels:
+        row[_util_column(lbl)] = m.utilization.get(lbl, 0.0)
     if speed_kmh is not None:
         row["speed_kmh"] = float(speed_kmh)
     return row
@@ -126,8 +136,6 @@ def cmd_solve(args) -> int:
         base + ".policy.json", policy, config_hash=cfg_hash,
         model_digest_hex=digest, agent=args.agent, p=p)
     model_hash = artifacts.save_model(base + ".model.json", model, cfg_hash)
-    meta = dict(policy.metadata)
-    meta.pop("stages", None)
     artifacts.save_manifest(base + ".manifest.json", {
         "config_hash": cfg_hash,
         "model_digest": digest,
@@ -139,7 +147,7 @@ def cmd_solve(args) -> int:
         "wall_s": wall_s,
         "num_beliefs": policy.metadata["num_beliefs"],
         "num_alphas": int(policy.alpha.shape[0]),
-        "solver": meta,
+        "solver": policy.metadata,
     })
     print(f"solved {args.agent} at p={p:g}: |B|={policy.metadata['num_beliefs']}, "
           f"|V|={policy.alpha.shape[0]}, {wall_s:.1f}s -> {base}.policy.json")
@@ -150,14 +158,15 @@ def cmd_sweep_p(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
     sim = cfg.raw["simulation"]
+    labels = cfg.band_labels()
     rows = []
     for p in sim["p_grid"]:
         runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
         metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed,
                               threads=args.threads)
         for (_, agent), m in zip(runs, metrics):
-            rows.append(_metric_row(m, agent.label, p, seed))
-    _write_csv(args.out, SWEEP_COLUMNS, rows)
+            rows.append(_metric_row(m, labels, agent.label, p, seed))
+    _write_csv(args.out, sweep_columns(labels), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -167,47 +176,45 @@ def cmd_robustness(args) -> int:
     seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
     sim = cfg.raw["simulation"]
     scene = cfg.scene()
+    labels = cfg.band_labels()
     trace_fh = open(args.traces, "w") if args.traces else None
     rows = []
     try:
         for p in ROBUSTNESS_P:
             runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
             for speed in sim["speed_grid_kmh"]:
+                dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
                 for model, agent in runs:
-                    m = fixed_path_eval(model, scene, agent, speed,
-                                        sim["slot_s"], sim["num_trials"],
-                                        seed, threads=args.threads)
-                    rows.append(_metric_row(m, agent.label, p, seed,
+                    traces = simulate_trials(model, dyn, agent, dyn.n_slots,
+                                             sim["num_trials"], seed, args.threads)
+                    m = aggregate(model, agent, dyn.n_slots, traces)
+                    rows.append(_metric_row(m, labels, agent.label, p, seed,
                                             speed_kmh=speed))
                     if trace_fh is not None:
-                        _log_traces(trace_fh, model, scene, agent, p, speed,
-                                    sim, seed)
+                        for trial, trace in enumerate(traces):
+                            _write_trace(trace_fh, trace, agent.label, p, speed, trial)
+                    del traces          # one agent's traces in memory at a time
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    _write_csv(args.out, ROBUST_COLUMNS, rows)
+    _write_csv(args.out, robust_columns(labels), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def _log_traces(fh, model, scene, agent, p, speed, sim, seed) -> None:
-    import numpy as np
-
-    dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
-    for trial in range(sim["num_trials"]):
-        trace = run_trial(model, dyn, agent, dyn.n_slots,
-                          np.random.SeedSequence((seed, trial)))
-        fh.write(json.dumps({
-            "agent": agent.label, "p": p, "speed_kmh": speed, "trial": trial,
-            "cells": trace.cells.tolist(), "actions": trace.actions.tolist(),
-            "noise_draws": trace.noise_draws.tolist(),
-            "snrs": trace.snrs.tolist(), "rates": trace.rates.tolist(),
-            "mean_rate_bps": float(trace.rates.mean()) if len(trace.rates) else 0.0,
-        }, sort_keys=True))
-        fh.write("\n")
+def _write_trace(fh, trace, agent: str, p: float, speed: float, trial: int) -> None:
+    fh.write(json.dumps({
+        "agent": agent, "p": p, "speed_kmh": speed, "trial": trial,
+        "cells": trace.cells.tolist(), "actions": trace.actions.tolist(),
+        "noise_draws": trace.noise_draws.tolist(),
+        "snrs": trace.snrs.tolist(), "rates": trace.rates.tolist(),
+        "mean_rate_bps": float(trace.rates.mean()) if len(trace.rates) else 0.0,
+    }, sort_keys=True))
+    fh.write("\n")
 
 
-def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
+def _read_csv(path: str, columns: tuple[str, ...]) -> tuple[tuple[str, ...], list[dict]]:
+    """(header, rows) of a result CSV; every column but agent parses as a float."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         got = tuple(reader.fieldnames or ())
@@ -229,7 +236,7 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
                             f"{path}: row {i}, column {col!r}: "
                             f"not a number ({val!r})") from exc
             rows.append(row)
-    return rows
+    return got, rows
 
 
 def _by_agent(rows: list[dict]) -> dict[str, dict]:
@@ -239,7 +246,8 @@ def _by_agent(rows: list[dict]) -> dict[str, dict]:
 def cmd_report(args) -> int:
     out = ["# Experiment report", ""]
     if args.sweep:
-        rows = _read_csv(args.sweep, SWEEP_COLUMNS)
+        header, rows = _read_csv(args.sweep, sweep_columns(()))
+        utils = [c for c in header if c.startswith("util_")]
         ps = sorted({r["p"] for r in rows})
         out += ["## Random-path sweep", "",
                 "| p | sm (Gbit/s) | best single | gain % | oracle | gap % |",
@@ -255,14 +263,14 @@ def cmd_report(args) -> int:
                        f"| {100 * (sm - best) / best:+.2f} | {orc / 1e9:.4f} "
                        f"| {100 * (orc - sm) / orc:.2f} |")
         out += ["", "### Channel utilization of the joint planner", "",
-                "| p | 15 GHz | 39 GHz | 60 GHz |", "|---|---|---|---|"]
+                "| p | " + " | ".join(f"{c.removeprefix('util_')} GHz" for c in utils) + " |",
+                "|---|" + "---|" * len(utils)]
         for p in ps:
             sm = _by_agent([r for r in rows if r["p"] == p])["sm"]
-            out.append(f"| {p:g} | {sm['util_15']:.3f} | {sm['util_39']:.3f} "
-                       f"| {sm['util_60']:.3f} |")
+            out.append(f"| {p:g} | " + " | ".join(f"{sm[c]:.3f}" for c in utils) + " |")
         out.append("")
     if args.robustness:
-        rows = _read_csv(args.robustness, ROBUST_COLUMNS)
+        _, rows = _read_csv(args.robustness, robust_columns(()))
         out += ["## Fixed-path robustness (end-to-end drop, slowest to fastest)",
                 "", "| p | agent | rate@vmin (Gbit/s) | rate@vmax | drop % |",
                 "|---|---|---|---|---|"]
@@ -314,8 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment config JSON")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
+
+    def simulation(sp):
         sp.add_argument("--threads", type=int, default=1,
                         help="worker processes for simulation")
+        sp.add_argument("--out", required=True, help="output CSV path")
+        sp.add_argument("--policies", default="policies",
+                        help="directory holding solved policies")
+        sp.add_argument("--solve-missing", action="store_true",
+                        help="solve and save any missing policies")
 
     sp = sub.add_parser("solve", help="solve one planner and save artifacts")
     common(sp)
@@ -328,20 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-p", help="Monte Carlo sweep over mobility p")
     common(sp)
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--policies", default="policies",
-                    help="directory holding solved policies")
-    sp.add_argument("--solve-missing", action="store_true",
-                    help="solve and save any missing policies")
+    simulation(sp)
     sp.set_defaults(func=cmd_sweep_p)
 
     sp = sub.add_parser("robustness", help="fixed-path speed study")
     common(sp)
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--policies", default="policies",
-                    help="directory holding solved policies")
-    sp.add_argument("--solve-missing", action="store_true",
-                    help="solve and save any missing policies")
+    simulation(sp)
     sp.add_argument("--traces", default=None,
                     help="optional JSON-lines trace log path")
     sp.set_defaults(func=cmd_robustness)

@@ -57,7 +57,6 @@ def default_config_dict() -> dict[str, Any]:
             "max_sweeps": 500,
             "seed": 0,
             "metric": "l1",
-            "cross_product_actions": False,
         },
         "simulation": {
             "num_trials": 500,
@@ -148,8 +147,6 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require(cfg, "solver.seed",
              lambda v: isinstance(v, int) and v >= 0, "must be a nonnegative integer")
     _require(cfg, "solver.metric", lambda v: v in ("l1", "l2"), "must be 'l1' or 'l2'")
-    _require(cfg, "solver.cross_product_actions",
-             lambda v: isinstance(v, bool), "must be a boolean")
     _require(cfg, "simulation.num_trials",
              lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     _require(cfg, "simulation.horizon",
@@ -267,7 +264,6 @@ class ExperimentConfig:
             low_db=d["low_db"],
             high_db=d["high_db"],
             discount=self.raw["solver"]["discount"],
-            cross_product_actions=self.raw["solver"]["cross_product_actions"],
         )
 
     def agent_names(self) -> tuple[str, ...]:

@@ -95,18 +95,6 @@ def default_epsilon(model: PomdpModel) -> float:
     return 1e-3 * float(np.abs(model.rbar).max())
 
 
-def _projections(model: PomdpModel, alpha_mat: np.ndarray) -> np.ndarray:
-    """proj[v, a, z, s] = sum_s' T[s, s'] O[a, s', z] alpha[v, s'].
-
-    Reference form of the backup projection; the sweep kernel below
-    computes the same contractions through the per-cell factorization.
-    """
-    v, s = alpha_mat.shape
-    a, _, z = model.O.shape
-    m1 = alpha_mat[:, None, None, :] * model.O.transpose(0, 2, 1)[None, :, :, :]
-    return (m1.reshape(v * a * z, s) @ model.T.T).reshape(v, a, z, s)
-
-
 def _cell_tensors(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
     """(E, OZ): state->cell one-hot (|S|, C) and per-cell rows (C, |A|*M_z)."""
     cells = model.states.cells()

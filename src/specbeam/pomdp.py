@@ -13,7 +13,7 @@ Belief updates condition the observation on the successor state:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,24 +33,20 @@ class ImpossibleObservation(ValueError):
 class ActionSpace:
     """Beam/band combinations. theta_hat, phi_hat, band_idx are parallel arrays.
 
-    In cell-coupled mode action (cell j, band q) points the beam at cell j's
-    center, ordered cell-major then band. In cross-product mode every
-    (azimuth cell, elevation cell, band) triple is an action.
+    Action (cell j, band q) points the beam at cell j's center; actions are
+    ordered cell-major then band.
     """
 
     theta_hat: np.ndarray
     phi_hat: np.ndarray
     band_idx: np.ndarray
-    beam_cell: np.ndarray  # azimuth source cell of each action (1-based)
-    cross_product: bool
+    beam_cell: np.ndarray  # cell each beam points at (1-based)
 
     def __len__(self) -> int:
         return self.theta_hat.size
 
     def index(self, cell: int, band: int, num_bands: int) -> int:
-        """Index of the cell-coupled action (cell, band)."""
-        if self.cross_product:
-            raise ValueError("cell/band lookup is defined for cell-coupled spaces")
+        """Index of the action (cell, band)."""
         return (cell - 1) * num_bands + band
 
     def describe(self, a: int) -> dict:
@@ -58,31 +54,21 @@ class ActionSpace:
                 "theta_hat": float(self.theta_hat[a]), "phi_hat": float(self.phi_hat[a])}
 
 
-def enumerate_actions(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
-                      cross_product: bool = False) -> ActionSpace:
+def enumerate_actions(road: tuple[CellCoord, ...],
+                      bands: tuple[BandConfig, ...]) -> ActionSpace:
     """All (beam, band) actions for the given road."""
     if not bands:
         raise ValueError("at least one band is required")
     th, ph, bi, bc = [], [], [], []
-    if cross_product:
-        for cy in road:
-            for cz in road:
-                for q in range(len(bands)):
-                    th.append(cy.theta)
-                    ph.append(cz.phi)
-                    bi.append(q)
-                    bc.append(cy.index)
-    else:
-        for cell in road:
-            for q in range(len(bands)):
-                th.append(cell.theta)
-                ph.append(cell.phi)
-                bi.append(q)
-                bc.append(cell.index)
+    for cell in road:
+        for q in range(len(bands)):
+            th.append(cell.theta)
+            ph.append(cell.phi)
+            bi.append(q)
+            bc.append(cell.index)
     return ActionSpace(theta_hat=np.array(th), phi_hat=np.array(ph),
                        band_idx=np.array(bi, dtype=int),
-                       beam_cell=np.array(bc, dtype=int),
-                       cross_product=cross_product)
+                       beam_cell=np.array(bc, dtype=int))
 
 
 def snr_thresholds(num_levels: int, low_db: float, high_db: float) -> np.ndarray:
@@ -113,30 +99,29 @@ def _per_cell_gains(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
     return out
 
 
-def build_observation_tensor(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
+def build_observation_tensor(gains: np.ndarray, bands: tuple[BandConfig, ...],
                              consts: PropagationConstants, states: StateSpace,
                              actions: ActionSpace, thresholds: np.ndarray) -> np.ndarray:
     """O[a, s, z]: SNR-bin probabilities; rows depend on s only via its cell."""
-    gains = _per_cell_gains(road, bands, consts, actions)
-    num_z = thresholds.size + 1
-    per_cell = np.empty((len(actions), len(road), num_z))
-    for a in range(len(actions)):
+    num_a, num_cells = gains.shape
+    per_cell = np.empty((num_a, num_cells, thresholds.size + 1))
+    for a in range(num_a):
         sig = consts.noise_variance_w(bands[actions.band_idx[a]].bandwidth_hz)
-        for c in range(len(road)):
+        for c in range(num_cells):
             per_cell[a, c] = observation_probs(gains[a, c], sig, thresholds)
     return per_cell[:, states.cells() - 1, :]
 
 
-def build_reward_vectors(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
+def build_reward_vectors(gains: np.ndarray, bands: tuple[BandConfig, ...],
                          consts: PropagationConstants, states: StateSpace,
                          actions: ActionSpace) -> np.ndarray:
     """rbar[a, s]: expected rate of action a with the user at s's cell."""
-    gains = _per_cell_gains(road, bands, consts, actions)
-    per_cell = np.empty((len(actions), len(road)))
-    for a in range(len(actions)):
+    num_a, num_cells = gains.shape
+    per_cell = np.empty((num_a, num_cells))
+    for a in range(num_a):
         band = bands[actions.band_idx[a]]
         sig = consts.noise_variance_w(band.bandwidth_hz)
-        for c in range(len(road)):
+        for c in range(num_cells):
             per_cell[a, c] = expected_rate(band.bandwidth_hz, gains[a, c], sig)
     return per_cell[:, states.cells() - 1]
 
@@ -150,6 +135,7 @@ class PomdpModel:
     T: np.ndarray          # (|S|, |S|) row-stochastic, shared by all actions
     O: np.ndarray          # (|A|, |S|, M_z) row-stochastic observation tensor
     rbar: np.ndarray       # (|A|, |S|) expected rewards, bits/s
+    gains: np.ndarray      # (|A|, cells) link gain of each action at each cell, W
     thresholds: np.ndarray # (M_z - 1,) SNR bin edges, linear scale
     discount: float
     road: tuple[CellCoord, ...]
@@ -183,17 +169,19 @@ class PomdpModel:
 def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
                 consts: PropagationConstants, mobility: MobilityModel,
                 num_levels: int, low_db: float, high_db: float,
-                discount: float, cross_product_actions: bool = False) -> PomdpModel:
+                discount: float) -> PomdpModel:
     """Assemble the full POMDP from physical parameters."""
     states = enumerate_states(len(road), mobility.window)
-    actions = enumerate_actions(road, bands, cross_product_actions)
+    actions = enumerate_actions(road, bands)
     thr = snr_thresholds(num_levels, low_db, high_db)
+    gains = _per_cell_gains(road, bands, consts, actions)
     return PomdpModel(
         states=states,
         actions=actions,
         T=transition_matrix(mobility, states),
-        O=build_observation_tensor(road, bands, consts, states, actions, thr),
-        rbar=build_reward_vectors(road, bands, consts, states, actions),
+        O=build_observation_tensor(gains, bands, consts, states, actions, thr),
+        rbar=build_reward_vectors(gains, bands, consts, states, actions),
+        gains=gains,
         thresholds=thr,
         discount=discount,
         road=road,
@@ -201,11 +189,6 @@ def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
         consts=consts,
         mobility=mobility,
     )
-
-
-def action_cell_gains(model: PomdpModel) -> np.ndarray:
-    """Gain of each action at each road cell, shape (|A|, num_cells)."""
-    return _per_cell_gains(model.road, model.bands, model.consts, model.actions)
 
 
 def initial_belief(states: StateSpace) -> np.ndarray:

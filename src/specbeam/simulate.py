@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SceneConfig, containing_cell
 from .pbvi import Policy, extract_action
-from .pomdp import (ImpossibleObservation, PomdpModel, action_cell_gains,
-                    belief_update, initial_belief)
+from .pomdp import ImpossibleObservation, PomdpModel, belief_update, initial_belief
 
 _Z95 = 1.959963984540054
 
@@ -75,8 +74,6 @@ class FixedActionAgent(Agent):
 
 def oracle_action(model: PomdpModel, true_cell: int) -> int:
     """Aligned-beam action with the channel maximizing expected rate at r."""
-    if model.actions.cross_product:
-        raise ValueError("oracle actions are defined on the cell-coupled space")
     num_bands = len(model.bands)
     base = (true_cell - 1) * num_bands
     s = _state_with_cell(model, true_cell)
@@ -171,7 +168,7 @@ def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
     path_rng = np.random.default_rng(path_ss)
     noise_rng = np.random.default_rng(noise_ss)
 
-    gains = action_cell_gains(model)
+    gains = model.gains
     widths = np.array([b.bandwidth_hz for b in model.bands])
     sigmas = np.array([model.consts.noise_variance_w(w) for w in widths])
     band_idx = model.actions.band_idx
@@ -229,29 +226,40 @@ def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
                       config_hash=config_hash, beliefs=beliefs)
 
 
-def _trial_stats(model: PomdpModel, dynamics, agent: Agent, horizon: int,
-                 root_seed: int, trial: int) -> tuple[float, np.ndarray, int, np.ndarray]:
-    """(mean rate, per-band slot counts, reset count, per-slot rates)."""
-    trace = run_trial(model, dynamics, agent, horizon,
-                      np.random.SeedSequence((root_seed, trial)))
-    counts = np.bincount(model.actions.band_idx[trace.actions],
-                         minlength=len(model.bands))
-    return (float(trace.rates.mean()) if len(trace.rates) else 0.0,
-            counts, int(trace.resets.sum()), trace.rates)
-
-
-def _stats_block(args) -> list[tuple[int, tuple]]:
+def _trial_block(args) -> list[TrialTrace]:
+    """Traces of the listed trials; trial t is seeded by (root_seed, t)."""
     model, dynamics, agent, horizon, root_seed, trials = args
-    return [(t, _trial_stats(model, dynamics, agent, horizon, root_seed, t))
-            for t in trials]
+    return [run_trial(model, dynamics, agent, horizon,
+                      np.random.SeedSequence((root_seed, t))) for t in trials]
 
 
-def _aggregate(model: PomdpModel, agent: Agent, horizon: int,
-               per_trial: list[tuple], keep_slots: bool) -> Metrics:
-    n = len(per_trial)
-    means = np.array([row[0] for row in per_trial])
-    counts = np.sum([row[1] for row in per_trial], axis=0)
-    resets = sum(row[2] for row in per_trial)
+def simulate_trials(model: PomdpModel, dynamics, agent: Agent, horizon: int,
+                    num_trials: int, seed: int, threads: int = 1) -> list[TrialTrace]:
+    """Trials 0, ..., num_trials - 1 of one agent, in trial order.
+
+    With threads > 1 contiguous blocks of trials run in worker processes;
+    each trial owns its seed, so the traces do not depend on the split.
+    """
+    if num_trials < 1:
+        raise ValueError("num_trials must be >= 1")
+    if threads <= 1:
+        return _trial_block((model, dynamics, agent, horizon, seed, range(num_trials)))
+    blocks = np.array_split(np.arange(num_trials), threads * 4)
+    jobs = [(model, dynamics, agent, horizon, seed, blk.tolist())
+            for blk in blocks if len(blk)]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return [trace for traces in pool.map(_trial_block, jobs) for trace in traces]
+
+
+def aggregate(model: PomdpModel, agent: Agent, horizon: int,
+              traces: list[TrialTrace], keep_slots: bool = False) -> Metrics:
+    """Mean rate with its 95% interval, band utilization and reset share."""
+    n = len(traces)
+    means = np.array([float(tr.rates.mean()) if len(tr.rates) else 0.0
+                      for tr in traces])
+    counts = np.sum([np.bincount(model.actions.band_idx[tr.actions],
+                                 minlength=len(model.bands)) for tr in traces], axis=0)
+    resets = sum(int(tr.resets.sum()) for tr in traces)
     mean = math.fsum(means) / n
     sd = float(means.std(ddof=1)) if n > 1 else 0.0
     half = _Z95 * sd / math.sqrt(n) if n > 1 else float("inf")
@@ -260,7 +268,7 @@ def _aggregate(model: PomdpModel, agent: Agent, horizon: int,
             for q, band in enumerate(model.bands)}
     slot_means = None
     if keep_slots and horizon:
-        slot_means = np.sum([row[3] for row in per_trial], axis=0) / n
+        slot_means = np.sum([tr.rates for tr in traces], axis=0) / n
     return Metrics(label=agent.label, mean_rate_bps=mean, ci_halfwidth=half,
                    confidence=0.95, utilization=util, num_trials=n,
                    horizon=horizon,
@@ -270,33 +278,18 @@ def _aggregate(model: PomdpModel, agent: Agent, horizon: int,
 
 def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
                 horizon: int, seed: int, threads: int = 1,
-                dynamics_for=None, keep_slots: bool = False) -> list[Metrics]:
-    """Paired Monte Carlo over agents; trial t shares randomness across runs.
+                keep_slots: bool = False) -> list[Metrics]:
+    """Paired Monte Carlo over agents on each model's own chain.
 
     `runs` pairs each agent with the model whose action space it uses
-    (single-frequency agents carry their restricted model). `dynamics_for`
-    maps a model to its dynamics; the default is the model's own chain.
+    (single-frequency agents carry their restricted model); trial t shares
+    its randomness across runs.
     """
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
-    make_dyn = dynamics_for or MarkovDynamics
-    out = []
-    for model, agent in runs:
-        dyn = make_dyn(model)
-        per_trial: list[tuple | None] = [None] * num_trials
-        if threads > 1:
-            blocks = np.array_split(np.arange(num_trials), threads * 4)
-            jobs = [(model, dyn, agent, horizon, seed, blk.tolist())
-                    for blk in blocks if len(blk)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for rows in pool.map(_stats_block, jobs):
-                    for t, stats in rows:
-                        per_trial[t] = stats
-        else:
-            for t in range(num_trials):
-                per_trial[t] = _trial_stats(model, dyn, agent, horizon, seed, t)
-        out.append(_aggregate(model, agent, horizon, per_trial, keep_slots))
-    return out
+    return [aggregate(model, agent, horizon,
+                      simulate_trials(model, MarkovDynamics(model), agent,
+                                      horizon, num_trials, seed, threads),
+                      keep_slots)
+            for model, agent in runs]
 
 
 def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
@@ -304,10 +297,8 @@ def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
                     seed: int, threads: int = 1) -> Metrics:
     """Constant-speed traversal; belief still evolves by the Markov model."""
     dyn = FixedPathDynamics(scene, speed_kmh, slot_s)
-    metrics = monte_carlo([(model, agent)], num_trials, dyn.n_slots, seed,
-                          threads=threads,
-                          dynamics_for=lambda _m: dyn, keep_slots=True)
-    return metrics[0]
+    traces = simulate_trials(model, dyn, agent, dyn.n_slots, num_trials, seed, threads)
+    return aggregate(model, agent, dyn.n_slots, traces, keep_slots=True)
 
 
 def perfect_info_rates(model: PomdpModel) -> dict[str, float]:

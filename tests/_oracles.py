@@ -186,6 +186,18 @@ def bruteforce_backup(T: np.ndarray, O: np.ndarray, rbar: np.ndarray,
     return best
 
 
+def projections(T: np.ndarray, O: np.ndarray, alpha_mat: np.ndarray) -> np.ndarray:
+    """proj[v, a, z, s] = sum_s' T[s, s'] O[a, s', z] alpha[v, s'], in full.
+
+    Reference form of the backup projection; the solver's sweep kernel
+    computes the same contractions through the per-cell factorization.
+    """
+    v, s = alpha_mat.shape
+    a, _, z = O.shape
+    m1 = alpha_mat[:, None, None, :] * O.transpose(0, 2, 1)[None, :, :, :]
+    return (m1.reshape(v * a * z, s) @ T.T).reshape(v, a, z, s)
+
+
 # ----------------------------------------------- belief-grid value iteration
 
 def simplex_grid(num_states: int, resolution: int) -> np.ndarray:

@@ -37,6 +37,8 @@ HORIZON = 200
 SPEEDS = (10.0, 30.0, 50.0, 70.0, 90.0)
 ORACLE_DRAWS = 1_000_000
 
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture(scope="session")
 def store():

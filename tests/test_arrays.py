@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from specbeam.arrays import (ApertureSpec, BandConfig, PropagationConstants,
+from specbeam.arrays import (ApertureSpec, PropagationConstants,
                              aligned_gain, dirichlet_ratio_abs,
-                             direct_array_response, elements_for_band,
-                             expected_rate, gain, make_band,
-                             normalized_angles, observation_probs, rate,
-                             snr_sample, steering_vector)
+                             elements_for_band, expected_rate, gain,
+                             make_band, normalized_angles, observation_probs,
+                             rate, snr_sample)
 from _oracles import double_sum_response, mc_expected_rate
 
 AP_PAPER = ApertureSpec(a_y_m=0.0375, a_z_m=0.0375)
@@ -32,40 +31,15 @@ def test_make_band_spacing_and_labels():
     assert band.wavelength_m == pytest.approx(299792458.0 / 39e9, rel=1e-15)
 
 
-def test_steering_vector_basics():
-    band = make_band(AP_DEFAULT, 60e9, 100e6)
-    v0 = steering_vector(band, 0.0, 0.0)
-    assert np.allclose(v0, np.ones(band.num_elements))
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        th, ph = rng.uniform(-1.5, 1.5, size=2)
-        v = steering_vector(band, th, ph)
-        assert v.shape == (band.num_elements,)
-        assert np.abs(np.abs(v) - 1.0).max() < 1e-12
-        assert np.vdot(v, v).real == pytest.approx(band.num_elements, rel=1e-12)
-
-
 def test_direct_response_aligned_and_single_element():
     band = make_band(AP_DEFAULT, 39e9, 100e6)
     th, ph = 0.31, -0.42
-    assert direct_array_response(band, th, ph, th, ph) == pytest.approx(
+    assert double_sum_response(band.n_y, band.n_z, th, ph, th, ph) == pytest.approx(
         band.num_elements ** 2, rel=1e-12)
-    solo = BandConfig(f_hz=15e9, bandwidth_hz=90e6, n_y=1, n_z=1)
     rng = np.random.default_rng(1)
     for _ in range(10):
         a, b, c, d = rng.uniform(-1.5, 1.5, size=4)
-        assert direct_array_response(solo, a, b, c, d) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_direct_response_matches_independent_double_sum():
-    rng = np.random.default_rng(2)
-    for f in (15e9, 39e9, 60e9):
-        band = make_band(AP_DEFAULT, f, 100e6)
-        for _ in range(10):
-            th, ph, th_h, ph_h = rng.uniform(-1.5, 1.5, size=4)
-            got = direct_array_response(band, th, ph, th_h, ph_h)
-            want = double_sum_response(band.n_y, band.n_z, th, ph, th_h, ph_h)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-9)
+        assert double_sum_response(1, 1, a, b, c, d) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gain_equals_brute_force_response():
@@ -85,7 +59,7 @@ def test_gain_equals_brute_force_response():
             else:
                 th_h, ph_h = rng.uniform(-1.5, 1.5, size=2)
             g = gain(consts, band, 10.0, th, ph, th_h, ph_h)
-            d = direct_array_response(band, th, ph, th_h, ph_h)
+            d = double_sum_response(band.n_y, band.n_z, th, ph, th_h, ph_h)
             worst = max(worst, abs(g / pref - d) / max(d, 1e-12))
     print(f"worst relative gap closed form vs double sum: {worst:.3e}")
     assert worst < 1e-9

@@ -1,6 +1,7 @@
 """Config validation, artifact round-trips, and the CLI end to end."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 
 from specbeam import artifacts
-from specbeam.cli import (ROBUST_COLUMNS, SWEEP_COLUMNS, main,
-                          policy_filename)
+from specbeam.cli import build_parser, main, policy_filename
 from specbeam.config import ConfigError, ExperimentConfig, default_config_dict
 from specbeam.pbvi import solve
 from specbeam.pomdp import initial_belief
@@ -51,6 +51,8 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"not_a_section": {}})
     with pytest.raises(ConfigError, match="solver.widgets"):
         ExperimentConfig.from_dict({"solver": {"widgets": 3}})
+    with pytest.raises(ConfigError, match="solver.cross_product_actions: unknown field"):
+        ExperimentConfig.from_dict({"solver": {"cross_product_actions": False}})
 
 
 def test_config_rejects_bad_values():
@@ -188,6 +190,50 @@ def test_cli_solve_writes_reproducible_artifacts(cli_dir, capsys):
     assert header["config_hash"] == ExperimentConfig.load(cfg_path).content_hash()
 
 
+def test_cli_solve_manifest_keeps_stage_log(tmp_path, capsys):
+    cfg = ExperimentConfig.from_dict({**TINY, "solver": {**TINY["solver"], "max_sweeps": 1}})
+    cfg.dump(str(tmp_path / "exp.json"))
+    assert main(["solve", "--config", str(tmp_path / "exp.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    manifest = json.load(open(tmp_path / "out" / "sm_p0.6.manifest.json"))
+    (stage,) = manifest["solver"]["stages"]
+    assert stage == {"round": 1, "num_beliefs": manifest["num_beliefs"],
+                     "num_alphas": stage["num_alphas"], "sweeps": 1,
+                     "converged": False}
+    policy = json.load(open(tmp_path / "out" / "sm_p0.6.policy.json"))
+    assert policy["metadata"]["stages"] == [stage]
+
+
+def test_cli_util_columns_follow_configured_bands(tmp_path, capsys):
+    bands = [{"f_hz": 28.0e9, "bandwidth_hz": 100.0e6},
+             {"f_hz": 73.0e9, "bandwidth_hz": 100.0e6}]
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict({**TINY, "bands": bands}).dump(cfg_path)
+    csv_path = str(tmp_path / "sweep.csv")
+    assert main(["sweep-p", "--config", cfg_path, "--out", csv_path,
+                 "--policies", str(tmp_path / "policies"), "--solve-missing"]) == 0
+    lines = open(csv_path).read().splitlines()
+    header = lines[0].split(",")
+    assert [c for c in header if c.startswith("util_")] == ["util_28", "util_73"]
+    assert len(lines) == 1 + 4      # sm, sf28, sf73 and the oracle
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert abs(float(row["util_28"]) + float(row["util_73"]) - 1.0) < 1e-12
+    assert main(["report", "--sweep", csv_path]) == 0
+    assert "| p | 28 GHz | 73 GHz |" in capsys.readouterr().out
+
+
+def test_cli_threads_only_on_simulation_commands():
+    parser = build_parser()
+    for argv in (["solve", "--config", "c", "--out", "o"], ["report"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--threads", "2"])
+    for cmd in ("sweep-p", "robustness"):
+        args = parser.parse_args([cmd, "--config", "c", "--out", "o", "--threads", "2"])
+        assert args.threads == 2
+
+
 def test_cli_sweep_requires_policies(cli_dir, capsys):
     cfg_path = str(cli_dir / "exp.json")
     rc = main(["sweep-p", "--config", cfg_path,
@@ -216,13 +262,14 @@ def test_cli_sweep_deterministic_and_thread_invariant(cli_dir, capsys):
     blob = open(csv_a, "rb").read()
     assert blob == open(csv_b, "rb").read() == open(csv_c, "rb").read()
     lines = blob.decode().splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[0] == ("agent,p,mean_rate_bps,ci_halfwidth,"
+                        "util_15,util_39,util_60,num_trials,seed")
     assert len(lines) == 1 + 5      # four planners + oracle at one p
     for agent in ("sm", "sf15", "sf39", "sf60", "oracle"):
         assert any(line.startswith(agent + ",") for line in lines[1:])
     # utilization columns re-parse to floats that sum to one
     for line in lines[1:]:
-        parts = dict(zip(SWEEP_COLUMNS, line.split(",")))
+        parts = dict(zip(lines[0].split(","), line.split(",")))
         total = sum(float(parts[c]) for c in ("util_15", "util_39", "util_60"))
         assert abs(total - 1.0) < 1e-12
 
@@ -237,7 +284,8 @@ def test_cli_robustness_with_traces(cli_dir, capsys):
                  "--traces", traces]) == 0
     capsys.readouterr()
     lines = open(csv_path).read().splitlines()
-    assert lines[0] == ",".join(ROBUST_COLUMNS)
+    assert lines[0] == ("agent,p,speed_kmh,mean_rate_bps,ci_halfwidth,"
+                        "util_15,util_39,util_60,num_trials,seed")
     assert len(lines) == 1 + 2 * 1 * 5        # p in {0.35, 0.95} x 1 speed x 5 agents
     for p in (0.35, 0.95):
         for agent in ("sm", "sf15", "sf39", "sf60"):
@@ -255,6 +303,14 @@ def test_cli_robustness_with_traces(cli_dir, capsys):
     assert len(first_two) == 5
     assert all(r["cells"] == first_two[0]["cells"] for r in first_two)
     assert all(r["noise_draws"] == first_two[0]["noise_draws"] for r in first_two)
+    # every CSV row is the mean of exactly the trials logged for it
+    for line in lines[1:]:
+        row = dict(zip(lines[0].split(","), line.split(",")))
+        key = (row["agent"], float(row["p"]), float(row["speed_kmh"]))
+        means = [r["mean_rate_bps"] for r in logged
+                 if (r["agent"], r["p"], r["speed_kmh"]) == key]
+        assert len(means) == int(row["num_trials"])
+        assert math.fsum(means) / int(row["num_trials"]) == float(row["mean_rate_bps"])
 
 
 def test_cli_report(cli_dir, capsys):

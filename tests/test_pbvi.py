@@ -11,9 +11,10 @@ from specbeam.mobility import MobilityModel, StateSpace
 from specbeam.pbvi import (AlphaVector, BeliefSet, Policy, backup,
                            backup_stage, default_epsilon, expand_beliefs,
                            extract_action, initial_bound, solve,
-                           _dedup_rows, _projections, _prune_dominated)
+                           _dedup_rows, _prune_dominated)
 from specbeam.pomdp import PomdpModel, initial_belief
-from _oracles import bruteforce_backup, freudenthal_weights, simplex_grid
+from _oracles import (bruteforce_backup, freudenthal_weights, projections,
+                      simplex_grid)
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -44,12 +45,13 @@ def _tiny_model(rbar_rows: np.ndarray, discount: float = 0.9) -> PomdpModel:
     n_a = len(rbar_rows)
     actions = ActionSpace(theta_hat=np.zeros(n_a), phi_hat=np.zeros(n_a),
                           band_idx=np.zeros(n_a, dtype=int),
-                          beam_cell=np.ones(n_a, dtype=int), cross_product=False)
+                          beam_cell=np.ones(n_a, dtype=int))
     return PomdpModel(
         states=states, actions=actions,
         T=np.array([[1.0]]),
         O=np.tile(np.array([0.5, 0.5]), (n_a, 1, 1)),
         rbar=np.asarray(rbar_rows, dtype=float),
+        gains=np.zeros((n_a, 0)),
         thresholds=np.array([1.0]),
         discount=discount,
         road=(), bands=(BandConfig(f_hz=1e9, bandwidth_hz=1e6, n_y=1, n_z=1),),
@@ -107,7 +109,7 @@ def test_projection_reference_agrees_with_kernel(model):
     """Scores via the full projection tensor match the cell-factorized path."""
     rng = np.random.default_rng(10)
     alpha_mat = rng.random((3, model.num_states)) * 1e9
-    proj = _projections(model, alpha_mat)              # (V, A, Z, S)
+    proj = projections(model.T, model.O, alpha_mat)    # (V, A, Z, S)
     b = rng.dirichlet(np.ones(model.num_states))
     tb = b @ model.T
     want_scores = proj @ b                             # (V, A, Z)

@@ -45,7 +45,6 @@ def test_paper_instance_dimensions(model):
 
 def test_action_enumeration_cell_major(model):
     acts = model.actions
-    assert not acts.cross_product
     for a in range(36):
         assert acts.beam_cell[a] == a // 3 + 1
         assert acts.band_idx[a] == a % 3
@@ -53,15 +52,6 @@ def test_action_enumeration_cell_major(model):
         assert acts.theta_hat[a] == cell.theta
         assert acts.phi_hat[a] == cell.phi
     assert acts.index(cell=5, band=2, num_bands=3) == 14
-
-
-def test_cross_product_actions():
-    road = build_road(SceneConfig())
-    bands = CFG.bands()
-    acts = enumerate_actions(road, bands, cross_product=True)
-    assert len(acts) == 12 * 12 * 3
-    with pytest.raises(ValueError):
-        acts.index(cell=1, band=0, num_bands=3)
 
 
 def test_snr_thresholds_grid():

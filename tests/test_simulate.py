@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from specbeam.arrays import aligned_gain, expected_rate
+from specbeam.arrays import aligned_gain, expected_rate, gain
 from specbeam.config import ExperimentConfig
-from specbeam.pomdp import action_cell_gains, initial_belief
+from specbeam.pomdp import initial_belief
 from specbeam.simulate import (FixedActionAgent, FixedPathDynamics,
                                MarkovDynamics, OracleAgent, PolicyAgent,
                                fixed_path_eval, monte_carlo, oracle_action,
@@ -66,12 +66,14 @@ def test_oracle_trial_is_always_aligned(model):
 def test_trace_rates_recomputable(model):
     trace = run_trial(model, MarkovDynamics(model),
                       FixedActionAgent(20), 128, np.random.SeedSequence((9, 1)))
-    gains = action_cell_gains(model)
     for t in range(0, 128, 17):
         a = trace.actions[t]
         band = model.band_of_action(a)
         sig = model.consts.noise_variance_w(band.bandwidth_hz)
-        snr = gains[a, trace.cells[t] - 1] / (sig * trace.noise_draws[t])
+        cell = model.road[trace.cells[t] - 1]
+        g = gain(model.consts, band, cell.r_m, cell.theta, cell.phi,
+                 model.actions.theta_hat[a], model.actions.phi_hat[a])
+        snr = g / (sig * trace.noise_draws[t])
         assert trace.snrs[t] == pytest.approx(snr, rel=1e-12)
         assert trace.rates[t] == pytest.approx(
             band.bandwidth_hz * math.log2(1.0 + snr), rel=1e-12)
