@@ -149,8 +149,10 @@ def cmd_solve(args) -> int:
         "num_alphas": int(policy.alpha.shape[0]),
         "solver": policy.metadata,
     })
+    unconverged = sum(not st["converged"] for st in policy.metadata["stages"])
     print(f"solved {args.agent} at p={p:g}: |B|={policy.metadata['num_beliefs']}, "
-          f"|V|={policy.alpha.shape[0]}, {wall_s:.1f}s -> {base}.policy.json")
+          f"|V|={policy.alpha.shape[0]}, unconverged rounds: {unconverged}, "
+          f"{wall_s:.1f}s -> {base}.policy.json")
     return 0
 
 
@@ -317,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint spectrum and beam-direction planning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required,
-                        help="experiment config JSON")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="experiment config JSON")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
 
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_robustness)
 
     sp = sub.add_parser("report", help="summarize result CSVs as markdown")
-    common(sp, config_required=False)
+    sp.add_argument("--config", default=None, help="experiment config JSON")
     sp.add_argument("--out", default=None, help="output markdown path (default: stdout)")
     sp.add_argument("--sweep", default=None, help="sweep-p CSV to summarize")
     sp.add_argument("--robustness", default=None,

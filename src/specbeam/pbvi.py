@@ -23,9 +23,17 @@ index.
 
 Because observation rows depend on a state only through its current cell,
 the score b . proj[v, a, z] contracts over the handful of cells rather
-than the full state space, and the projection tensor itself is only ever
-formed for the argmax-selected (action, observation) rows. That cut is
-what keeps full-instance solves in the tens of seconds on one core.
+than the full state space, and the projection tensor itself is never
+formed. A sweep scores a chunk of beliefs against every vector at once,
+reduces the scores with a max over vectors, picks each belief's action
+from those maxima, and runs the argmax over vectors only on the chosen
+action's observation columns. The score block, megabytes at a few dozen
+vectors, is written into one buffer that every chunk of the sweep reuses.
+Each product keeps the shape it had in the all-argmax kernel kept in
+tests/_oracles.py, so the policy bytes are the same: scoring only the
+observation columns that are nonzero somewhere, or in smaller chunks,
+is faster but lets BLAS round differently, and at a tie within an ulp
+that changes which vector or action wins.
 
 Each sweep keeps, per belief, the better of the fresh backup and the
 belief's previously retained vector, so per-belief values never decrease.
@@ -43,8 +51,6 @@ from typing import Any
 import numpy as np
 
 from .pomdp import ImpossibleObservation, PomdpModel, belief_update
-
-_BELIEF_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,13 @@ def _cell_tensors(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
     return e, oz
 
 
+# Beliefs per chunk of the score product. BLAS may round a product of a
+# different shape differently, and a tie between alpha vectors or actions
+# can then fall the other way, so the chunk is part of what fixes the
+# policy bytes.
+_BELIEF_CHUNK = 32
+
+
 def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
                   e: np.ndarray, oz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backup one belief per row of `tb`; returns (vectors (N,S), actions (N,)).
@@ -116,25 +129,26 @@ def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
     n_v, n_s = alpha_mat.shape
     n_a, _, n_z = model.O.shape
     disc = model.discount
-    out_vec = np.empty((len(tb), n_s))
-    out_act = np.empty(len(tb), dtype=int)
+    acts = np.empty(len(tb), dtype=int)
+    best_v = np.empty((len(tb), n_z), dtype=int)            # of the chosen action
+    buf = np.empty((n_v * min(_BELIEF_CHUNK, len(tb)), n_a * n_z))
     for lo in range(0, len(tb), _BELIEF_CHUNK):
         tbc = tb[lo:lo + _BELIEF_CHUNK]
         n = len(tbc)
         w = alpha_mat[:, None, :] * tbc[None, :, :]
         h = w.reshape(n_v * n, n_s) @ e
-        scores = (h @ oz).reshape(n_v, n, n_a, n_z)
-        best_v = scores.argmax(axis=0)                      # (n, A, Z)
-        best = np.take_along_axis(scores, best_v[None], axis=0)[0]
-        totals = tbc @ model.rbar.T + disc * best.sum(axis=2)
-        acts = totals.argmax(axis=1)                        # (n,)
-        for k in range(n):
-            a = acts[k]
-            g = alpha_mat[best_v[k, a]]                     # (Z, S)
-            phi = (model.O[a] * g.T).sum(axis=1)
-            out_vec[lo + k] = model.T @ (model.rbar[a] + disc * phi)
-            out_act[lo + k] = a
-    return out_vec, out_act
+        scores = np.matmul(h, oz, out=buf[:n_v * n]).reshape(n_v, n, n_a, n_z)
+        totals = tbc @ model.rbar.T + disc * scores.max(axis=0).sum(axis=2)
+        a = totals.argmax(axis=1)                           # (n,)
+        acts[lo:lo + n] = a
+        best_v[lo:lo + n] = scores[:, np.arange(n), a, :].argmax(axis=0)
+    g = alpha_mat[best_v]                                   # (N, Z, S)
+    phi = (model.O[acts] * g.transpose(0, 2, 1)).sum(axis=2)
+    pre = model.rbar[acts] + disc * phi
+    out_vec = np.empty((len(tb), n_s))
+    for k in range(len(tb)):            # pre @ T.T would round differently
+        out_vec[k] = model.T @ pre[k]
+    return out_vec, acts
 
 
 def backup(model: PomdpModel, b: np.ndarray, alphas: list[AlphaVector]) -> AlphaVector:

@@ -198,6 +198,44 @@ def projections(T: np.ndarray, O: np.ndarray, alpha_mat: np.ndarray) -> np.ndarr
     return (m1.reshape(v * a * z, s) @ T.T).reshape(v, a, z, s)
 
 
+REFERENCE_CHUNK = 32
+
+
+def reference_backup_block(model, tb: np.ndarray, alpha_mat: np.ndarray,
+                           e: np.ndarray, oz: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's earlier sweep kernel, kept as the bit-exact reference.
+
+    Scores every (vector, belief, action, observation) over all of OZ's
+    columns in chunks of 32 beliefs, takes the full argmax over vectors
+    and gathers the best scores with take_along_axis. `e` and `oz` are the
+    (|S|, C) state->cell one-hot and the (C, |A|*M_z) per-cell observation
+    rows; `tb` holds the predicted beliefs (beliefs @ T), one per row.
+    """
+    n_v, n_s = alpha_mat.shape
+    n_a, _, n_z = model.O.shape
+    disc = model.discount
+    out_vec = np.empty((len(tb), n_s))
+    out_act = np.empty(len(tb), dtype=int)
+    for lo in range(0, len(tb), REFERENCE_CHUNK):
+        tbc = tb[lo:lo + REFERENCE_CHUNK]
+        n = len(tbc)
+        w = alpha_mat[:, None, :] * tbc[None, :, :]
+        h = w.reshape(n_v * n, n_s) @ e
+        scores = (h @ oz).reshape(n_v, n, n_a, n_z)
+        best_v = scores.argmax(axis=0)                      # (n, A, Z)
+        best = np.take_along_axis(scores, best_v[None], axis=0)[0]
+        totals = tbc @ model.rbar.T + disc * best.sum(axis=2)
+        acts = totals.argmax(axis=1)                        # (n,)
+        for k in range(n):
+            a = acts[k]
+            g = alpha_mat[best_v[k, a]]                     # (Z, S)
+            phi = (model.O[a] * g.T).sum(axis=1)
+            out_vec[lo + k] = model.T @ (model.rbar[a] + disc * phi)
+            out_act[lo + k] = a
+    return out_vec, out_act
+
+
 # ----------------------------------------------- belief-grid value iteration
 
 def simplex_grid(num_states: int, resolution: int) -> np.ndarray:

@@ -195,7 +195,7 @@ def test_cli_solve_manifest_keeps_stage_log(tmp_path, capsys):
     cfg.dump(str(tmp_path / "exp.json"))
     assert main(["solve", "--config", str(tmp_path / "exp.json"),
                  "--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
+    assert "unconverged rounds: 1," in capsys.readouterr().out
     manifest = json.load(open(tmp_path / "out" / "sm_p0.6.manifest.json"))
     (stage,) = manifest["solver"]["stages"]
     assert stage == {"round": 1, "num_beliefs": manifest["num_beliefs"],
@@ -232,6 +232,16 @@ def test_cli_threads_only_on_simulation_commands():
     for cmd in ("sweep-p", "robustness"):
         args = parser.parse_args([cmd, "--config", "c", "--out", "o", "--threads", "2"])
         assert args.threads == 2
+
+
+def test_cli_seed_only_on_commands_that_use_it():
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["report", "--seed", "1"])
+    for argv in (["solve", "--config", "c", "--out", "o"],
+                 ["sweep-p", "--config", "c", "--out", "o"],
+                 ["robustness", "--config", "c", "--out", "o"]):
+        assert parser.parse_args(argv + ["--seed", "1"]).seed == 1
 
 
 def test_cli_sweep_requires_policies(cli_dir, capsys):

@@ -5,16 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from specbeam import pbvi
 from specbeam.arrays import BandConfig, PropagationConstants
 from specbeam.config import ExperimentConfig
 from specbeam.mobility import MobilityModel, StateSpace
 from specbeam.pbvi import (AlphaVector, BeliefSet, Policy, backup,
                            backup_stage, default_epsilon, expand_beliefs,
                            extract_action, initial_bound, solve,
+                           _BELIEF_CHUNK, _backup_block, _cell_tensors,
                            _dedup_rows, _prune_dominated)
 from specbeam.pomdp import PomdpModel, initial_belief
 from _oracles import (bruteforce_backup, freudenthal_weights, projections,
-                      simplex_grid)
+                      reference_backup_block, simplex_grid)
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -96,6 +98,68 @@ def test_backup_matches_bruteforce_oracle(model):
         rel = np.abs(got.values - want_vec).max() / np.abs(want_vec).max()
         assert rel < 1e-12
         assert float(b @ got.values) == pytest.approx(want_val, rel=1e-12)
+
+
+def _tied_alphas(model, tb, rng, num_random):
+    """Alpha rows with duplicates, exact score ties and near ties.
+
+    Three top rows outscore the random ones at most (a, z). A tie row
+    copies a top row and changes it only on states that no row of `tb`
+    reaches, so both have the same exact score at every (a, z). A near-tie
+    row is a top row moved up by one ulp.
+    """
+    bound = initial_bound(model).values
+    base = bound[None, :] * (1.0 + rng.random((num_random, model.num_states)))
+    top = 1.5 * base[:3]
+    unreached = np.flatnonzero((tb == 0.0).all(axis=0))
+    ties = top.copy()
+    ties[:, unreached] *= 2.0
+    near = np.nextafter(top, np.inf)
+    return np.vstack([base[:2], bound[None, :], base, top, ties, near, top[1:3],
+                      bound[None, :]])
+
+
+def _point_heavy_beliefs(model, n, rng):
+    """Beliefs on the first three cells, every third one a point mass."""
+    near = np.flatnonzero(model.states.cells() <= 2)
+    pts = np.zeros((n, model.num_states))
+    pts[:, near] = rng.dirichlet(np.ones(len(near)), size=n)
+    rows = np.arange(0, n, 3)
+    pts[rows] = 0.0
+    pts[rows, near[rows % len(near)]] = 1.0
+    return pts
+
+
+@pytest.mark.parametrize("band", [None, "39ghz"])
+@pytest.mark.parametrize("num_random", [3, 200])
+def test_backup_block_matches_reference_kernel(band, num_random):
+    """The max-reduce kernel returns the all-argmax kernel's exact bits."""
+    sub = CFG.build_model(p=0.6, band_label=band)
+    e, oz = _cell_tensors(sub)
+    assert not oz.any(axis=0).all()     # some (a, z) columns are zero everywhere
+    rng = np.random.default_rng(21)
+    for n in (1, _BELIEF_CHUNK - 1, _BELIEF_CHUNK + 1, 70):
+        point = _point_heavy_beliefs(sub, n, rng) @ sub.T
+        dense = rng.dirichlet(np.ones(sub.num_states), size=n)
+        for tb in (point, dense):
+            alpha_mat = _tied_alphas(sub, tb, rng, num_random)
+            got_vec, got_act = _backup_block(sub, tb, alpha_mat, e, oz)
+            want_vec, want_act = reference_backup_block(sub, tb, alpha_mat, e, oz)
+            assert np.array_equal(got_act, want_act), n
+            assert np.array_equal(got_vec, want_vec), n
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_solve_bytes_match_reference_kernel(p, monkeypatch):
+    """Whole solves with either kernel give the same policy bytes and log."""
+    full = CFG.build_model(p=p)
+    b0 = initial_belief(full.states)
+    got = solve(full, b0, num_stages=2)
+    monkeypatch.setattr(pbvi, "_backup_block", reference_backup_block)
+    want = solve(full, b0, num_stages=2)
+    assert got.alpha.tobytes() == want.alpha.tobytes()
+    assert np.array_equal(got.actions, want.actions)
+    assert got.metadata["stages"] == want.metadata["stages"]
 
 
 def test_backup_value_improves_on_loose_bound(model):
