@@ -32,12 +32,12 @@ def _util_column(band_label: str) -> str:
 
 def sweep_columns(band_labels) -> tuple[str, ...]:
     return ("agent", "p", "mean_rate_bps", "ci_halfwidth",
-            *map(_util_column, band_labels), "num_trials", "seed")
+            *map(_util_column, band_labels), "num_trials", "seed", "reset_fraction")
 
 
 def robust_columns(band_labels) -> tuple[str, ...]:
     return ("agent", "p", "speed_kmh", "mean_rate_bps", "ci_halfwidth",
-            *map(_util_column, band_labels), "num_trials", "seed")
+            *map(_util_column, band_labels), "num_trials", "seed", "reset_fraction")
 
 
 def policy_filename(agent: str, p: float) -> str:
@@ -65,6 +65,7 @@ def _metric_row(m: Metrics, band_labels, agent: str, p: float, seed: int,
         "ci_halfwidth": m.ci_halfwidth,
         "num_trials": m.num_trials,
         "seed": seed,
+        "reset_fraction": m.reset_fraction,
     }
     for lbl in band_labels:
         row[_util_column(lbl)] = m.utilization.get(lbl, 0.0)
@@ -164,8 +165,7 @@ def cmd_sweep_p(args) -> int:
     rows = []
     for p in sim["p_grid"]:
         runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
-        metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed,
-                              threads=args.threads)
+        metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed)
         for (_, agent), m in zip(runs, metrics):
             rows.append(_metric_row(m, labels, agent.label, p, seed))
     _write_csv(args.out, sweep_columns(labels), rows)
@@ -188,7 +188,7 @@ def cmd_robustness(args) -> int:
                 dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
                 for model, agent in runs:
                     traces = simulate_trials(model, dyn, agent, dyn.n_slots,
-                                             sim["num_trials"], seed, args.threads)
+                                             sim["num_trials"], seed)
                     m = aggregate(model, agent, dyn.n_slots, traces)
                     rows.append(_metric_row(m, labels, agent.label, p, seed,
                                             speed_kmh=speed))
@@ -245,6 +245,13 @@ def _by_agent(rows: list[dict]) -> dict[str, dict]:
     return {r["agent"]: r for r in rows}
 
 
+def _reset_lines(rows: list[dict], keys: tuple[str, ...]) -> list[str]:
+    """One line naming every row whose belief-reset fraction is nonzero."""
+    hits = [" ".join([r["agent"], *(f"{k}={r[k]:g}" for k in keys)])
+            + f" ({r['reset_fraction']:.4g})" for r in rows if r["reset_fraction"]]
+    return [f"Nonzero belief-reset fraction: {', '.join(hits)}", ""] if hits else []
+
+
 def cmd_report(args) -> int:
     out = ["# Experiment report", ""]
     if args.sweep:
@@ -270,7 +277,7 @@ def cmd_report(args) -> int:
         for p in ps:
             sm = _by_agent([r for r in rows if r["p"] == p])["sm"]
             out.append(f"| {p:g} | " + " | ".join(f"{sm[c]:.3f}" for c in utils) + " |")
-        out.append("")
+        out += ["", *_reset_lines(rows, ("p",))]
     if args.robustness:
         _, rows = _read_csv(args.robustness, robust_columns(()))
         out += ["## Fixed-path robustness (end-to-end drop, slowest to fastest)",
@@ -287,7 +294,7 @@ def cmd_report(args) -> int:
                 drop = 100 * (lo["mean_rate_bps"] - hi["mean_rate_bps"]) / lo["mean_rate_bps"]
                 out.append(f"| {p:g} | {agent} | {lo['mean_rate_bps'] / 1e9:.4f} "
                            f"| {hi['mean_rate_bps'] / 1e9:.4f} | {drop:.2f} |")
-        out.append("")
+        out += ["", *_reset_lines(rows, ("p", "speed_kmh"))]
     if args.config:
         cfg = ExperimentConfig.load(args.config)
         rates = perfect_info_rates(cfg.build_model())
@@ -325,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
 
     def simulation(sp):
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes for simulation")
         sp.add_argument("--out", required=True, help="output CSV path")
         sp.add_argument("--policies", default="policies",
                         help="directory holding solved policies")

@@ -10,29 +10,38 @@ Agents are compared under common random numbers: trial t of every agent is
 driven by streams spawned from SeedSequence((root_seed, t)), and since
 decisions consume no randomness, paths and noise realizations coincide
 across agents with identical dynamics.
+
+One lockstep runner simulates every trial of a (model, agent) run: the
+beliefs are the rows of an (n, |S|) matrix and all trials advance one slot
+at a time. Paths and noise do not depend on actions, so each trial's
+streams are drawn before the loop (Generator.random(h) equals h single
+draws; fixed paths draw nothing). The traces are bit-identical to a
+per-trial loop: each belief product is a per-row matrix-vector product
+stacked by np.matmul (B @ T rounds differently, and a one-ulp difference
+can flip an action), and the logs are math.log1p/math.log2, which differ
+from the numpy ufuncs in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SceneConfig, containing_cell
-from .pbvi import Policy, extract_action
-from .pomdp import ImpossibleObservation, PomdpModel, belief_update, initial_belief
+from .pbvi import Policy
+from .pomdp import _NORMALIZER_FLOOR, PomdpModel, initial_belief
 
 _Z95 = 1.959963984540054
 
 
 class Agent:
-    """Base: maps (belief, true cell) to an action index of its model."""
+    """Base: maps beliefs (n, |S|) and true cells (n,) to actions (n,)."""
 
     label = "agent"
 
-    def act(self, belief: np.ndarray, true_cell: int) -> int:
+    def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -44,8 +53,10 @@ class PolicyAgent(Agent):
         self.model = model
         self.policy = policy
 
-    def act(self, belief: np.ndarray, true_cell: int) -> int:
-        return extract_action(self.policy, belief)
+    def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
+        # per-row alpha @ b, stacked; argmax keeps the lowest index on ties
+        values = np.matmul(self.policy.alpha, beliefs[:, :, None])[..., 0]
+        return self.policy.actions[values.argmax(axis=1)]
 
 
 class OracleAgent(Agent):
@@ -57,8 +68,8 @@ class OracleAgent(Agent):
         self._by_cell = np.array(
             [oracle_action(model, cell) for cell in range(1, len(model.road) + 1)])
 
-    def act(self, belief: np.ndarray, true_cell: int) -> int:
-        return int(self._by_cell[true_cell - 1])
+    def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
+        return self._by_cell[true_cells - 1]
 
 
 class FixedActionAgent(Agent):
@@ -68,8 +79,8 @@ class FixedActionAgent(Agent):
         self.label = label
         self.action = int(action)
 
-    def act(self, belief: np.ndarray, true_cell: int) -> int:
-        return self.action
+    def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
+        return np.full(len(true_cells), self.action)
 
 
 def oracle_action(model: PomdpModel, true_cell: int) -> int:
@@ -94,16 +105,19 @@ class MarkovDynamics:
         self._b0_cum = initial_belief(model.states).cumsum()
         self._t_cum = model.T.cumsum(axis=1)
 
-    def initial(self, rng: np.random.Generator) -> int:
-        top = self.model.num_states - 1
-        return min(int(np.searchsorted(self._b0_cum, rng.random(), side="right")), top)
+    def states(self, u: np.ndarray) -> np.ndarray:
+        """(n, h) states of n paths; u (n, h + 1) uniforms, column 0 the start.
 
-    def step(self, state: int, rng: np.random.Generator) -> int:
+        Inverse-CDF steps: on a non-decreasing cumsum row, the count of
+        entries <= u equals searchsorted(row, u, side="right").
+        """
         top = self.model.num_states - 1
-        return min(int(np.searchsorted(self._t_cum[state], rng.random(), side="right")), top)
-
-    def cell_of(self, state: int) -> int:
-        return self.model.states.cell_of(state)
+        state = np.minimum(np.searchsorted(self._b0_cum, u[:, 0], side="right"), top)
+        out = np.empty((u.shape[0], u.shape[1] - 1), dtype=int)
+        for t in range(out.shape[1]):
+            state = np.minimum((self._t_cum[state] <= u[:, t + 1, None]).sum(axis=1), top)
+            out[:, t] = state
+        return out
 
 
 class FixedPathDynamics:
@@ -159,96 +173,78 @@ class Metrics:
     slot_mean_rates: np.ndarray | None = None
 
 
-def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
-              seed, record_beliefs: bool = False,
-              config_hash: str = "") -> TrialTrace:
-    """Simulate one episode; every slot consumes one path + one noise draw."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    path_ss, noise_ss = seq.spawn(2)
-    path_rng = np.random.default_rng(path_ss)
-    noise_rng = np.random.default_rng(noise_ss)
+def _lockstep(model: PomdpModel, dynamics, agent: Agent, horizon: int,
+              seqs: list, record_beliefs: bool = False,
+              config_hash: str = "") -> list[TrialTrace]:
+    """Traces of the trials seeded by `seqs`, all advanced one slot at a time."""
+    n, num_states = len(seqs), model.num_states
+    rngs = [[np.random.default_rng(ss) for ss in seq.spawn(2)] for seq in seqs]
+    if isinstance(dynamics, FixedPathDynamics):
+        horizon = dynamics.n_slots
+        states = np.full((n, horizon), -1)
+        cells = np.tile(dynamics.cells, (n, 1))
+    else:
+        states = dynamics.states(np.array([path.random(horizon + 1) for path, _ in rngs]))
+        cells = model.states.cells()[states]
+    draws = np.array([[-math.log1p(-u) for u in noise.random(horizon).tolist()]
+                      for _, noise in rngs])
 
-    gains = model.gains
     widths = np.array([b.bandwidth_hz for b in model.bands])
     sigmas = np.array([model.consts.noise_variance_w(w) for w in widths])
     band_idx = model.actions.band_idx
-
-    fixed = isinstance(dynamics, FixedPathDynamics)
-    if fixed:
-        horizon = dynamics.n_slots
-    b = initial_belief(model.states)
-    state = -1 if fixed else dynamics.initial(path_rng)
-
-    states = np.empty(horizon, dtype=int)
-    cells = np.empty(horizon, dtype=int)
-    actions = np.empty(horizon, dtype=int)
-    draws = np.empty(horizon)
-    snrs = np.empty(horizon)
-    rates = np.empty(horizon)
-    obs = np.empty(horizon, dtype=int)
-    resets = np.zeros(horizon, dtype=bool)
-    beliefs = np.empty((horizon + 1, model.num_states)) if record_beliefs else None
+    actions = np.empty((n, horizon), dtype=int)
+    snrs = np.empty((n, horizon))
+    obs = np.empty((n, horizon), dtype=int)
+    resets = np.zeros((n, horizon), dtype=bool)
+    b = np.tile(initial_belief(model.states), (n, 1))
+    beliefs = np.empty((n, horizon + 1, num_states)) if record_beliefs else None
     if beliefs is not None:
-        beliefs[0] = b
+        beliefs[:, 0] = b
 
     for t in range(horizon):
-        if fixed:
-            path_rng.random()            # keep stream parity with Markov runs
-            cell = int(dynamics.cells[t])
-        else:
-            state = dynamics.step(state, path_rng)
-            cell = dynamics.cell_of(state)
-        a = agent.act(b, cell)
-        u = noise_rng.random()
-        e = -math.log1p(-u)
-        q = band_idx[a]
-        snr = gains[a, cell - 1] / (sigmas[q] * e)
-        z = int(np.searchsorted(model.thresholds, snr, side="right"))
-        try:
-            b = belief_update(model, b, a, z)
-        except ImpossibleObservation:
-            b = np.full(model.num_states, 1.0 / model.num_states)
-            resets[t] = True
-        states[t] = state
-        cells[t] = cell
-        actions[t] = a
-        draws[t] = e
-        snrs[t] = snr
-        rates[t] = widths[q] * math.log2(1.0 + snr)
-        obs[t] = z
+        a = agent.act(b, cells[:, t])
+        snr = model.gains[a, cells[:, t] - 1] / (sigmas[band_idx[a]] * draws[:, t])
+        z = np.searchsorted(model.thresholds, snr, side="right")
+        post = model.O[a, :, z] * np.matmul(model.T.T, b[:, :, None])[..., 0]
+        norm = post.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = post / norm[:, None]
+        resets[:, t] = norm <= _NORMALIZER_FLOOR     # impossible observation
+        b[resets[:, t]] = 1.0 / num_states
+        actions[:, t], snrs[:, t], obs[:, t] = a, snr, z
         if beliefs is not None:
-            beliefs[t + 1] = b
+            beliefs[:, t + 1] = b
+    log2s = [math.log2(1.0 + s) for s in snrs.ravel().tolist()]
+    rates = widths[band_idx[actions]] * np.array(log2s).reshape(n, horizon)
 
-    return TrialTrace(states=states, cells=cells, actions=actions,
-                      noise_draws=draws, snrs=snrs, rates=rates,
-                      observations=obs, resets=resets,
-                      seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
-                      config_hash=config_hash, beliefs=beliefs)
+    return [TrialTrace(states=states[i], cells=cells[i], actions=actions[i],
+                       noise_draws=draws[i], snrs=snrs[i], rates=rates[i],
+                       observations=obs[i], resets=resets[i],
+                       seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
+                       config_hash=config_hash,
+                       beliefs=None if beliefs is None else beliefs[i])
+            for i, seq in enumerate(seqs)]
 
 
-def _trial_block(args) -> list[TrialTrace]:
-    """Traces of the listed trials; trial t is seeded by (root_seed, t)."""
-    model, dynamics, agent, horizon, root_seed, trials = args
-    return [run_trial(model, dynamics, agent, horizon,
-                      np.random.SeedSequence((root_seed, t))) for t in trials]
+def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
+              seed, record_beliefs: bool = False,
+              config_hash: str = "") -> TrialTrace:
+    """Simulate one episode: the lockstep runner on a single trial."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return _lockstep(model, dynamics, agent, horizon, [seq], record_beliefs,
+                     config_hash)[0]
 
 
 def simulate_trials(model: PomdpModel, dynamics, agent: Agent, horizon: int,
-                    num_trials: int, seed: int, threads: int = 1) -> list[TrialTrace]:
+                    num_trials: int, seed: int) -> list[TrialTrace]:
     """Trials 0, ..., num_trials - 1 of one agent, in trial order.
 
-    With threads > 1 contiguous blocks of trials run in worker processes;
-    each trial owns its seed, so the traces do not depend on the split.
+    Trial t is seeded by SeedSequence((seed, t)), whatever the trial count.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
-    if threads <= 1:
-        return _trial_block((model, dynamics, agent, horizon, seed, range(num_trials)))
-    blocks = np.array_split(np.arange(num_trials), threads * 4)
-    jobs = [(model, dynamics, agent, horizon, seed, blk.tolist())
-            for blk in blocks if len(blk)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return [trace for traces in pool.map(_trial_block, jobs) for trace in traces]
+    return _lockstep(model, dynamics, agent, horizon,
+                     [np.random.SeedSequence((seed, t)) for t in range(num_trials)])
 
 
 def aggregate(model: PomdpModel, agent: Agent, horizon: int,
@@ -277,8 +273,7 @@ def aggregate(model: PomdpModel, agent: Agent, horizon: int,
 
 
 def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
-                horizon: int, seed: int, threads: int = 1,
-                keep_slots: bool = False) -> list[Metrics]:
+                horizon: int, seed: int, keep_slots: bool = False) -> list[Metrics]:
     """Paired Monte Carlo over agents on each model's own chain.
 
     `runs` pairs each agent with the model whose action space it uses
@@ -287,17 +282,17 @@ def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
     """
     return [aggregate(model, agent, horizon,
                       simulate_trials(model, MarkovDynamics(model), agent,
-                                      horizon, num_trials, seed, threads),
+                                      horizon, num_trials, seed),
                       keep_slots)
             for model, agent in runs]
 
 
 def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
                     speed_kmh: float, slot_s: float, num_trials: int,
-                    seed: int, threads: int = 1) -> Metrics:
+                    seed: int) -> Metrics:
     """Constant-speed traversal; belief still evolves by the Markov model."""
     dyn = FixedPathDynamics(scene, speed_kmh, slot_s)
-    traces = simulate_trials(model, dyn, agent, dyn.n_slots, num_trials, seed, threads)
+    traces = simulate_trials(model, dyn, agent, dyn.n_slots, num_trials, seed)
     return aggregate(model, agent, dyn.n_slots, traces, keep_slots=True)
 
 

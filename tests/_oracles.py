@@ -6,13 +6,15 @@ the per-band perfect-information rate by paired Monte Carlo from plain
 numbers, the mobility law as a literal three-entry table, the point-based
 backup as an explicit loop over (action, observation, vector) triples, and a
 belief-grid value iteration over the simplex with Freudenthal interpolation
-for small instances.
+for small instances. Two references keep earlier package code verbatim so a
+faster rewrite can be held to it bit for bit: the backup kernel and the
+per-trial episode loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -234,6 +236,115 @@ def reference_backup_block(model, tb: np.ndarray, alpha_mat: np.ndarray,
             out_vec[lo + k] = model.T @ (model.rbar[a] + disc * phi)
             out_act[lo + k] = a
     return out_vec, out_act
+
+
+# ------------------------------------------------------ episode simulation
+
+def dead_bin_model(model):
+    """Observation bin 0 made impossible while every SNR falls into it.
+
+    Every slot's observation then has zero probability under any belief,
+    so a simulator must reset the belief to uniform in every slot.
+    """
+    dead = model.O.copy()
+    dead[:, :, 0] = 0.0
+    dead /= dead.sum(axis=2, keepdims=True)
+    huge = np.logspace(280, 303, len(model.thresholds))  # z=0 for any earthly SNR
+    return replace(model, O=dead, thresholds=huge)
+
+
+def reference_act(agent, b: np.ndarray, true_cell: int) -> int:
+    """One belief's action, as the per-trial agents decided it."""
+    from specbeam.pbvi import extract_action
+    from specbeam.simulate import FixedActionAgent, OracleAgent, PolicyAgent
+
+    if isinstance(agent, PolicyAgent):
+        return extract_action(agent.policy, b)
+    if isinstance(agent, OracleAgent):
+        return int(agent._by_cell[true_cell - 1])
+    if isinstance(agent, FixedActionAgent):
+        return agent.action
+    raise TypeError(f"no reference decision for {type(agent).__name__}")
+
+
+def reference_run_trial(model, dynamics, agent, horizon: int, seed,
+                        record_beliefs: bool = False, config_hash: str = ""):
+    """The per-trial, per-slot simulator loop, kept as the bit-exact reference.
+
+    Draws one path and one noise number per slot from streams spawned off
+    the trial's seed, decides per belief, and updates the belief with
+    pomdp.belief_update, resetting it to uniform on an impossible
+    observation. Markov steps are scalar inverse-CDF searchsorted calls.
+    """
+    from specbeam.pomdp import (ImpossibleObservation, belief_update,
+                                initial_belief)
+    from specbeam.simulate import FixedPathDynamics, TrialTrace
+
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    path_ss, noise_ss = seq.spawn(2)
+    path_rng = np.random.default_rng(path_ss)
+    noise_rng = np.random.default_rng(noise_ss)
+
+    gains = model.gains
+    widths = np.array([b.bandwidth_hz for b in model.bands])
+    sigmas = np.array([model.consts.noise_variance_w(w) for w in widths])
+    band_idx = model.actions.band_idx
+    top = model.num_states - 1
+    t_cum = model.T.cumsum(axis=1)
+
+    fixed = isinstance(dynamics, FixedPathDynamics)
+    if fixed:
+        horizon = dynamics.n_slots
+    b = initial_belief(model.states)
+    state = -1 if fixed else min(int(np.searchsorted(
+        initial_belief(model.states).cumsum(), path_rng.random(), side="right")), top)
+
+    states = np.empty(horizon, dtype=int)
+    cells = np.empty(horizon, dtype=int)
+    actions = np.empty(horizon, dtype=int)
+    draws = np.empty(horizon)
+    snrs = np.empty(horizon)
+    rates = np.empty(horizon)
+    obs = np.empty(horizon, dtype=int)
+    resets = np.zeros(horizon, dtype=bool)
+    beliefs = np.empty((horizon + 1, model.num_states)) if record_beliefs else None
+    if beliefs is not None:
+        beliefs[0] = b
+
+    for t in range(horizon):
+        if fixed:
+            path_rng.random()            # keep stream parity with Markov runs
+            cell = int(dynamics.cells[t])
+        else:
+            state = min(int(np.searchsorted(t_cum[state], path_rng.random(),
+                                            side="right")), top)
+            cell = model.states.cell_of(state)
+        a = reference_act(agent, b, cell)
+        u = noise_rng.random()
+        e = -math.log1p(-u)
+        q = band_idx[a]
+        snr = gains[a, cell - 1] / (sigmas[q] * e)
+        z = int(np.searchsorted(model.thresholds, snr, side="right"))
+        try:
+            b = belief_update(model, b, a, z)
+        except ImpossibleObservation:
+            b = np.full(model.num_states, 1.0 / model.num_states)
+            resets[t] = True
+        states[t] = state
+        cells[t] = cell
+        actions[t] = a
+        draws[t] = e
+        snrs[t] = snr
+        rates[t] = widths[q] * math.log2(1.0 + snr)
+        obs[t] = z
+        if beliefs is not None:
+            beliefs[t + 1] = b
+
+    return TrialTrace(states=states, cells=cells, actions=actions,
+                      noise_draws=draws, snrs=snrs, rates=rates,
+                      observations=obs, resets=resets,
+                      seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
+                      config_hash=config_hash, beliefs=beliefs)
 
 
 # ----------------------------------------------- belief-grid value iteration

@@ -27,7 +27,7 @@ from specbeam.mobility import MobilityModel
 from specbeam.pbvi import solve
 from specbeam.pomdp import belief_update, build_model, initial_belief
 from specbeam.simulate import (MarkovDynamics, PolicyAgent, fixed_path_eval,
-                               perfect_info_rates, run_trial)
+                               perfect_info_rates, simulate_trials)
 
 CFG = ExperimentConfig.from_dict({})
 SOLVE_SEED = 0
@@ -67,12 +67,11 @@ def _policy(store, agent, p, collect=False):
 
 def _trial_stats(model, agent, seed=SIM_SEED):
     """Per-trial mean rates and channel utilization under common seeds."""
-    dyn = MarkovDynamics(model)
+    traces = simulate_trials(model, MarkovDynamics(model), agent, HORIZON,
+                             TRIALS, seed)
     means = np.empty(TRIALS)
     counts = np.zeros(len(model.bands), dtype=np.int64)
-    for t in range(TRIALS):
-        trace = run_trial(model, dyn, agent, HORIZON,
-                          np.random.SeedSequence((seed, t)))
+    for t, trace in enumerate(traces):
         means[t] = trace.rates.mean()
         counts += np.bincount(model.actions.band_idx[trace.actions],
                               minlength=len(model.bands))
@@ -211,13 +210,9 @@ def test_c05_toy_instance_near_optimal():
     v_grid = grid_value_iteration(toy.T, toy.O, toy.rbar, toy.discount, b0,
                                   step=0.02, horizon=100)
     agent = PolicyAgent("sm", toy, policy)
-    dyn = MarkovDynamics(toy)
     weights = toy.discount ** np.arange(100)
-    returns = np.empty(4000)
-    for trial in range(len(returns)):
-        trace = run_trial(toy, dyn, agent, 100,
-                          np.random.SeedSequence((202, trial)))
-        returns[trial] = weights @ trace.rates
+    traces = simulate_trials(toy, MarkovDynamics(toy), agent, 100, 4000, 202)
+    returns = np.array([weights @ trace.rates for trace in traces])
     mean = returns.mean()
     se = returns.std(ddof=1) / math.sqrt(len(returns))
     gap = (mean - v_grid) / v_grid

@@ -8,11 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+from _oracles import dead_bin_model
 from specbeam import artifacts
-from specbeam.cli import build_parser, main, policy_filename
+from specbeam.cli import _metric_row, build_parser, main, policy_filename
 from specbeam.config import ConfigError, ExperimentConfig, default_config_dict
 from specbeam.pbvi import solve
 from specbeam.pomdp import initial_belief
+from specbeam.simulate import FixedActionAgent, monte_carlo
 
 TINY = {
     "scene": {"num_cells": 4},
@@ -224,14 +226,13 @@ def test_cli_util_columns_follow_configured_bands(tmp_path, capsys):
     assert "| p | 28 GHz | 73 GHz |" in capsys.readouterr().out
 
 
-def test_cli_threads_only_on_simulation_commands():
+def test_cli_has_no_threads_flag():
     parser = build_parser()
-    for argv in (["solve", "--config", "c", "--out", "o"], ["report"]):
+    for argv in (["solve", "--config", "c", "--out", "o"], ["report"],
+                 ["sweep-p", "--config", "c", "--out", "o"],
+                 ["robustness", "--config", "c", "--out", "o"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv + ["--threads", "2"])
-    for cmd in ("sweep-p", "robustness"):
-        args = parser.parse_args([cmd, "--config", "c", "--out", "o", "--threads", "2"])
-        assert args.threads == 2
 
 
 def test_cli_seed_only_on_commands_that_use_it():
@@ -257,23 +258,21 @@ def test_cli_sweep_requires_policies(cli_dir, capsys):
     assert "--solve-missing" in err["message"]
 
 
-def test_cli_sweep_deterministic_and_thread_invariant(cli_dir, capsys):
+def test_cli_sweep_deterministic(cli_dir, capsys):
     cfg_path = str(cli_dir / "exp.json")
     pol_dir = str(cli_dir / "policies")
-    csv_a, csv_b, csv_c = (str(cli_dir / f"sweep_{k}.csv") for k in "abc")
+    csv_a, csv_b = (str(cli_dir / f"sweep_{k}.csv") for k in "ab")
     assert main(["sweep-p", "--config", cfg_path, "--out", csv_a,
                  "--policies", pol_dir, "--solve-missing"]) == 0
-    # second run loads the saved policies; third adds worker processes
+    # the second run loads the saved policies
     assert main(["sweep-p", "--config", cfg_path, "--out", csv_b,
                  "--policies", pol_dir]) == 0
-    assert main(["sweep-p", "--config", cfg_path, "--out", csv_c,
-                 "--policies", pol_dir, "--threads", "2"]) == 0
     capsys.readouterr()
     blob = open(csv_a, "rb").read()
-    assert blob == open(csv_b, "rb").read() == open(csv_c, "rb").read()
+    assert blob == open(csv_b, "rb").read()
     lines = blob.decode().splitlines()
     assert lines[0] == ("agent,p,mean_rate_bps,ci_halfwidth,"
-                        "util_15,util_39,util_60,num_trials,seed")
+                        "util_15,util_39,util_60,num_trials,seed,reset_fraction")
     assert len(lines) == 1 + 5      # four planners + oracle at one p
     for agent in ("sm", "sf15", "sf39", "sf60", "oracle"):
         assert any(line.startswith(agent + ",") for line in lines[1:])
@@ -295,7 +294,7 @@ def test_cli_robustness_with_traces(cli_dir, capsys):
     capsys.readouterr()
     lines = open(csv_path).read().splitlines()
     assert lines[0] == ("agent,p,speed_kmh,mean_rate_bps,ci_halfwidth,"
-                        "util_15,util_39,util_60,num_trials,seed")
+                        "util_15,util_39,util_60,num_trials,seed,reset_fraction")
     assert len(lines) == 1 + 2 * 1 * 5        # p in {0.35, 0.95} x 1 speed x 5 agents
     for p in (0.35, 0.95):
         for agent in ("sm", "sf15", "sf39", "sf60"):
@@ -336,6 +335,31 @@ def test_cli_report(cli_dir, capsys):
     assert "## Fixed-path robustness" in text
     assert "## Perfect-information channel averages" in text
     assert "| 0.6 |" in text and "drop %" in text
+    assert "belief-reset" not in text           # every reset fraction is 0
+
+
+def test_reset_fraction_reaches_csv_and_report(cli_dir, capsys):
+    broken = dead_bin_model(ExperimentConfig.from_dict(TINY).build_model())
+    (m,) = monte_carlo([(broken, FixedActionAgent(0))], 3, 8, seed=1)
+    assert _metric_row(m, ("15ghz",), "blind", 0.6, 1)["reset_fraction"] == 1.0
+
+    def with_one_reset(name, agent):
+        lines = open(str(cli_dir / name)).read().splitlines()
+        col = lines[0].split(",").index("reset_fraction")
+        row = next(i for i, line in enumerate(lines) if line.startswith(agent + ","))
+        parts = lines[row].split(",")
+        assert parts[col] == "0.0"
+        parts[col] = "0.25"
+        lines[row] = ",".join(parts)
+        path = str(cli_dir / f"resets_{name}")
+        open(path, "w").write("\n".join(lines) + "\n")
+        return path
+
+    assert main(["report", "--sweep", with_one_reset("sweep_a.csv", "sf39"),
+                 "--robustness", with_one_reset("robust.csv", "oracle")]) == 0
+    text = capsys.readouterr().out
+    assert "Nonzero belief-reset fraction: sf39 p=0.6 (0.25)\n" in text
+    assert "Nonzero belief-reset fraction: oracle p=0.35 speed_kmh=50 (0.25)\n" in text
 
 
 def test_cli_report_rejects_malformed_csv(cli_dir, capsys):

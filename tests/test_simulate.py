@@ -1,20 +1,24 @@
 """Episode loop, common random numbers, fixed paths, and aggregation."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from _oracles import dead_bin_model, reference_run_trial
+from specbeam import simulate
 from specbeam.arrays import aligned_gain, expected_rate, gain
 from specbeam.config import ExperimentConfig
+from specbeam.pbvi import Policy, solve
 from specbeam.pomdp import initial_belief
 from specbeam.simulate import (FixedActionAgent, FixedPathDynamics,
                                MarkovDynamics, OracleAgent, PolicyAgent,
                                fixed_path_eval, monte_carlo, oracle_action,
-                               perfect_info_rates, run_trial)
+                               perfect_info_rates, run_trial, simulate_trials)
 
 CFG = ExperimentConfig.from_dict({})
+TRACE_FIELDS = ("states", "cells", "actions", "noise_draws", "snrs", "rates",
+                "observations", "resets")
 
 
 @pytest.fixture(scope="module")
@@ -166,16 +170,6 @@ def test_monte_carlo_clt_scaling(model):
                                              rel=3 * m1.ci_halfwidth / m1.mean_rate_bps)
 
 
-def test_monte_carlo_threads_match_serial(model):
-    runs = [(model, OracleAgent(model))]
-    serial = monte_carlo(runs, 24, 16, seed=3, threads=1, keep_slots=True)[0]
-    threaded = monte_carlo(runs, 24, 16, seed=3, threads=2, keep_slots=True)[0]
-    assert serial.mean_rate_bps == threaded.mean_rate_bps
-    assert serial.ci_halfwidth == threaded.ci_halfwidth
-    assert serial.utilization == threaded.utilization
-    assert np.array_equal(serial.slot_mean_rates, threaded.slot_mean_rates)
-
-
 def test_policy_agent_runs_and_respects_band(sub15):
     from specbeam.pbvi import solve
 
@@ -189,11 +183,7 @@ def test_policy_agent_runs_and_respects_band(sub15):
 
 def test_impossible_observation_resets_to_uniform(model):
     """A doctored observation tensor with a dead bin forces belief resets."""
-    dead = model.O.copy()
-    dead[:, :, 0] = 0.0
-    dead /= dead.sum(axis=2, keepdims=True)
-    huge = np.logspace(280, 303, len(model.thresholds))  # z=0 for any earthly SNR
-    broken = dataclasses.replace(model, O=dead, thresholds=huge)
+    broken = dead_bin_model(model)
     trace = run_trial(broken, MarkovDynamics(broken), FixedActionAgent(0), 16,
                       np.random.SeedSequence(1), record_beliefs=True)
     assert trace.resets.all()
@@ -217,3 +207,90 @@ def test_perfect_info_rates_ordering(model):
     # 1/1.0816 of that gain, which costs less than 15 GHz's missing 10 MHz
     assert rates["60ghz"] > rates["39ghz"] > rates["15ghz"]
     assert rates["60ghz"] == pytest.approx(1.60e9, rel=0.01)
+
+
+# ------------------------------------------- lockstep runner vs reference
+
+@pytest.fixture(scope="module")
+def agents_by_p():
+    """Per p: (model, agent) runs for sm, sf39, a tie-heavy sm, oracle, blind."""
+    out = {}
+    for p in (0.95, 0.35):
+        runs = []
+        for name in ("sm", "sf39"):
+            m = CFG.build_model(p=p, band_label=CFG.band_label_for_agent(name))
+            pol = solve(m, initial_belief(m.states), num_stages=1, seed=0)
+            runs.append((m, PolicyAgent(name, m, pol)))
+        m, sm = runs[0]
+        # every vector twice, the copy with another action: exact ties
+        # everywhere, which only the lowest-index rule resolves
+        doubled = Policy(alpha=np.vstack([sm.policy.alpha, sm.policy.alpha]),
+                         actions=np.concatenate([sm.policy.actions,
+                                                 sm.policy.actions[::-1]]))
+        runs += [(m, PolicyAgent("sm-ties", m, doubled)), (m, OracleAgent(m)),
+                 (m, FixedActionAgent(20))]
+        out[p] = runs
+    return out
+
+
+def assert_traces_equal(got, want):
+    for field in TRACE_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.seed_key == want.seed_key
+
+
+def assert_matches_reference(model, dyn, agent, horizon, n, seed):
+    got = simulate_trials(model, dyn, agent, horizon, n, seed)
+    assert len(got) == n
+    for t, trace in enumerate(got):
+        assert_traces_equal(trace, reference_run_trial(
+            model, dyn, agent, horizon, np.random.SeedSequence((seed, t))))
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_lockstep_matches_reference_on_markov_paths(agents_by_p, p):
+    for model, agent in agents_by_p[p]:
+        for n in (1, 7, 32):
+            for horizon in (0, 1, 200):
+                assert_matches_reference(model, MarkovDynamics(model), agent,
+                                         horizon, n, seed=31 + n)
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_lockstep_matches_reference_on_fixed_paths(agents_by_p, p):
+    scene = CFG.scene()
+    for model, agent in agents_by_p[p]:
+        for speed in (10.0, 50.0, 130.0):
+            assert_matches_reference(model, FixedPathDynamics(scene, speed, 0.25),
+                                     agent, 0, 7, seed=17)
+
+
+def test_lockstep_matches_reference_with_resets(model):
+    broken = dead_bin_model(model)
+    for agent in (OracleAgent(broken), FixedActionAgent(5)):
+        assert_matches_reference(broken, MarkovDynamics(broken), agent, 16, 7, seed=2)
+    trace = simulate_trials(broken, MarkovDynamics(broken), FixedActionAgent(5),
+                            16, 3, seed=2)[1]
+    assert trace.resets.all()
+
+
+def test_lockstep_beliefs_match_reference(agents_by_p):
+    """Recorded beliefs: one trial via run_trial, and a block of trials."""
+    model, agent = agents_by_p[0.35][0]
+    dyn = MarkovDynamics(model)
+    seed = np.random.SeedSequence((8, 4))
+    got = run_trial(model, dyn, agent, 200, seed, record_beliefs=True,
+                    config_hash="abc")
+    want = reference_run_trial(model, dyn, agent, 200,
+                               np.random.SeedSequence((8, 4)), record_beliefs=True,
+                               config_hash="abc")
+    assert_traces_equal(got, want)
+    assert np.array_equal(got.beliefs, want.beliefs)
+    assert got.config_hash == "abc"
+    seqs = [np.random.SeedSequence((8, t)) for t in range(32)]
+    block = simulate._lockstep(model, dyn, agent, 200, seqs, record_beliefs=True)
+    for t, trace in enumerate(block):
+        want = reference_run_trial(model, dyn, agent, 200,
+                                   np.random.SeedSequence((8, t)), record_beliefs=True)
+        assert np.array_equal(trace.beliefs, want.beliefs), t
