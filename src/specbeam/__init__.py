@@ -9,17 +9,15 @@ oracle and single-frequency baselines by Monte Carlo simulation.
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
                      aligned_gain, dirichlet_ratio_abs, elements_for_band,
                      expected_rate, gain, make_band, normalized_angles,
-                     observation_probs, rate, snr_sample)
+                     observation_probs, rate)
 from .config import ConfigError, ExperimentConfig, default_config_dict
 from .geometry import CellCoord, SceneConfig, build_road, cell_angles, containing_cell
 from .mobility import (MobilityModel, StateSpace, enumerate_states,
-                       mobility_prob, successor_distribution, transition_matrix)
-from .pbvi import (AlphaVector, BeliefSet, Policy, backup, backup_stage,
-                   default_epsilon, expand_beliefs, extract_action,
+                       successor_distribution, transition_matrix)
+from .pbvi import (Policy, backup_stage, default_epsilon, expand_beliefs,
                    initial_bound, solve)
-from .pomdp import (ActionSpace, ImpossibleObservation, PomdpModel,
-                    belief_update, build_model, enumerate_actions,
-                    initial_belief, observation_likelihoods, snr_thresholds)
+from .pomdp import (ActionSpace, PomdpModel, belief_update, build_model,
+                    enumerate_actions, initial_belief, snr_thresholds)
 from .simulate import (Agent, FixedActionAgent, FixedPathDynamics,
                        MarkovDynamics, Metrics, OracleAgent, PolicyAgent,
                        TrialTrace, aggregate, fixed_path_eval, monte_carlo,
@@ -32,17 +30,14 @@ __all__ = [
     "ApertureSpec", "BandConfig", "PropagationConstants", "aligned_gain",
     "dirichlet_ratio_abs", "elements_for_band", "expected_rate", "gain",
     "make_band", "normalized_angles", "observation_probs", "rate",
-    "snr_sample",
     "ConfigError", "ExperimentConfig", "default_config_dict",
     "CellCoord", "SceneConfig", "build_road", "cell_angles", "containing_cell",
-    "MobilityModel", "StateSpace", "enumerate_states", "mobility_prob",
+    "MobilityModel", "StateSpace", "enumerate_states",
     "successor_distribution", "transition_matrix",
-    "AlphaVector", "BeliefSet", "Policy", "backup", "backup_stage",
-    "default_epsilon", "expand_beliefs", "extract_action", "initial_bound",
-    "solve",
-    "ActionSpace", "ImpossibleObservation", "PomdpModel", "belief_update",
-    "build_model", "enumerate_actions", "initial_belief",
-    "observation_likelihoods", "snr_thresholds",
+    "Policy", "backup_stage", "default_epsilon", "expand_beliefs",
+    "initial_bound", "solve",
+    "ActionSpace", "PomdpModel", "belief_update", "build_model",
+    "enumerate_actions", "initial_belief", "snr_thresholds",
     "Agent", "FixedActionAgent", "FixedPathDynamics", "MarkovDynamics",
     "Metrics", "OracleAgent", "PolicyAgent", "TrialTrace", "aggregate",
     "fixed_path_eval", "monte_carlo", "oracle_action", "perfect_info_rates",

@@ -154,16 +154,6 @@ def aligned_gain(consts: PropagationConstants, band: BandConfig, r_m: float) -> 
             / (r_m ** consts.path_loss_exp * band.f_hz ** 2))
 
 
-def snr_sample(g: float, sigma_sq: float, rng: np.random.Generator) -> float:
-    """One draw of gamma = G / |n|^2 with |n|^2 ~ Exp(mean sigma_sq)."""
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be positive")
-    if g < 0:
-        raise ValueError("gain must be non-negative")
-    u = 1.0 - rng.random()  # in (0, 1]
-    return g / (sigma_sq * -math.log(u))
-
-
 def rate(bandwidth_hz: float, snr: float) -> float:
     """Shannon rate W * log2(1 + gamma) in bits/s."""
     if snr < 0:

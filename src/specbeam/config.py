@@ -150,7 +150,7 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require(cfg, "simulation.num_trials",
              lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     _require(cfg, "simulation.horizon",
-             lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
+             lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     for key in ("p_grid", "speed_grid_kmh"):
         grid = _get(cfg, f"simulation.{key}")
         if not isinstance(grid, list):
@@ -160,6 +160,12 @@ def validate_config(cfg: dict[str, Any]) -> None:
             if not (_is_num(v) and ok):
                 raise ConfigError(f"simulation.{key}.{i}: out of range (got {v!r})")
     _require(cfg, "simulation.slot_s", pos, "must be a positive number")
+    road_m = _get(cfg, "scene.road_y_max_m") - _get(cfg, "scene.road_y_min_m")
+    for i, v in enumerate(_get(cfg, "simulation.speed_grid_kmh")):
+        # the fixed-path slot count of simulate.FixedPathDynamics
+        if math.floor(road_m / (v / 3.6 * _get(cfg, "simulation.slot_s"))) < 1:
+            raise ConfigError(f"simulation.speed_grid_kmh.{i}: travels past the "
+                              f"{road_m:g} m road in one slot (got {v!r})")
 
 
 def _canonical(cfg: dict[str, Any]) -> str:

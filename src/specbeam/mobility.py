@@ -73,10 +73,6 @@ class StateSpace:
         except KeyError:
             raise ValueError(f"{window} is not a feasible state window") from None
 
-    def cell_of(self, state: int) -> int:
-        """Current (most recent) cell of a state."""
-        return self.windows[state][-1]
-
     def is_no_history(self, state: int) -> bool:
         return self.windows[state][0] == self.marker
 
@@ -136,25 +132,6 @@ def successor_distribution(model: MobilityModel, history: tuple[int, ...],
            if 1 <= c <= num_cells and q > 0.0}
     total = sum(raw.values())
     return {c: q / total for c, q in raw.items()}
-
-
-def mobility_prob(model: MobilityModel, u_next: int, u_prev: int,
-                  u_prev2: int | None, num_cells: int) -> float:
-    """P(u_next | u_prev, u_prev2) per the movement law, Table-style.
-
-    u_prev2 is the older cell (the marker for no history; None for w = 1).
-    Returns 0 for a non-adjacent or out-of-road u_next.
-    """
-    if model.window == 1:
-        history: tuple[int, ...] = (u_prev,)
-    else:
-        if u_prev2 is None:
-            raise ValueError("u_prev2 is required for a window-2 model")
-        history = (u_prev2, u_prev)
-    if u_next == num_cells + 1:
-        raise ValueError("the out-of-coverage marker cannot be a successor")
-    dist = successor_distribution(model, history, num_cells)
-    return dist.get(u_next, 0.0)
 
 
 def transition_matrix(model: MobilityModel, states: StateSpace) -> np.ndarray:

@@ -8,7 +8,9 @@ the uniform lower bound
 
 the solver alternates belief-set expansion (one stochastic forward
 simulation per action per belief, keeping the candidate farthest from the
-set) with stages of point-based backup sweeps. A backup at belief b picks,
+set) with stages of point-based backup sweeps. Beliefs are the rows of an
+(N, |S|) array; expansion updates all N * |A| proposals of a round in one
+pomdp.belief_update call, and only its farthest-point picks run in turn. A backup at belief b picks,
 per (action, observation), the best projected vector
 
     proj[v, a, z, s] = sum_{s'} T[s, s'] * O[a, s', z] * alpha[v, s']
@@ -50,32 +52,7 @@ from typing import Any
 
 import numpy as np
 
-from .pomdp import ImpossibleObservation, PomdpModel, belief_update
-
-
-@dataclass(frozen=True)
-class AlphaVector:
-    """One value hyperplane and the action that generated it."""
-
-    values: np.ndarray
-    action: int
-
-
-@dataclass
-class BeliefSet:
-    """Distinct belief points with the expansion round that added each."""
-
-    points: np.ndarray              # (N, |S|)
-    provenance: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.points.ndim != 2:
-            raise ValueError("points must be a 2-D array")
-        if not self.provenance:
-            self.provenance = [0] * len(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
+from .pomdp import PomdpModel, belief_update
 
 
 @dataclass
@@ -90,10 +67,10 @@ class Policy:
         return float((self.alpha @ b).max())
 
 
-def initial_bound(model: PomdpModel) -> AlphaVector:
-    """Uniform lower bound: the all-min-reward discounted sum."""
+def initial_bound(model: PomdpModel) -> np.ndarray:
+    """Uniform lower bound (|S|,): the all-min-reward discounted sum."""
     v0 = float(model.rbar.min()) / (1.0 - model.discount)
-    return AlphaVector(values=np.full(model.num_states, v0), action=0)
+    return np.full(model.num_states, v0)
 
 
 def default_epsilon(model: PomdpModel) -> float:
@@ -151,15 +128,6 @@ def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
     return out_vec, acts
 
 
-def backup(model: PomdpModel, b: np.ndarray, alphas: list[AlphaVector]) -> AlphaVector:
-    """Exact point-based backup of the alpha set at one belief."""
-    alpha_mat = np.stack([av.values for av in alphas])
-    b = np.asarray(b, dtype=float)
-    e, oz = _cell_tensors(model)
-    values, actions = _backup_block(model, (b @ model.T)[None, :], alpha_mat, e, oz)
-    return AlphaVector(values=values[0], action=int(actions[0]))
-
-
 def _dedup_rows(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop exact duplicate rows, keeping first occurrences."""
     seen: set[bytes] = set()
@@ -173,26 +141,18 @@ def _dedup_rows(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _prune_dominated(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop rows pointwise-dominated by another surviving row."""
-    n = len(mat)
-    if n <= 1:
-        return mat, actions
-    alive = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not alive[i]:
-            continue
-        others = alive.copy()
-        others[i] = False
-        idx = np.flatnonzero(others)
-        if idx.size == 0:
-            break
-        dominated = (mat[idx] >= mat[i]).all(axis=1) & (mat[idx] > mat[i]).any(axis=1)
-        if dominated.any():
-            alive[i] = False
-    return mat[alive], actions[alive]
+    """Drop rows pointwise-dominated (>= everywhere, > somewhere) by another row.
+
+    Dominance is transitive, so every dominated row is dominated by an
+    undominated one, which no pass drops: one pass keeps the same rows,
+    in order, as the scan against still-alive rows in tests/_oracles.py.
+    """
+    dominated = [((mat >= r).all(axis=1) & (mat > r).any(axis=1)).any() for r in mat]
+    keep = ~np.array(dominated, dtype=bool)
+    return mat[keep], actions[keep]
 
 
-def backup_stage(model: PomdpModel, beliefs: BeliefSet, alphas_mat: np.ndarray,
+def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
                  alpha_actions: np.ndarray, epsilon: float, max_sweeps: int = 500,
                  tracked: np.ndarray | None = None,
                  collect_history: bool = False
@@ -204,10 +164,9 @@ def backup_stage(model: PomdpModel, beliefs: BeliefSet, alphas_mat: np.ndarray,
     its actions, the updated tracked values, and an info dict with sweep
     count, convergence flag, and optionally the per-sweep value history.
     """
-    pts = beliefs.points
     e, oz = _cell_tensors(model)
-    tb = pts @ model.T
-    eval0 = pts @ alphas_mat.T                              # (N, V)
+    tb = beliefs @ model.T
+    eval0 = beliefs @ alphas_mat.T                              # (N, V)
     best0 = eval0.argmax(axis=1)
     anchors = alphas_mat[best0]                             # (N, S)
     anchor_acts = alpha_actions[best0]
@@ -218,7 +177,7 @@ def backup_stage(model: PomdpModel, beliefs: BeliefSet, alphas_mat: np.ndarray,
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         new_vecs, new_acts = _backup_block(model, tb, alphas_mat, e, oz)
-        new_vals = np.einsum("ns,ns->n", pts, new_vecs)
+        new_vals = np.einsum("ns,ns->n", beliefs, new_vecs)
         take = new_vals >= tracked
         anchors = np.where(take[:, None], new_vecs, anchors)
         anchor_acts = np.where(take, new_acts, anchor_acts)
@@ -237,54 +196,50 @@ def backup_stage(model: PomdpModel, beliefs: BeliefSet, alphas_mat: np.ndarray,
     return alphas_mat, alpha_actions, tracked, info
 
 
-def expand_beliefs(model: PomdpModel, beliefs: BeliefSet, seed_seq: np.random.SeedSequence,
-                   round_id: int, metric: str = "l1") -> BeliefSet:
-    """Grow the belief set by at most one new point per existing point.
+def expand_beliefs(model: PomdpModel, beliefs: np.ndarray,
+                   seed_seq: np.random.SeedSequence, metric: str = "l1") -> np.ndarray:
+    """Grow the belief set (N, |S|) by at most one new point per existing point.
 
     For every belief, one stochastic forward simulation per action proposes
     a successor belief; the proposal farthest from the current set (minimum
     distance, in the configured metric) is added unless that distance is 0.
     Per-belief random streams make the result independent of evaluation
-    order.
+    order. Each pick is measured against the points added before it.
     """
     if metric not in ("l1", "l2"):
         raise ValueError(f"unknown metric {metric!r}")
-    n0 = len(beliefs)
-    pts = np.empty((2 * n0, model.num_states))
-    pts[:n0] = beliefs.points
+    n0, n_s = beliefs.shape
+    n_a = model.num_actions
+    top = n_s - 1
+    # belief i's stream yields (u_s, u_s', u_z) for actions 0, 1, ... in turn
+    u = np.concatenate([np.random.default_rng(ss).random((n_a, 3))
+                        for ss in seed_seq.spawn(n0)])
+    rows = np.repeat(np.arange(n0), n_a)
+    acts = np.tile(np.arange(n_a), n0)
+    # inverse-CDF steps: on a non-decreasing cumsum row, the count of
+    # entries <= u equals searchsorted(row, u, side="right")
+    s = np.minimum((beliefs.cumsum(axis=1)[rows] <= u[:, :1]).sum(axis=1), top)
+    s2 = np.minimum((model.T.cumsum(axis=1)[s] <= u[:, 1:2]).sum(axis=1), top)
+    z = np.minimum((model.O.cumsum(axis=2)[acts, s2] <= u[:, 2:]).sum(axis=1),
+                   model.num_observations - 1)
+    cands, impossible = belief_update(model, beliefs[rows], acts, z)
+    cands = cands.reshape(n0, n_a, n_s)
+    impossible = impossible.reshape(n0, n_a)
+    pts = np.empty((2 * n0, n_s))
+    pts[:n0] = beliefs
     count = n0
-    prov = list(beliefs.provenance)
-    t_cum = model.T.cumsum(axis=1)
-    o_cum = model.O.cumsum(axis=2)
-    streams = seed_seq.spawn(n0)
     for i in range(n0):
-        rng = np.random.default_rng(streams[i])
-        b = beliefs.points[i]
-        b_cum = b.cumsum()
-        best_cand, best_dist = None, 0.0
-        for a in range(model.num_actions):
-            u = rng.random(3)
-            top = model.num_states - 1
-            s = min(int(np.searchsorted(b_cum, u[0], side="right")), top)
-            s2 = min(int(np.searchsorted(t_cum[s], u[1], side="right")), top)
-            z = min(int(np.searchsorted(o_cum[a, s2], u[2], side="right")),
-                    model.num_observations - 1)
-            try:
-                cand = belief_update(model, b, a, z)
-            except ImpossibleObservation:
-                continue
-            diffs = pts[:count] - cand
-            if metric == "l1":
-                dist = float(np.abs(diffs).sum(axis=1).min())
-            else:
-                dist = float(np.sqrt((diffs ** 2).sum(axis=1)).min())
-            if dist > best_dist:
-                best_cand, best_dist = cand, dist
-        if best_cand is not None:
-            pts[count] = best_cand
+        diffs = pts[None, :count] - cands[i][:, None, :]
+        if metric == "l1":
+            dist = np.abs(diffs).sum(axis=2).min(axis=1)
+        else:
+            dist = np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+        dist[impossible[i]] = 0.0
+        k = int(dist.argmax())              # the first of equal maxima
+        if dist[k] > 0.0:
+            pts[count] = cands[i, k]
             count += 1
-            prov.append(round_id)
-    return BeliefSet(points=pts[:count].copy(), provenance=prov)
+    return pts[:count].copy()
 
 
 def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
@@ -295,10 +250,9 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
     if num_stages < 0 or expansions_per_stage < 1:
         raise ValueError("num_stages must be >= 0 and expansions_per_stage >= 1")
     eps = default_epsilon(model) if epsilon is None else float(epsilon)
-    bound = initial_bound(model)
-    alphas_mat = bound.values[None, :]
-    alpha_actions = np.array([bound.action])
-    beliefs = BeliefSet(points=np.asarray(b0, dtype=float)[None, :])
+    alphas_mat = initial_bound(model)[None, :]
+    alpha_actions = np.array([0])
+    beliefs = np.asarray(b0, dtype=float)[None, :]
     tracked: np.ndarray | None = None
     stage_log: list[dict] = []
     round_id = 0
@@ -308,9 +262,9 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
             old_n = len(beliefs)
             beliefs = expand_beliefs(model, beliefs,
                                      np.random.SeedSequence((seed, round_id)),
-                                     round_id, metric=metric)
+                                     metric=metric)
             if tracked is not None and len(beliefs) > old_n:
-                fresh = (beliefs.points[old_n:] @ alphas_mat.T).max(axis=1)
+                fresh = (beliefs[old_n:] @ alphas_mat.T).max(axis=1)
                 tracked = np.concatenate([tracked, fresh])
             alphas_mat, alpha_actions, tracked, info = backup_stage(
                 model, beliefs, alphas_mat, alpha_actions, eps, max_sweeps,
@@ -328,7 +282,3 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
                 "num_beliefs": len(beliefs)}
     return Policy(alpha=alphas_mat, actions=alpha_actions, metadata=metadata)
 
-
-def extract_action(policy: Policy, b: np.ndarray) -> int:
-    """Greedy action of the vector maximizing alpha @ b (lowest index wins)."""
-    return int(policy.actions[int(np.argmax(policy.alpha @ b))])

@@ -9,6 +9,12 @@ action in a state is the mean Shannon rate of the resulting link.
 Belief updates condition the observation on the successor state:
 
     b'[s'] ∝ O(s', a, z) * sum_s T(s, s') * b[s]
+
+belief_update is the one implementation of this filter, batched over rows:
+the simulator runs it once per slot over all trials, and belief expansion
+once per round over all (belief, action) proposals. Each row's T^T b is a
+per-row product stacked by np.matmul; a batched B @ T rounds differently,
+and one ulp can flip a later action or expansion pick.
 """
 
 from __future__ import annotations
@@ -23,10 +29,6 @@ from .geometry import CellCoord
 from .mobility import MobilityModel, StateSpace, enumerate_states, transition_matrix
 
 _NORMALIZER_FLOOR = 1e-300
-
-
-class ImpossibleObservation(ValueError):
-    """Raised when an observation has zero probability under the belief."""
 
 
 @dataclass(frozen=True)
@@ -44,14 +46,6 @@ class ActionSpace:
 
     def __len__(self) -> int:
         return self.theta_hat.size
-
-    def index(self, cell: int, band: int, num_bands: int) -> int:
-        """Index of the action (cell, band)."""
-        return (cell - 1) * num_bands + band
-
-    def describe(self, a: int) -> dict:
-        return {"beam_cell": int(self.beam_cell[a]), "band": int(self.band_idx[a]),
-                "theta_hat": float(self.theta_hat[a]), "phi_hat": float(self.phi_hat[a])}
 
 
 def enumerate_actions(road: tuple[CellCoord, ...],
@@ -159,12 +153,6 @@ class PomdpModel:
     def num_observations(self) -> int:
         return self.O.shape[2]
 
-    def band_of_action(self, a: int) -> BandConfig:
-        return self.bands[self.actions.band_idx[a]]
-
-    def sigma_sq_of_action(self, a: int) -> float:
-        return self.consts.noise_variance_w(self.band_of_action(a).bandwidth_hz)
-
 
 def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
                 consts: PropagationConstants, mobility: MobilityModel,
@@ -202,16 +190,17 @@ def initial_belief(states: StateSpace) -> np.ndarray:
     return b
 
 
-def observation_likelihoods(model: PomdpModel, b: np.ndarray, a: int) -> np.ndarray:
-    """P(z | b, a) = sum_{s'} O[a, s', z] * (T^T b)[s'], shape (M_z,)."""
-    return model.O[a].T @ (model.T.T @ b)
+def belief_update(model: PomdpModel, beliefs: np.ndarray, a: np.ndarray,
+                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors of beliefs (n, |S|) after actions a (n,) and observations z (n,).
 
-
-def belief_update(model: PomdpModel, b: np.ndarray, a: int, z: int) -> np.ndarray:
-    """Posterior after acting a and observing z; successor-state convention."""
-    post = model.O[a, :, z] * (model.T.T @ b)
-    norm = post.sum()
-    if norm <= _NORMALIZER_FLOOR:
-        raise ImpossibleObservation(
-            f"observation {z} has zero probability after action {a}")
-    return post / norm
+    Returns (posteriors (n, |S|), impossible (n,)): rows whose observation
+    has probability <= 1e-300 under the belief are uniform and flagged.
+    """
+    post = model.O[a, :, z] * np.matmul(model.T.T, beliefs[:, :, None])[..., 0]
+    norm = post.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post /= norm[:, None]
+    impossible = norm <= _NORMALIZER_FLOOR
+    post[impossible] = 1.0 / model.num_states
+    return post, impossible

@@ -16,10 +16,10 @@ beliefs are the rows of an (n, |S|) matrix and all trials advance one slot
 at a time. Paths and noise do not depend on actions, so each trial's
 streams are drawn before the loop (Generator.random(h) equals h single
 draws; fixed paths draw nothing). The traces are bit-identical to a
-per-trial loop: each belief product is a per-row matrix-vector product
-stacked by np.matmul (B @ T rounds differently, and a one-ulp difference
-can flip an action), and the logs are math.log1p/math.log2, which differ
-from the numpy ufuncs in the last bit.
+per-trial loop: pomdp.belief_update and PolicyAgent.act stack per-row
+matrix-vector products with np.matmul (a batched B @ T rounds differently,
+and a one-ulp difference can flip an action), and the logs are
+math.log1p/math.log2, which differ from the numpy ufuncs in the last bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import SceneConfig, containing_cell
 from .pbvi import Policy
-from .pomdp import _NORMALIZER_FLOOR, PomdpModel, initial_belief
+from .pomdp import PomdpModel, belief_update, initial_belief
 
 _Z95 = 1.959963984540054
 
@@ -87,14 +87,9 @@ def oracle_action(model: PomdpModel, true_cell: int) -> int:
     """Aligned-beam action with the channel maximizing expected rate at r."""
     num_bands = len(model.bands)
     base = (true_cell - 1) * num_bands
-    s = _state_with_cell(model, true_cell)
+    s = int(np.flatnonzero(model.states.cells() == true_cell)[0])
     aligned = [float(model.rbar[base + q, s]) for q in range(num_bands)]
     return base + int(np.argmax(aligned))
-
-
-def _state_with_cell(model: PomdpModel, cell: int) -> int:
-    cells = model.states.cells()
-    return int(np.flatnonzero(cells == cell)[0])
 
 
 class MarkovDynamics:
@@ -205,12 +200,7 @@ def _lockstep(model: PomdpModel, dynamics, agent: Agent, horizon: int,
         a = agent.act(b, cells[:, t])
         snr = model.gains[a, cells[:, t] - 1] / (sigmas[band_idx[a]] * draws[:, t])
         z = np.searchsorted(model.thresholds, snr, side="right")
-        post = model.O[a, :, z] * np.matmul(model.T.T, b[:, :, None])[..., 0]
-        norm = post.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = post / norm[:, None]
-        resets[:, t] = norm <= _NORMALIZER_FLOOR     # impossible observation
-        b[resets[:, t]] = 1.0 / num_states
+        b, resets[:, t] = belief_update(model, b, a, z)
         actions[:, t], snrs[:, t], obs[:, t] = a, snr, z
         if beliefs is not None:
             beliefs[:, t + 1] = b

@@ -6,9 +6,10 @@ the per-band perfect-information rate by paired Monte Carlo from plain
 numbers, the mobility law as a literal three-entry table, the point-based
 backup as an explicit loop over (action, observation, vector) triples, and a
 belief-grid value iteration over the simplex with Freudenthal interpolation
-for small instances. Two references keep earlier package code verbatim so a
-faster rewrite can be held to it bit for bit: the backup kernel and the
-per-trial episode loop.
+for small instances. Other references keep earlier package code verbatim so
+a faster rewrite can be held to it bit for bit: the scalar belief update,
+the per-proposal belief expansion, the sequential dominance pruning, the
+backup kernel and the per-trial episode loop.
 """
 
 from __future__ import annotations
@@ -159,7 +160,107 @@ def table_row(p: float, kappa1: float, kappa2: float, u_prev: int,
     return {c: q / z for c, q in row.items()}
 
 
+# ----------------------------------------------------------------- pomdp ---
+
+class ImpossibleObservation(ValueError):
+    """Raised when an observation has zero probability under the belief."""
+
+
+def reference_belief_update(model, b: np.ndarray, a: int, z: int) -> np.ndarray:
+    """Posterior after acting a and observing z; successor-state convention.
+
+    The package's earlier scalar update, kept as the bit-exact reference
+    for one row of the batched pomdp.belief_update.
+    """
+    post = model.O[a, :, z] * (model.T.T @ b)
+    norm = post.sum()
+    if norm <= 1e-300:
+        raise ImpossibleObservation(
+            f"observation {z} has zero probability after action {a}")
+    return post / norm
+
+
 # ------------------------------------------------------------------ pbvi ---
+
+def reference_expand_beliefs(model, beliefs: np.ndarray,
+                             seed_seq: np.random.SeedSequence,
+                             metric: str = "l1") -> np.ndarray:
+    """The solver's earlier expansion, one proposal at a time.
+
+    Per belief and action: three scalar draws, searchsorted inverse-CDF
+    steps, the scalar belief update (impossible proposals skipped) and a
+    running strict-maximum pick of the farthest proposal.
+    """
+    n0 = len(beliefs)
+    pts = np.empty((2 * n0, model.num_states))
+    pts[:n0] = beliefs
+    count = n0
+    t_cum = model.T.cumsum(axis=1)
+    o_cum = model.O.cumsum(axis=2)
+    streams = seed_seq.spawn(n0)
+    for i in range(n0):
+        rng = np.random.default_rng(streams[i])
+        b = beliefs[i]
+        b_cum = b.cumsum()
+        best_cand, best_dist = None, 0.0
+        for a in range(model.num_actions):
+            u = rng.random(3)
+            top = model.num_states - 1
+            s = min(int(np.searchsorted(b_cum, u[0], side="right")), top)
+            s2 = min(int(np.searchsorted(t_cum[s], u[1], side="right")), top)
+            z = min(int(np.searchsorted(o_cum[a, s2], u[2], side="right")),
+                    model.num_observations - 1)
+            try:
+                cand = reference_belief_update(model, b, a, z)
+            except ImpossibleObservation:
+                continue
+            diffs = pts[:count] - cand
+            if metric == "l1":
+                dist = float(np.abs(diffs).sum(axis=1).min())
+            else:
+                dist = float(np.sqrt((diffs ** 2).sum(axis=1)).min())
+            if dist > best_dist:
+                best_cand, best_dist = cand, dist
+        if best_cand is not None:
+            pts[count] = best_cand
+            count += 1
+    return pts[:count].copy()
+
+
+def reference_prune_dominated(mat: np.ndarray, actions: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's earlier pruning: each row against the rows still alive."""
+    n = len(mat)
+    if n <= 1:
+        return mat, actions
+    alive = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not alive[i]:
+            continue
+        others = alive.copy()
+        others[i] = False
+        idx = np.flatnonzero(others)
+        if idx.size == 0:
+            break
+        dominated = (mat[idx] >= mat[i]).all(axis=1) & (mat[idx] > mat[i]).any(axis=1)
+        if dominated.any():
+            alive[i] = False
+    return mat[alive], actions[alive]
+
+
+def backup_at(model, b: np.ndarray, alpha_mat: np.ndarray) -> tuple[np.ndarray, int]:
+    """(vector, action) of the solver's backup kernel at the single belief b."""
+    from specbeam.pbvi import _backup_block, _cell_tensors
+
+    e, oz = _cell_tensors(model)
+    vecs, acts = _backup_block(model, (b @ model.T)[None, :], alpha_mat, e, oz)
+    return vecs[0], int(acts[0])
+
+
+def extract_action(policy, b: np.ndarray) -> int:
+    """Greedy action of the vector maximizing alpha @ b (lowest index wins)."""
+    return int(policy.actions[int(np.argmax(policy.alpha @ b))])
+
 
 def bruteforce_backup(T: np.ndarray, O: np.ndarray, rbar: np.ndarray,
                       discount: float, b: np.ndarray,
@@ -255,7 +356,6 @@ def dead_bin_model(model):
 
 def reference_act(agent, b: np.ndarray, true_cell: int) -> int:
     """One belief's action, as the per-trial agents decided it."""
-    from specbeam.pbvi import extract_action
     from specbeam.simulate import FixedActionAgent, OracleAgent, PolicyAgent
 
     if isinstance(agent, PolicyAgent):
@@ -273,11 +373,10 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
 
     Draws one path and one noise number per slot from streams spawned off
     the trial's seed, decides per belief, and updates the belief with
-    pomdp.belief_update, resetting it to uniform on an impossible
+    reference_belief_update, resetting it to uniform on an impossible
     observation. Markov steps are scalar inverse-CDF searchsorted calls.
     """
-    from specbeam.pomdp import (ImpossibleObservation, belief_update,
-                                initial_belief)
+    from specbeam.pomdp import initial_belief
     from specbeam.simulate import FixedPathDynamics, TrialTrace
 
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -291,6 +390,7 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
     band_idx = model.actions.band_idx
     top = model.num_states - 1
     t_cum = model.T.cumsum(axis=1)
+    state_cells = model.states.cells()
 
     fixed = isinstance(dynamics, FixedPathDynamics)
     if fixed:
@@ -318,7 +418,7 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
         else:
             state = min(int(np.searchsorted(t_cum[state], path_rng.random(),
                                             side="right")), top)
-            cell = model.states.cell_of(state)
+            cell = int(state_cells[state])
         a = reference_act(agent, b, cell)
         u = noise_rng.random()
         e = -math.log1p(-u)
@@ -326,7 +426,7 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
         snr = gains[a, cell - 1] / (sigmas[q] * e)
         z = int(np.searchsorted(model.thresholds, snr, side="right"))
         try:
-            b = belief_update(model, b, a, z)
+            b = reference_belief_update(model, b, a, z)
         except ImpossibleObservation:
             b = np.full(model.num_states, 1.0 / model.num_states)
             resets[t] = True

@@ -161,25 +161,25 @@ def test_c03_belief_update_simplex_and_support(store):
     preds = beliefs @ model.T
     u = rng.random(steps)
 
-    violations = 0
+    violations = impossible_total = 0
     for a in range(model.num_actions):
         rows = np.flatnonzero(acts == a)
         lik = preds[rows] @ model.O[a]                    # (n, Z)
         cum = np.cumsum(lik, axis=1)
         zs = np.minimum((cum / cum[:, -1:] < u[rows, None]).sum(axis=1),
                         model.num_observations - 1)
-        for j, i in enumerate(rows):
-            z = int(zs[j])
-            if lik[j, z] <= 0.0:          # boundary tie: take a live bin
-                z = int(lik[j].argmax())
-            post = belief_update(model, beliefs[i], a, z)
-            mask = model.O[a, :, z] * preds[i]
-            if abs(post.sum() - 1.0) > 1e-12 or (post < 0).any():
-                violations += 1
-            elif ((post > 0) != (mask > 0)).any():
-                violations += 1
+        dead = lik[np.arange(len(rows)), zs] <= 0.0
+        zs[dead] = lik[dead].argmax(axis=1)   # boundary tie: take a live bin
+        posts, impossible = belief_update(model, beliefs[rows],
+                                          np.full(len(rows), a), zs)
+        impossible_total += int(impossible.sum())
+        masks = model.O[a, :, zs] * preds[rows]
+        bad = ((np.abs(posts.sum(axis=1) - 1.0) > 1e-12) | (posts < 0).any(axis=1)
+               | ((posts > 0) != (masks > 0)).any(axis=1) | impossible)
+        violations += int(bad.sum())
     ok = violations == 0
     assert _verdict(3, ok, f"{violations} violations in {steps} random updates")
+    assert impossible_total == 0
 
 
 def test_c04_pbvi_monotone_lower_bound(store):

@@ -9,7 +9,7 @@ from specbeam.arrays import (ApertureSpec, PropagationConstants,
                              aligned_gain, dirichlet_ratio_abs,
                              elements_for_band, expected_rate, gain,
                              make_band, normalized_angles, observation_probs,
-                             rate, snr_sample)
+                             rate)
 from _oracles import double_sum_response, mc_expected_rate
 
 AP_PAPER = ApertureSpec(a_y_m=0.0375, a_z_m=0.0375)
@@ -113,22 +113,29 @@ def test_gain_peaks_at_alignment_over_cell_directions():
 
 
 def test_snr_sample_distribution():
-    g, sigma_sq = 3.2e-9, 9e-15
-    rng = np.random.default_rng(5)
-    n = 100_000
-    samples = np.array([snr_sample(g, sigma_sq, rng) for _ in range(n)])
+    """The simulator's noise |n|^2 / sigma^2 is unit exponential.
+
+    Every slot's SNR is G / (sigma^2 * draw), so with the draws Exp(1) the
+    SNR has cdf F(x) = exp(-G / (sigma^2 x)).
+    """
+    from specbeam.config import ExperimentConfig
+    from specbeam.simulate import FixedActionAgent, MarkovDynamics, simulate_trials
+
+    model = ExperimentConfig.from_dict({}).build_model(p=0.8)
+    traces = simulate_trials(model, MarkovDynamics(model), FixedActionAgent(0),
+                             200, 500, seed=5)
+    samples = np.concatenate([tr.noise_draws for tr in traces])
+    n = samples.size
+    assert n >= 100_000
     assert np.all(samples > 0)
-    # median of gamma = G / (sigma^2 ln 2)
-    med = g / (sigma_sq * math.log(2.0))
-    assert np.median(samples) == pytest.approx(med, rel=0.02)
-    # Kolmogorov-Smirnov against F(x) = exp(-G/(sigma^2 x)), fixed seed
+    # median of Exp(1) = ln 2
+    assert np.median(samples) == pytest.approx(math.log(2.0), rel=0.02)
+    # Kolmogorov-Smirnov against F(x) = 1 - exp(-x), fixed seed
     xs = np.sort(samples)
-    cdf = np.exp(-(g / sigma_sq) / xs)
+    cdf = -np.expm1(-xs)
     ks = np.abs(cdf - np.arange(1, n + 1) / n).max()
     print(f"KS statistic at n={n}: {ks:.5f}")
     assert ks < 1.63 / math.sqrt(n)  # 1% critical value
-
-    assert snr_sample(0.0, sigma_sq, rng) == 0.0
 
 
 def test_rate_values():

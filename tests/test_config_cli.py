@@ -14,7 +14,7 @@ from specbeam.cli import _metric_row, build_parser, main, policy_filename
 from specbeam.config import ConfigError, ExperimentConfig, default_config_dict
 from specbeam.pbvi import solve
 from specbeam.pomdp import initial_belief
-from specbeam.simulate import FixedActionAgent, monte_carlo
+from specbeam.simulate import FixedActionAgent, FixedPathDynamics, monte_carlo
 
 TINY = {
     "scene": {"num_cells": 4},
@@ -66,6 +66,20 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"scene": {"num_cells": 0}})
     with pytest.raises(ConfigError, match="discretization.num_levels"):
         ExperimentConfig.from_dict({"discretization": {"num_levels": 1}})
+
+
+def test_config_rejects_horizon_zero():
+    with pytest.raises(ConfigError, match=r"simulation\.horizon: must be an integer >= 1"):
+        ExperimentConfig.from_dict({"simulation": {"horizon": 0}})
+    ExperimentConfig.from_dict({"simulation": {"horizon": 1}})
+
+
+def test_config_rejects_speed_without_slots():
+    """The default road is 240 m and a slot 0.25 s: 3,456 km/h crosses it."""
+    with pytest.raises(ConfigError, match=r"simulation\.speed_grid_kmh\.1: "):
+        ExperimentConfig.from_dict({"simulation": {"speed_grid_kmh": [90.0, 3500.0]}})
+    cfg = ExperimentConfig.from_dict({"simulation": {"speed_grid_kmh": [3400.0]}})
+    assert FixedPathDynamics(cfg.scene(), 3400.0, 0.25).n_slots == 1
 
 
 def test_config_file_round_trip(tmp_path):

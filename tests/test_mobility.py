@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specbeam.mobility import (MobilityModel, enumerate_states, mobility_prob,
+from specbeam.mobility import (MobilityModel, enumerate_states,
                                successor_distribution, transition_matrix)
 from _oracles import table_row
 
@@ -13,13 +13,14 @@ MARKER = M + 1
 
 def test_published_table_entries():
     model = MobilityModel(p=0.5, kappa1=0.95, kappa2=0.95)
+    dwell = successor_distribution(model, (5, 5), M)
     # dwell: stayed at u_i, stays again with kappa2 * p
-    assert mobility_prob(model, 5, 5, 5, M) == pytest.approx(0.475, abs=1e-15)
+    assert dwell[5] == pytest.approx(0.475, abs=1e-15)
     # came down 6 -> 5; reversing back up costs (1 - kappa1) * (1 - p)
-    assert mobility_prob(model, 6, 5, 6, M) == pytest.approx(0.025, abs=1e-15)
+    assert successor_distribution(model, (6, 5), M)[6] == pytest.approx(0.025, abs=1e-15)
     # dwell at interior cell: each neighbor gets 0.5 * (1 - kappa2 * p)
-    assert mobility_prob(model, 4, 5, 5, M) == pytest.approx(0.2625, abs=1e-15)
-    assert mobility_prob(model, 6, 5, 5, M) == pytest.approx(0.2625, abs=1e-15)
+    assert dwell[4] == pytest.approx(0.2625, abs=1e-15)
+    assert dwell[6] == pytest.approx(0.2625, abs=1e-15)
 
 
 def test_rows_sum_to_one_and_non_adjacent_is_zero():
@@ -28,8 +29,8 @@ def test_rows_sum_to_one_and_non_adjacent_is_zero():
         dist = successor_distribution(model, (prev2, 5), M)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert set(dist) <= {4, 5, 6}
-    assert mobility_prob(model, 8, 5, 5, M) == 0.0
-    assert mobility_prob(model, 3, 5, 4, M) == 0.0
+    assert successor_distribution(model, (5, 5), M).get(8, 0.0) == 0.0
+    assert successor_distribution(model, (4, 5), M).get(3, 0.0) == 0.0
 
 
 def test_matches_independent_table_oracle():
@@ -60,8 +61,6 @@ def test_edge_renormalization_keeps_relative_odds():
 def test_marker_only_in_history_slot():
     model = MobilityModel(p=0.5)
     with pytest.raises(ValueError):
-        mobility_prob(model, MARKER, 12, 12, M)
-    with pytest.raises(ValueError):
         successor_distribution(model, (5, MARKER), M)
     # marker in the old slot is fine
     dist = successor_distribution(model, (MARKER, 12), M)
@@ -74,8 +73,6 @@ def test_infeasible_history_rejected():
         successor_distribution(model, (3, 5), M)   # not adjacent
     with pytest.raises(ValueError):
         successor_distribution(model, (5,), M)     # wrong window length
-    with pytest.raises(ValueError):
-        mobility_prob(model, 5, 5, None, M)        # w=2 needs the old cell
 
 
 def test_parameter_validation():
@@ -103,7 +100,7 @@ def test_state_space_lookup():
     states = enumerate_states(M, window=2)
     for i, win in enumerate(states.windows):
         assert states.index(win) == i
-        assert states.cell_of(i) == win[-1]
+        assert states.cells()[i] == win[-1]
         assert states.is_no_history(i) == (win[0] == MARKER)
     with pytest.raises(ValueError):
         states.index((3, 7))

@@ -9,14 +9,16 @@ from specbeam import pbvi
 from specbeam.arrays import BandConfig, PropagationConstants
 from specbeam.config import ExperimentConfig
 from specbeam.mobility import MobilityModel, StateSpace
-from specbeam.pbvi import (AlphaVector, BeliefSet, Policy, backup,
-                           backup_stage, default_epsilon, expand_beliefs,
-                           extract_action, initial_bound, solve,
+from specbeam.pbvi import (Policy, backup_stage, default_epsilon,
+                           expand_beliefs, initial_bound, solve,
                            _BELIEF_CHUNK, _backup_block, _cell_tensors,
                            _dedup_rows, _prune_dominated)
 from specbeam.pomdp import PomdpModel, initial_belief
-from _oracles import (bruteforce_backup, freudenthal_weights, projections,
-                      reference_backup_block, simplex_grid)
+from specbeam.simulate import PolicyAgent
+from _oracles import (backup_at, bruteforce_backup, freudenthal_weights,
+                      projections, reference_backup_block,
+                      reference_expand_beliefs, reference_prune_dominated,
+                      simplex_grid)
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -62,22 +64,22 @@ def _tiny_model(rbar_rows: np.ndarray, discount: float = 0.9) -> PomdpModel:
 
 def test_initial_bound_formula(model):
     bound = initial_bound(model)
-    assert bound.action == 0
+    assert bound.shape == (model.num_states,)
     want = model.rbar.min() / (1.0 - model.discount)
-    assert np.allclose(bound.values, want)
-    assert np.all(bound.values >= 0)
+    assert np.allclose(bound, want)
+    assert np.all(bound >= 0)
     # discount 0.99 -> multiplier 100 on the minimum expected reward
     assert want == pytest.approx(100.0 * model.rbar.min(), rel=1e-12)
 
 
 def test_repeated_backup_converges_to_geometric_sum():
     tiny = _tiny_model(np.array([[3.0], [7.0]]), discount=0.9)
-    alphas = [initial_bound(tiny)]
+    vec, act = initial_bound(tiny), 0
     b = np.array([1.0])
     for _ in range(400):
-        alphas = [backup(tiny, b, alphas)]
-    assert alphas[0].values[0] == pytest.approx(7.0 / (1.0 - 0.9), rel=1e-9)
-    assert alphas[0].action == 1
+        vec, act = backup_at(tiny, b, vec[None, :])
+    assert vec[0] == pytest.approx(7.0 / (1.0 - 0.9), rel=1e-9)
+    assert act == 1
 
 
 def test_backup_matches_bruteforce_oracle(model):
@@ -86,18 +88,16 @@ def test_backup_matches_bruteforce_oracle(model):
     for trial in range(8):
         n_extra = int(rng.integers(1, 5))
         alpha_mat = np.vstack([
-            bound.values[None, :],
-            bound.values[None, :] * (1.0 + rng.random((n_extra, model.num_states)))])
-        alphas = [AlphaVector(values=row, action=int(rng.integers(model.num_actions)))
-                  for row in alpha_mat]
+            bound[None, :],
+            bound[None, :] * (1.0 + rng.random((n_extra, model.num_states)))])
         b = rng.dirichlet(np.ones(model.num_states))
-        got = backup(model, b, alphas)
+        got_vec, got_act = backup_at(model, b, alpha_mat)
         want_vec, want_act, want_val = bruteforce_backup(
             model.T, model.O, model.rbar, model.discount, b, alpha_mat)
-        assert got.action == want_act
-        rel = np.abs(got.values - want_vec).max() / np.abs(want_vec).max()
+        assert got_act == want_act
+        rel = np.abs(got_vec - want_vec).max() / np.abs(want_vec).max()
         assert rel < 1e-12
-        assert float(b @ got.values) == pytest.approx(want_val, rel=1e-12)
+        assert float(b @ got_vec) == pytest.approx(want_val, rel=1e-12)
 
 
 def _tied_alphas(model, tb, rng, num_random):
@@ -108,7 +108,7 @@ def _tied_alphas(model, tb, rng, num_random):
     reaches, so both have the same exact score at every (a, z). A near-tie
     row is a top row moved up by one ulp.
     """
-    bound = initial_bound(model).values
+    bound = initial_bound(model)
     base = bound[None, :] * (1.0 + rng.random((num_random, model.num_states)))
     top = 1.5 * base[:3]
     unreached = np.flatnonzero((tb == 0.0).all(axis=0))
@@ -162,11 +162,112 @@ def test_solve_bytes_match_reference_kernel(p, monkeypatch):
     assert got.metadata["stages"] == want.metadata["stages"]
 
 
+def _expansion_sets(model, rng):
+    """Four belief sets: b0, two rounds of growth from it, point-heavy, dense."""
+    b0 = initial_belief(model.states)[None, :]
+    grown = reference_expand_beliefs(model, b0, np.random.SeedSequence(1))
+    grown = reference_expand_beliefs(model, grown, np.random.SeedSequence(2))
+    dense = rng.dirichlet(np.ones(model.num_states), size=6)
+    return [b0, grown, _point_heavy_beliefs(model, 9, rng),
+            np.vstack([dense, dense[:2]])]
+
+
+@pytest.mark.parametrize("band", [None, "39ghz"])
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_expand_beliefs_matches_reference(band, p):
+    """Batched expansion returns the per-proposal expansion's exact bytes."""
+    sub = CFG.build_model(p=p, band_label=band)
+    rng = np.random.default_rng(31)
+    for beliefs in _expansion_sets(sub, rng):
+        for metric in ("l1", "l2"):
+            for seed in (0, 1, 2):
+                got = expand_beliefs(sub, beliefs, np.random.SeedSequence((seed, 7)),
+                                     metric=metric)
+                want = reference_expand_beliefs(
+                    sub, beliefs, np.random.SeedSequence((seed, 7)), metric=metric)
+                assert got.tobytes() == want.tobytes(), (len(beliefs), metric, seed)
+
+
+def test_expand_beliefs_matches_reference_with_impossible_proposals(model, monkeypatch):
+    """A cell-revealing observation and sub-normalized point masses.
+
+    A point mass below 1 lets the first draw land past the belief's
+    support, on a state whose successor cell the belief cannot reach; the
+    proposal's observation then has zero probability under the belief. A
+    subnormal mass makes every proposal of its belief impossible.
+    """
+    cells = model.states.cells()
+    reveal = np.zeros_like(model.O)
+    reveal[:, np.arange(model.num_states), cells - 1] = 1.0
+    sharp = dataclasses.replace(model, O=reveal)
+    beliefs = 0.5 * np.eye(model.num_states)[::3]
+    beliefs[1::2] *= 1.5
+    beliefs[-1] *= 1e-310      # every proposal impossible, none added
+    flagged = []
+    update = pbvi.belief_update
+
+    def spy(*args):
+        post, impossible = update(*args)
+        flagged.append(int(impossible.sum()))
+        return post, impossible
+
+    monkeypatch.setattr(pbvi, "belief_update", spy)
+    for metric in ("l1", "l2"):
+        for seed in (0, 1, 2):
+            got = expand_beliefs(sharp, beliefs, np.random.SeedSequence(seed),
+                                 metric=metric)
+            want = reference_expand_beliefs(sharp, beliefs,
+                                            np.random.SeedSequence(seed), metric=metric)
+            assert got.tobytes() == want.tobytes(), (metric, seed)
+    assert sum(flagged) >= 1
+
+
+class _ConstantDraws:
+    """Generator stand-in whose every uniform draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+def test_expand_beliefs_draw_on_a_cdf_step(toy, monkeypatch):
+    """A draw equal to a cumulative sum counts that entry (side="right").
+
+    Every draw is 0.5, and the belief, transition and observation rows
+    all have a cumulative sum of exactly 0.5 somewhere.
+    """
+    half = dataclasses.replace(
+        toy, T=np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+        O=np.tile(np.array([[0.5, 0.5, 0, 0, 0, 0], [0, 0.5, 0.5, 0, 0, 0],
+                            [0, 0, 0.5, 0.5, 0, 0]]), (3, 1, 1)))
+    beliefs = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ConstantDraws(0.5))
+    got = expand_beliefs(half, beliefs, np.random.SeedSequence(0))
+    want = reference_expand_beliefs(half, beliefs, np.random.SeedSequence(0))
+    assert len(got) > len(beliefs)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_solve_bytes_match_reference_expansion(p, monkeypatch):
+    """Whole solves with either expansion give the same policy bytes and log."""
+    full = CFG.build_model(p=p)
+    b0 = initial_belief(full.states)
+    got = solve(full, b0, num_stages=2)
+    monkeypatch.setattr(pbvi, "expand_beliefs", reference_expand_beliefs)
+    want = solve(full, b0, num_stages=2)
+    assert got.alpha.tobytes() == want.alpha.tobytes()
+    assert np.array_equal(got.actions, want.actions)
+    assert got.metadata == want.metadata
+
+
 def test_backup_value_improves_on_loose_bound(model):
     bound = initial_bound(model)
     b0 = initial_belief(model.states)
-    improved = backup(model, b0, [bound])
-    assert float(b0 @ improved.values) > float(b0 @ bound.values)
+    improved, _ = backup_at(model, b0, bound[None, :])
+    assert float(b0 @ improved) > float(b0 @ bound)
 
 
 def test_projection_reference_agrees_with_kernel(model):
@@ -192,17 +293,17 @@ def test_backup_stage_monotone_values(model):
     b0 = initial_belief(model.states)
     rng = np.random.default_rng(0)
     extra = rng.dirichlet(np.ones(model.num_states), size=7)
-    beliefs = BeliefSet(points=np.vstack([b0[None, :], extra]))
+    beliefs = np.vstack([b0[None, :], extra])
     bound = initial_bound(model)
     mat, acts, tracked, info = backup_stage(
-        model, beliefs, bound.values[None, :], np.array([bound.action]),
+        model, beliefs, bound[None, :], np.array([0]),
         epsilon=default_epsilon(model), max_sweeps=120, collect_history=True)
     hist = info["value_history"]
     print(f"sweeps={info['sweeps']} converged={info['converged']}")
     assert np.diff(hist, axis=0).min() >= 0.0
     assert np.abs(hist[-1] - tracked).max() == 0.0
     # retained values are honest: each equals max over the final alpha set
-    surf = (beliefs.points @ mat.T).max(axis=1)
+    surf = (beliefs @ mat.T).max(axis=1)
     assert np.all(surf >= tracked - 1e-6 * np.abs(tracked))
     assert len(mat) == len(acts) <= len(beliefs) + 1
 
@@ -211,13 +312,11 @@ def test_backup_stage_converges_then_fixed_point(toy):
     """Discount 0.9 instance converges, and a rerun stops after one sweep."""
     b0 = initial_belief(toy.states)
     rng = np.random.default_rng(3)
-    beliefs = BeliefSet(points=np.vstack(
-        [b0[None, :], rng.dirichlet(np.ones(toy.num_states), size=5)]))
-    bound = initial_bound(toy)
+    beliefs = np.vstack([b0[None, :], rng.dirichlet(np.ones(toy.num_states), size=5)])
     eps = default_epsilon(toy)
     mat, acts, tracked, info = backup_stage(
-        model=toy, beliefs=beliefs, alphas_mat=bound.values[None, :],
-        alpha_actions=np.array([bound.action]), epsilon=eps)
+        model=toy, beliefs=beliefs, alphas_mat=initial_bound(toy)[None, :],
+        alpha_actions=np.array([0]), epsilon=eps)
     print(f"toy stage sweeps: {info['sweeps']}")
     assert info["converged"] and 1 < info["sweeps"] < 500
     _, _, tracked2, info2 = backup_stage(toy, beliefs, mat, acts, eps,
@@ -228,17 +327,17 @@ def test_backup_stage_converges_then_fixed_point(toy):
 
 def test_expand_beliefs_growth_and_determinism(model):
     b0 = initial_belief(model.states)
-    beliefs = BeliefSet(points=b0[None, :])
+    beliefs = b0[None, :]
     seed = np.random.SeedSequence((42, 1))
-    grown = expand_beliefs(model, beliefs, seed, round_id=1)
+    grown = expand_beliefs(model, beliefs, seed)
     assert len(beliefs) < len(grown) <= 2 * len(beliefs)
-    again = expand_beliefs(model, beliefs, np.random.SeedSequence((42, 1)), 1)
-    assert np.array_equal(grown.points, again.points)
-    assert grown.provenance[:1] == [0] and set(grown.provenance[1:]) == {1}
+    again = expand_beliefs(model, beliefs, np.random.SeedSequence((42, 1)))
+    assert np.array_equal(grown, again)
+    assert np.array_equal(grown[:1], beliefs)   # existing points stay first
     # all rows are proper beliefs, no duplicates
-    assert np.abs(grown.points.sum(axis=1) - 1.0).max() < 1e-12
-    assert len({row.tobytes() for row in grown.points}) == len(grown)
-    two = expand_beliefs(model, grown, np.random.SeedSequence((42, 2)), 2)
+    assert np.abs(grown.sum(axis=1) - 1.0).max() < 1e-12
+    assert len({row.tobytes() for row in grown}) == len(grown)
+    two = expand_beliefs(model, grown, np.random.SeedSequence((42, 2)))
     assert len(two) <= 2 * len(grown)
 
 
@@ -249,20 +348,22 @@ def test_expand_point_mass_deterministic_dynamics(model):
     det = dataclasses.replace(model, T=perm)
     b = np.zeros(model.num_states)
     b[17] = 1.0
-    grown = expand_beliefs(det, BeliefSet(points=b[None, :]),
-                           np.random.SeedSequence(3), round_id=1)
+    grown = expand_beliefs(det, b[None, :], np.random.SeedSequence(3))
     assert len(grown) == 2
     want = np.zeros(model.num_states)
     want[order[17]] = 1.0
-    assert np.array_equal(grown.points[1], want)
+    assert np.array_equal(grown[1], want)
+    # every proposal from the first point is now in the set: none is added
+    again = expand_beliefs(det, grown, np.random.SeedSequence(4))
+    assert len(again) == 3
+    assert np.array_equal(again[2], np.eye(model.num_states)[order[order[17]]])
 
 
 def test_solve_zero_stages_is_blind_bound(model):
     pol = solve(model, initial_belief(model.states), num_stages=0, seed=1)
-    bound = initial_bound(model)
     assert pol.alpha.shape == (1, model.num_states)
-    assert np.array_equal(pol.alpha[0], bound.values)
-    assert pol.actions[0] == bound.action
+    assert np.array_equal(pol.alpha[0], initial_bound(model))
+    assert pol.actions[0] == 0
 
 
 def test_solve_determinism_and_metadata():
@@ -277,26 +378,29 @@ def test_solve_determinism_and_metadata():
     assert len(a.metadata["stages"]) == 2
     c = solve(sub, b0, num_stages=2, expansions_per_stage=1, seed=6)
     assert c.alpha.shape != a.alpha.shape or a.alpha.tobytes() != c.alpha.tobytes()
-    assert a.value(b0) > initial_bound(sub).values[0]
+    assert a.value(b0) > initial_bound(sub)[0]
 
 
 def test_extract_action_rules(model):
+    """PolicyAgent.act takes a batch of beliefs; the true cells are ignored."""
     rng = np.random.default_rng(12)
     alpha = rng.random((5, model.num_states)) * 1e9
     acts = np.array([3, 7, 1, 30, 22])
-    pol = Policy(alpha=alpha, actions=acts)
-    for s in range(0, model.num_states, 7):
-        b = np.zeros(model.num_states)
-        b[s] = 1.0
-        assert extract_action(pol, b) == acts[int(np.argmax(alpha[:, s]))]
-    b = rng.dirichlet(np.ones(model.num_states))
-    want = acts[int(np.argmax(alpha @ b))]
-    assert extract_action(pol, b) == want
-    scaled = Policy(alpha=alpha * 7.5, actions=acts)
-    assert extract_action(scaled, b) == want
+
+    def act(alpha, actions, beliefs):
+        agent = PolicyAgent("sm", model, Policy(alpha=alpha, actions=actions))
+        return agent.act(beliefs, np.ones(len(beliefs), dtype=int))
+
+    points = np.eye(model.num_states)[::7]
+    assert np.array_equal(act(alpha, acts, points),
+                          acts[alpha[:, ::7].argmax(axis=0)])
+    b = rng.dirichlet(np.ones(model.num_states), size=4)
+    want = acts[(alpha @ b.T).argmax(axis=0)]
+    assert np.array_equal(act(alpha, acts, b), want)
+    assert np.array_equal(act(alpha * 7.5, acts, b), want)
     # ties resolve to the lowest vector index
-    dup = Policy(alpha=np.vstack([alpha[0], alpha[0]]), actions=np.array([9, 4]))
-    assert extract_action(dup, b) == 9
+    dup = act(np.vstack([alpha[0], alpha[0]]), np.array([9, 4]), b)
+    assert np.array_equal(dup, [9, 9, 9, 9])
 
 
 def test_dedup_and_dominance_pruning():
@@ -310,6 +414,25 @@ def test_dedup_and_dominance_pruning():
     assert list(pacts) == [0, 3]
     one, oacts = _prune_dominated(mat[:1], acts[:1])
     assert np.array_equal(one, mat[:1]) and list(oacts) == [0]
+
+
+def test_prune_dominated_matches_reference():
+    """One-pass pruning keeps the sequential scan's rows, actions and order."""
+    rng = np.random.default_rng(17)
+    for case in range(1500):
+        n, s = int(rng.integers(0, 9)), int(rng.integers(1, 4))
+        mat = rng.integers(-2, 3, size=(n, s)).astype(float)
+        if n > 1 and case % 3 == 0:                 # dominance chain
+            mat[1:] = mat[0] - np.arange(1, n)[:, None] * (rng.random(s) < 0.5)
+        if n > 2 and case % 4 == 0:                 # duplicate rows
+            mat[rng.integers(n)] = mat[rng.integers(n)]
+        if case % 5 == 0:                           # signed zeros
+            mat[mat == 0.0] = rng.choice([0.0, -0.0], size=int((mat == 0.0).sum()))
+        acts = rng.permutation(max(n, 1))[:n]
+        got, got_acts = _prune_dominated(mat, acts)
+        want, want_acts = reference_prune_dominated(mat, acts)
+        assert got.tobytes() == want.tobytes(), case
+        assert np.array_equal(got_acts, want_acts), case
 
 
 def test_simplex_interpolation_oracle_is_exact_on_linear():
@@ -336,5 +459,5 @@ def test_solver_input_validation(model):
     with pytest.raises(ValueError):
         solve(model, initial_belief(model.states), expansions_per_stage=0)
     with pytest.raises(ValueError):
-        expand_beliefs(model, BeliefSet(points=initial_belief(model.states)[None, :]),
-                       np.random.SeedSequence(0), 1, metric="cosine")
+        expand_beliefs(model, initial_belief(model.states)[None, :],
+                       np.random.SeedSequence(0), metric="cosine")

@@ -9,9 +9,9 @@ from specbeam.arrays import PropagationConstants, expected_rate, make_band
 from specbeam.config import ExperimentConfig
 from specbeam.geometry import SceneConfig, build_road
 from specbeam.mobility import MobilityModel
-from specbeam.pomdp import (ImpossibleObservation, belief_update, build_model,
-                            enumerate_actions, initial_belief,
-                            observation_likelihoods, snr_thresholds)
+from specbeam.pomdp import (belief_update, build_model, enumerate_actions,
+                            initial_belief, snr_thresholds)
+from _oracles import dead_bin_model, reference_belief_update
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -51,7 +51,6 @@ def test_action_enumeration_cell_major(model):
         cell = model.road[acts.beam_cell[a] - 1]
         assert acts.theta_hat[a] == cell.theta
         assert acts.phi_hat[a] == cell.phi
-    assert acts.index(cell=5, band=2, num_bands=3) == 14
 
 
 def test_snr_thresholds_grid():
@@ -134,17 +133,49 @@ def test_initial_belief(model, toy):
     assert np.allclose(initial_belief(toy.states), 1.0 / 3.0)
 
 
+def _update(model, b, a, z):
+    """belief_update on a batch of one: (posterior, impossible flag)."""
+    post, impossible = belief_update(model, b[None, :], np.array([a]), np.array([z]))
+    return post[0], bool(impossible[0])
+
+
 def test_belief_update_matches_direct_bayes(toy):
     rng = np.random.default_rng(8)
-    for _ in range(100):
-        b = rng.dirichlet(np.ones(3))
-        a = int(rng.integers(3))
-        z = int(rng.integers(6))
-        post = toy.O[a, :, z] * (toy.T.T @ b)
+    b = rng.dirichlet(np.ones(3), size=100)
+    a = rng.integers(3, size=100)
+    z = rng.integers(6, size=100)
+    got, impossible = belief_update(toy, b, a, z)
+    for i in range(100):
+        post = toy.O[a[i], :, z[i]] * (toy.T.T @ b[i])
         if post.sum() == 0:
+            assert impossible[i]
             continue
-        got = belief_update(toy, b, a, z)
-        assert np.abs(got - post / post.sum()).max() < 1e-14
+        assert not impossible[i]
+        assert np.abs(got[i] - post / post.sum()).max() < 1e-14
+
+
+def test_belief_update_rows_match_scalar_reference(model):
+    """Every batched row has the scalar update's exact bits or is flagged."""
+    rng = np.random.default_rng(14)
+    n = 400
+    b = rng.dirichlet(np.ones(model.num_states), size=n)
+    b[::2] = np.eye(model.num_states)[rng.integers(model.num_states, size=n // 2)]
+    a = rng.integers(model.num_actions, size=n)
+    z = rng.integers(model.num_observations, size=n)
+    got, impossible = belief_update(model, b, a, z)
+    assert impossible.any() and not impossible.all()
+    for i in range(n):
+        pred = model.O[a[i], :, z[i]] * (model.T.T @ b[i])
+        if impossible[i]:
+            assert pred.sum() <= 1e-300
+            assert np.array_equal(got[i], np.full(model.num_states, 1 / model.num_states))
+        else:
+            want = reference_belief_update(model, b[i], int(a[i]), int(z[i]))
+            assert got[i].tobytes() == want.tobytes()
+    dead = dead_bin_model(model)
+    got, impossible = belief_update(dead, b, a, np.zeros(n, dtype=int))
+    assert impossible.all()
+    assert np.array_equal(got, np.full_like(got, 1 / model.num_states))
 
 
 def test_belief_update_hand_example(toy):
@@ -156,7 +187,8 @@ def test_belief_update_hand_example(toy):
     move = np.array([0.2, 0.6, 0.2])          # p=0.6, interior cell
     like = toy.O[a, :, z]
     want = move * like / (move * like).sum()
-    got = belief_update(toy, b, a, z)
+    got, impossible = _update(toy, b, a, z)
+    assert not impossible
     assert np.abs(got - want).max() < 1e-14
     assert abs(got.sum() - 1.0) < 1e-12
 
@@ -170,9 +202,8 @@ def test_belief_update_point_mass_deterministic_transition(toy):
         b = np.zeros(3)
         b[s] = 1.0
         for z in range(6):
-            try:
-                got = belief_update(det, b, 0, z)
-            except ImpossibleObservation:
+            got, impossible = _update(det, b, 0, z)
+            if impossible:
                 continue
             want = np.zeros(3)
             want[(s + 1) % 3] = 1.0
@@ -185,20 +216,25 @@ def test_belief_update_impossible_observation(toy):
     dead /= dead.sum(axis=2, keepdims=True)
     broken = dataclasses.replace(toy, O=dead)
     b = initial_belief(broken.states)
-    with pytest.raises(ImpossibleObservation):
-        belief_update(broken, b, 0, 5)
+    got, impossible = _update(broken, b, 0, 5)
+    assert impossible
+    assert np.array_equal(got, np.full(3, 1.0 / 3.0))
 
 
 def test_observation_likelihoods_normalize(model):
+    """P(z | b, a) sums to one, and averaging the posteriors over it gives
+    back the predicted belief T^T b (total probability)."""
     b = initial_belief(model.states)
+    zs = np.arange(model.num_observations)
     for a in (0, 17, 35):
-        pz = observation_likelihoods(model, b, a)
+        pz = model.O[a].T @ (model.T.T @ b)
         assert pz.shape == (25,)
         assert abs(pz.sum() - 1.0) < 1e-12
-        # consistency: belief_update normalizer equals the likelihood
-        z = int(np.argmax(pz))
-        post = model.O[a, :, z] * (model.T.T @ b)
-        assert post.sum() == pytest.approx(pz[z], rel=1e-12)
+        posts, impossible = belief_update(model, np.tile(b, (25, 1)),
+                                          np.full(25, a), zs)
+        assert np.array_equal(impossible, pz <= 1e-300)
+        mixed = (pz[~impossible, None] * posts[~impossible]).sum(axis=0)
+        assert np.abs(mixed - model.T.T @ b).max() < 1e-12
 
 
 def test_band_restricted_model():

@@ -60,7 +60,7 @@ def test_oracle_trial_is_always_aligned(model):
     # aligned SNR is gain_aligned / (sigma^2 * e), recomputable from the trace
     for t in (0, 57, 299):
         a = trace.actions[t]
-        band = model.band_of_action(a)
+        band = model.bands[model.actions.band_idx[a]]
         g = aligned_gain(model.consts, band, model.road[trace.cells[t] - 1].r_m)
         sig = model.consts.noise_variance_w(band.bandwidth_hz)
         assert trace.snrs[t] == pytest.approx(
@@ -72,7 +72,7 @@ def test_trace_rates_recomputable(model):
                       FixedActionAgent(20), 128, np.random.SeedSequence((9, 1)))
     for t in range(0, 128, 17):
         a = trace.actions[t]
-        band = model.band_of_action(a)
+        band = model.bands[model.actions.band_idx[a]]
         sig = model.consts.noise_variance_w(band.bandwidth_hz)
         cell = model.road[trace.cells[t] - 1]
         g = gain(model.consts, band, cell.r_m, cell.theta, cell.phi,
@@ -155,7 +155,7 @@ def test_monte_carlo_aggregates(model):
         assert m.reset_fraction == 0.0              # exact model match
     assert oracle.mean_rate_bps > blind.mean_rate_bps
     # blind agent uses action 19's band exclusively
-    band = model.band_of_action(19).label
+    band = model.bands[model.actions.band_idx[19]].label
     assert blind.utilization[band] == 1.0
 
 
