@@ -150,9 +150,12 @@ def cmd_solve(args) -> int:
         "num_alphas": int(policy.alpha.shape[0]),
         "solver": policy.metadata,
     })
-    unconverged = sum(not st["converged"] for st in policy.metadata["stages"])
+    stages = policy.metadata["stages"]
+    unconverged = sum(not st["converged"] for st in stages)
     print(f"solved {args.agent} at p={p:g}: |B|={policy.metadata['num_beliefs']}, "
           f"|V|={policy.alpha.shape[0]}, unconverged rounds: {unconverged}, "
+          f"sweeps: {sum(st['sweeps'] for st in stages)} backup + "
+          f"{sum(st['eval_sweeps'] for st in stages)} evaluation, "
           f"{wall_s:.1f}s -> {base}.policy.json")
     return 0
 

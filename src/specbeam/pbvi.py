@@ -30,7 +30,8 @@ formed. A sweep scores a chunk of beliefs against every vector at once,
 reduces the scores with a max over vectors, picks each belief's action
 from those maxima, and runs the argmax over vectors only on the chosen
 action's observation columns. The score block, megabytes at a few dozen
-vectors, is written into one buffer that every chunk of the sweep reuses.
+vectors, is written into one buffer, sized for the stage's largest alpha
+set, that every chunk of every sweep of the stage reuses.
 Each product keeps the shape it had in the all-argmax kernel kept in
 tests/_oracles.py, so the policy bytes are the same: scoring only the
 observation columns that are nonzero somewhere, or in smaller chunks,
@@ -43,10 +44,31 @@ A retained vector's value is computed once, when adopted, and carried
 verbatim afterwards; at the ~1e11 bits/s value scale a recomputed dot
 product can wobble by ~1e-5 absolute (a few ulps), which would otherwise
 read as a spurious decrease.
+
+With discount 0.99 a backup sweep closes only about 1% of the remaining
+value gap, so between backup (improvement) sweeps the stage runs cheap
+evaluation sweeps, as modified policy iteration (Puterman & Shin 1978)
+and point-based policy iteration (Ji et al. 2007) do. A backup sweep's
+choices form a finite-state controller over the beliefs: belief k's plan
+is its action a_k and, per observation z, the belief succ[k, z] that owns
+the vector the backup picked for z (the incoming set's vectors have no
+owner, so a stage's first sweep makes no plans). An evaluation sweep
+recomputes every planned belief's node from the retained vectors,
+
+    node_k = T (rbar[a_k] + discount * sum_z O[a_k, :, z] * node[succ[k, z]]),
+
+at a cost of N * (|S| * M_z + |S|^2), against the N * V * C * |A| * M_z
+score product of a backup sweep. Each node is the value of a finite plan whose leaves are
+retained vectors, and those are values of plans too, so every node is
+still a lower bound. A belief adopts its node under the same
+keep-the-better rule, so per-belief values stay monotone. Evaluation
+stops when a sweep adopts nothing or gains less than epsilon, or after
+max_sweeps sweeps.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -96,19 +118,24 @@ _BELIEF_CHUNK = 32
 
 
 def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
-                  e: np.ndarray, oz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backup one belief per row of `tb`; returns (vectors (N,S), actions (N,)).
+                  e: np.ndarray, oz: np.ndarray, buf: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Back up each row of `tb`: vectors (N,S), actions (N,) and picks (N,Z).
 
     `tb` carries the one-step predicted beliefs (beliefs @ T), which is all
     the backup needs: scores b . proj[v, a, z] are computed as H @ OZ with
-    H[v, n, c] = sum_{s' in cell c} alpha[v, s'] tb[n, s'].
+    H[v, n, c] = sum_{s' in cell c} alpha[v, s'] tb[n, s']. picks[n, z] is
+    the row of `alpha_mat` chosen for observation z under the chosen
+    action. `buf`, when given, holds at least (V * min(32, N), |A| * M_z)
+    scores and is reused instead of allocating one.
     """
     n_v, n_s = alpha_mat.shape
     n_a, _, n_z = model.O.shape
     disc = model.discount
     acts = np.empty(len(tb), dtype=int)
     best_v = np.empty((len(tb), n_z), dtype=int)            # of the chosen action
-    buf = np.empty((n_v * min(_BELIEF_CHUNK, len(tb)), n_a * n_z))
+    if buf is None:
+        buf = np.empty((n_v * min(_BELIEF_CHUNK, len(tb)), n_a * n_z))
     for lo in range(0, len(tb), _BELIEF_CHUNK):
         tbc = tb[lo:lo + _BELIEF_CHUNK]
         n = len(tbc)
@@ -125,11 +152,11 @@ def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
     out_vec = np.empty((len(tb), n_s))
     for k in range(len(tb)):            # pre @ T.T would round differently
         out_vec[k] = model.T @ pre[k]
-    return out_vec, acts
+    return out_vec, acts, best_v
 
 
-def _dedup_rows(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop exact duplicate rows, keeping first occurrences."""
+def _dedup_rows(mat: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in order."""
     seen: set[bytes] = set()
     keep = []
     for i in range(len(mat)):
@@ -137,7 +164,7 @@ def _dedup_rows(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.nd
         if key not in seen:
             seen.add(key)
             keep.append(i)
-    return mat[keep], actions[keep]
+    return np.array(keep, dtype=int)
 
 
 def _prune_dominated(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,6 +179,53 @@ def _prune_dominated(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, 
     return mat[keep], actions[keep]
 
 
+def _mapped_buffer(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) float array in its own anonymous memory mapping.
+
+    A stage's score buffer, megabytes, lives while the sweeps' smaller
+    temporaries come and go. From the malloc heap, buffers of the growing
+    stage sizes would land between those temporaries and fragment it; the
+    heap then grew over repeated solves and peak memory with it. A mapping
+    goes back to the system when the array is freed.
+    """
+    mapping = mmap.mmap(-1, rows * cols * 8)
+    return np.frombuffer(mapping, dtype=np.float64).reshape(rows, cols)
+
+
+def _evaluate_plans(model: PomdpModel, beliefs: np.ndarray, anchors: np.ndarray,
+                    tracked: np.ndarray, planned: np.ndarray, plan_acts: np.ndarray,
+                    succ: np.ndarray, epsilon: float, max_sweeps: int) -> int:
+    """Evaluation sweeps of the beliefs' plans; returns the sweeps run.
+
+    Belief k's plan is action plan_acts[k] followed, after observation z,
+    by the node of belief succ[k, z]. A sweep recomputes every planned
+    node from the current ones, node_k = T (rbar[a_k] + discount *
+    sum_z O[a_k, :, z] * node[succ[k, z]]), and a belief adopts its node
+    only where the node's value at the belief reaches its tracked value.
+    `anchors` and `tracked` are updated in place; a planned belief's
+    retained action is already its plan's. Sweeps stop once one adopts
+    nothing or gains less than `epsilon` anywhere.
+    """
+    rows = np.flatnonzero(planned)
+    acts = plan_acts[rows]
+    o_t = model.O[acts].transpose(0, 2, 1).copy()           # (m, Z, S)
+    r = model.rbar[acts]
+    nxt = succ[rows]
+    b = beliefs[rows]
+    for sweep in range(1, max_sweeps + 1):
+        pre = r + model.discount * np.einsum("mzs,mzs->ms", o_t, anchors[nxt])
+        nodes = pre @ model.T.T
+        vals = np.einsum("ms,ms->m", b, nodes)
+        gain = vals - tracked[rows]
+        take = gain >= 0.0
+        adopt = rows[take]
+        anchors[adopt] = nodes[take]
+        tracked[adopt] = vals[take]
+        if not take.any() or gain[take].max() < epsilon:
+            return sweep
+    return max_sweeps
+
+
 def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
                  alpha_actions: np.ndarray, epsilon: float, max_sweeps: int = 500,
                  tracked: np.ndarray | None = None,
@@ -160,12 +234,18 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
     """Sweep backups over the belief set until point values settle.
 
     `tracked` carries each belief's retained value in from a previous stage
-    (None evaluates the incoming set once). Returns the new alpha matrix,
-    its actions, the updated tracked values, and an info dict with sweep
-    count, convergence flag, and optionally the per-sweep value history.
+    (None evaluates the incoming set once). Between improvement sweeps,
+    evaluation sweeps (at most `max_sweeps` each time) rerun the plans the
+    improvement sweeps chose. Returns the new alpha matrix, its actions,
+    the updated tracked values, and an info dict with the improvement and
+    evaluation sweep counts, the convergence flag, and optionally the
+    per-sweep value history (one row per improvement sweep, taken after
+    its evaluation sweeps).
     """
     e, oz = _cell_tensors(model)
     tb = beliefs @ model.T
+    n_b = len(beliefs)
+    n_z = model.num_observations
     eval0 = beliefs @ alphas_mat.T                              # (N, V)
     best0 = eval0.argmax(axis=1)
     anchors = alphas_mat[best0]                             # (N, S)
@@ -173,24 +253,40 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
     vals0 = eval0.max(axis=1)
     tracked = vals0 if tracked is None else np.maximum(tracked, vals0)
     history = [tracked.copy()]
+    # alpha sets after the first sweep hold at most one vector per belief
+    buf = _mapped_buffer(max(len(alphas_mat), n_b) * min(_BELIEF_CHUNK, n_b),
+                         model.num_actions * n_z)
+    owner = None                # belief whose anchor each alpha row is
+    planned = np.zeros(n_b, dtype=bool)
+    plan_acts = np.zeros(n_b, dtype=int)
+    succ = np.zeros((n_b, n_z), dtype=int)
     converged = False
-    sweeps = 0
+    sweeps = eval_sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        new_vecs, new_acts = _backup_block(model, tb, alphas_mat, e, oz)
+        new_vecs, new_acts, picks = _backup_block(model, tb, alphas_mat, e, oz, buf)
         new_vals = np.einsum("ns,ns->n", beliefs, new_vecs)
         take = new_vals >= tracked
         anchors = np.where(take[:, None], new_vecs, anchors)
         anchor_acts = np.where(take, new_acts, anchor_acts)
         delta = float(np.where(take, new_vals - tracked, 0.0).max())
         tracked = np.where(take, new_vals, tracked)
-        alphas_mat, alpha_actions = _dedup_rows(anchors, anchor_acts)
+        if owner is not None:   # the incoming set's vectors have no owner
+            planned |= take
+            plan_acts[take] = new_acts[take]
+            succ[take] = owner[picks[take]]
+        converged = delta < epsilon
+        if not converged and planned.any():
+            eval_sweeps += _evaluate_plans(model, beliefs, anchors, tracked,
+                                           planned, plan_acts, succ, epsilon,
+                                           max_sweeps)
+        owner = _dedup_rows(anchors)
+        alphas_mat, alpha_actions = anchors[owner], anchor_acts[owner]
         if collect_history:
             history.append(tracked.copy())
-        if delta < epsilon:
-            converged = True
+        if converged:
             break
     alphas_mat, alpha_actions = _prune_dominated(alphas_mat, alpha_actions)
-    info = {"sweeps": sweeps, "converged": converged}
+    info = {"sweeps": sweeps, "eval_sweeps": eval_sweeps, "converged": converged}
     if collect_history:
         info["value_history"] = np.stack(history)
     return alphas_mat, alpha_actions, tracked, info
@@ -249,6 +345,8 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
     """Run the full expansion/backup schedule from the initial belief."""
     if num_stages < 0 or expansions_per_stage < 1:
         raise ValueError("num_stages must be >= 0 and expansions_per_stage >= 1")
+    if (epsilon is not None and not epsilon > 0) or max_sweeps < 1:
+        raise ValueError("epsilon must be None or > 0 and max_sweeps >= 1")
     eps = default_epsilon(model) if epsilon is None else float(epsilon)
     alphas_mat = initial_bound(model)[None, :]
     alpha_actions = np.array([0])
@@ -271,6 +369,7 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
                 tracked=tracked, collect_history=collect_history)
             entry = {"round": round_id, "num_beliefs": len(beliefs),
                      "num_alphas": len(alphas_mat), "sweeps": info["sweeps"],
+                     "eval_sweeps": info["eval_sweeps"],
                      "converged": info["converged"]}
             if collect_history:
                 entry["value_history"] = info["value_history"]

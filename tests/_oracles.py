@@ -4,12 +4,13 @@ Everything here is deliberately written from the definitions, not by calling
 into the package: the phased-array response as a raw elementwise phase sum,
 the per-band perfect-information rate by paired Monte Carlo from plain
 numbers, the mobility law as a literal three-entry table, the point-based
-backup as an explicit loop over (action, observation, vector) triples, and a
+backup as an explicit loop over (action, observation, vector) triples, a
 belief-grid value iteration over the simplex with Freudenthal interpolation
-for small instances. Other references keep earlier package code verbatim so
-a faster rewrite can be held to it bit for bit: the scalar belief update,
-the per-proposal belief expansion, the sequential dominance pruning, the
-backup kernel and the per-trial episode loop.
+for small instances, and the fully observed MDP's value as an upper bound.
+Other references keep earlier package code verbatim so a faster rewrite can
+be held to it bit for bit: the scalar belief update, the per-proposal
+belief expansion, the sequential dominance pruning, the backup kernel, the
+backup stage without evaluation sweeps and the per-trial episode loop.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def backup_at(model, b: np.ndarray, alpha_mat: np.ndarray) -> tuple[np.ndarray, 
     from specbeam.pbvi import _backup_block, _cell_tensors
 
     e, oz = _cell_tensors(model)
-    vecs, acts = _backup_block(model, (b @ model.T)[None, :], alpha_mat, e, oz)
+    vecs, acts, _ = _backup_block(model, (b @ model.T)[None, :], alpha_mat, e, oz)
     return vecs[0], int(acts[0])
 
 
@@ -305,8 +306,8 @@ REFERENCE_CHUNK = 32
 
 
 def reference_backup_block(model, tb: np.ndarray, alpha_mat: np.ndarray,
-                           e: np.ndarray, oz: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           e: np.ndarray, oz: np.ndarray, buf=None
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The solver's earlier sweep kernel, kept as the bit-exact reference.
 
     Scores every (vector, belief, action, observation) over all of OZ's
@@ -314,12 +315,16 @@ def reference_backup_block(model, tb: np.ndarray, alpha_mat: np.ndarray,
     and gathers the best scores with take_along_axis. `e` and `oz` are the
     (|S|, C) state->cell one-hot and the (C, |A|*M_z) per-cell observation
     rows; `tb` holds the predicted beliefs (beliefs @ T), one per row.
+    Returns the vectors, the actions and, per belief and observation, the
+    row of `alpha_mat` picked under the chosen action. `buf` is accepted
+    for the solver kernel's signature and ignored.
     """
     n_v, n_s = alpha_mat.shape
     n_a, _, n_z = model.O.shape
     disc = model.discount
     out_vec = np.empty((len(tb), n_s))
     out_act = np.empty(len(tb), dtype=int)
+    out_pick = np.empty((len(tb), n_z), dtype=int)
     for lo in range(0, len(tb), REFERENCE_CHUNK):
         tbc = tb[lo:lo + REFERENCE_CHUNK]
         n = len(tbc)
@@ -336,7 +341,85 @@ def reference_backup_block(model, tb: np.ndarray, alpha_mat: np.ndarray,
             phi = (model.O[a] * g.T).sum(axis=1)
             out_vec[lo + k] = model.T @ (model.rbar[a] + disc * phi)
             out_act[lo + k] = a
-    return out_vec, out_act
+            out_pick[lo + k] = best_v[k, a]
+    return out_vec, out_act, out_pick
+
+
+def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
+                           alpha_actions: np.ndarray, epsilon: float,
+                           max_sweeps: int = 500, tracked: np.ndarray | None = None,
+                           collect_history: bool = False):
+    """The solver's backup stage before evaluation sweeps, kept as the reference.
+
+    Improvement sweeps only, each one kernel call with its own score
+    buffer, keep-the-better per belief and an exact-duplicate filter. It
+    differs from the earlier code only in taking two of the kernel's three
+    outputs, in filtering duplicates here, and in reporting
+    `eval_sweeps: 0` so that solve's stage log has the same keys.
+    """
+    from specbeam.pbvi import _backup_block, _cell_tensors, _prune_dominated
+
+    def dedup_rows(mat, actions):
+        seen: set[bytes] = set()
+        keep = []
+        for i in range(len(mat)):
+            key = mat[i].tobytes()
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        return mat[keep], actions[keep]
+
+    e, oz = _cell_tensors(model)
+    tb = beliefs @ model.T
+    eval0 = beliefs @ alphas_mat.T                              # (N, V)
+    best0 = eval0.argmax(axis=1)
+    anchors = alphas_mat[best0]                             # (N, S)
+    anchor_acts = alpha_actions[best0]
+    vals0 = eval0.max(axis=1)
+    tracked = vals0 if tracked is None else np.maximum(tracked, vals0)
+    history = [tracked.copy()]
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        new_vecs, new_acts, _ = _backup_block(model, tb, alphas_mat, e, oz)
+        new_vals = np.einsum("ns,ns->n", beliefs, new_vecs)
+        take = new_vals >= tracked
+        anchors = np.where(take[:, None], new_vecs, anchors)
+        anchor_acts = np.where(take, new_acts, anchor_acts)
+        delta = float(np.where(take, new_vals - tracked, 0.0).max())
+        tracked = np.where(take, new_vals, tracked)
+        alphas_mat, alpha_actions = dedup_rows(anchors, anchor_acts)
+        if collect_history:
+            history.append(tracked.copy())
+        if delta < epsilon:
+            converged = True
+            break
+    alphas_mat, alpha_actions = _prune_dominated(alphas_mat, alpha_actions)
+    info = {"sweeps": sweeps, "eval_sweeps": 0, "converged": converged}
+    if collect_history:
+        info["value_history"] = np.stack(history)
+    return alphas_mat, alpha_actions, tracked, info
+
+
+def mdp_upper_bound(T: np.ndarray, rbar: np.ndarray, discount: float,
+                    tol: float = 1e-9) -> np.ndarray:
+    """Value (|S|,) of the fully observed MDP, approached from above.
+
+    The MDP sees the state, so its optimal value bounds the value of every
+    POMDP plan from above, state by state. A slot's reward is paid at the
+    successor state and T does not depend on the action, so value
+    iteration reads V = max_a T (rbar[a] + discount V). It starts from the
+    constant max(rbar) / (1 - discount), which is above the fixed point;
+    the iteration is monotone, so every iterate stays above it too. Stops
+    once a step moves V by less than `tol` relative to its scale.
+    """
+    v = np.full(T.shape[0], float(rbar.max()) / (1.0 - discount))
+    while True:
+        nxt = (T @ (rbar + discount * v[None, :]).T).max(axis=1)
+        step = float(np.abs(nxt - v).max())
+        v = nxt
+        if step <= tol * float(np.abs(v).max()):
+            return v
 
 
 # ------------------------------------------------------ episode simulation

@@ -211,12 +211,13 @@ def test_cli_solve_manifest_keeps_stage_log(tmp_path, capsys):
     cfg.dump(str(tmp_path / "exp.json"))
     assert main(["solve", "--config", str(tmp_path / "exp.json"),
                  "--out", str(tmp_path / "out")]) == 0
-    assert "unconverged rounds: 1," in capsys.readouterr().out
+    assert "unconverged rounds: 1, sweeps: 1 backup + 0 evaluation," in \
+        capsys.readouterr().out
     manifest = json.load(open(tmp_path / "out" / "sm_p0.6.manifest.json"))
     (stage,) = manifest["solver"]["stages"]
     assert stage == {"round": 1, "num_beliefs": manifest["num_beliefs"],
                      "num_alphas": stage["num_alphas"], "sweeps": 1,
-                     "converged": False}
+                     "eval_sweeps": 0, "converged": False}
     policy = json.load(open(tmp_path / "out" / "sm_p0.6.policy.json"))
     assert policy["metadata"]["stages"] == [stage]
 

@@ -16,9 +16,9 @@ from specbeam.pbvi import (Policy, backup_stage, default_epsilon,
 from specbeam.pomdp import PomdpModel, initial_belief
 from specbeam.simulate import PolicyAgent
 from _oracles import (backup_at, bruteforce_backup, freudenthal_weights,
-                      projections, reference_backup_block,
-                      reference_expand_beliefs, reference_prune_dominated,
-                      simplex_grid)
+                      mdp_upper_bound, projections, reference_backup_block,
+                      reference_backup_stage, reference_expand_beliefs,
+                      reference_prune_dominated, simplex_grid)
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -143,10 +143,81 @@ def test_backup_block_matches_reference_kernel(band, num_random):
         dense = rng.dirichlet(np.ones(sub.num_states), size=n)
         for tb in (point, dense):
             alpha_mat = _tied_alphas(sub, tb, rng, num_random)
-            got_vec, got_act = _backup_block(sub, tb, alpha_mat, e, oz)
-            want_vec, want_act = reference_backup_block(sub, tb, alpha_mat, e, oz)
+            got_vec, got_act, got_pick = _backup_block(sub, tb, alpha_mat, e, oz)
+            want_vec, want_act, want_pick = reference_backup_block(
+                sub, tb, alpha_mat, e, oz)
             assert np.array_equal(got_act, want_act), n
+            assert np.array_equal(got_pick, want_pick), n
             assert np.array_equal(got_vec, want_vec), n
+            # a larger shared score buffer gives the same bits
+            buf = np.full((len(alpha_mat) * _BELIEF_CHUNK + 5, oz.shape[1]), np.nan)
+            again = _backup_block(sub, tb, alpha_mat, e, oz, buf)
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(again, (got_vec, got_act, got_pick))), n
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_solve_improvement_path_matches_reference_stage(p, monkeypatch):
+    """With evaluation adopting nothing, solves match the stage without it.
+
+    The shared score buffer, the plan bookkeeping and the duplicate filter
+    then leave the improvement sweeps' policy bytes and stage log as the
+    earlier stage code gives them.
+    """
+    full = CFG.build_model(p=p)
+    b0 = initial_belief(full.states)
+    with monkeypatch.context() as patch:
+        patch.setattr(pbvi, "_evaluate_plans", lambda *args: 0)
+        got = solve(full, b0, num_stages=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(pbvi, "backup_stage", reference_backup_stage)
+        want = solve(full, b0, num_stages=2)
+    assert got.alpha.tobytes() == want.alpha.tobytes()
+    assert np.array_equal(got.actions, want.actions)
+    assert got.metadata["stages"] == want.metadata["stages"]
+    # and the evaluation sweeps do run and change the policy
+    live = solve(full, b0, num_stages=2)
+    assert sum(st["eval_sweeps"] for st in live.metadata["stages"]) > 0
+    assert live.alpha.tobytes() != got.alpha.tobytes()
+
+
+def _assert_below_mdp_bound(model, policy):
+    bound = mdp_upper_bound(model.T, model.rbar, model.discount)
+    excess = (policy.alpha - bound[None, :]).max()
+    print(f"largest excess over the MDP bound: {excess / bound.max():+.3%}")
+    # no slack beyond rounding: every vector is the value of a plan
+    assert excess <= 1e-9 * bound.max()
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_solve_alphas_below_mdp_upper_bound(p):
+    """Every alpha of a solve is a lower bound, so it stays below V_MDP."""
+    full = CFG.build_model(p=p)
+    policy = solve(full, initial_belief(full.states), num_stages=2)
+    assert sum(st["eval_sweeps"] for st in policy.metadata["stages"]) > 0
+    _assert_below_mdp_bound(full, policy)
+
+
+def test_toy_alphas_below_mdp_upper_bound():
+    """The acceptance c05 toy, solved with the default schedule."""
+    from specbeam.arrays import make_band
+    from specbeam.geometry import SceneConfig, build_road
+    from specbeam.pomdp import build_model
+
+    scene = SceneConfig(road_y_min_m=-30.0, road_y_max_m=30.0, num_cells=3)
+    toy = build_model(build_road(scene), (make_band(CFG.aperture(), 15e9, 90e6),),
+                      PropagationConstants(), MobilityModel(p=0.6, window=1),
+                      num_levels=8, low_db=-10.0, high_db=60.0, discount=0.9)
+    policy = solve(toy, initial_belief(toy.states), seed=0)
+    _assert_below_mdp_bound(toy, policy)
+
+
+def test_mdp_upper_bound_oracle_on_tiny_model():
+    """One state, rewards 3 and 7 at discount 0.9: the bound is 7 / 0.1."""
+    tiny = _tiny_model(np.array([[3.0], [7.0]]), discount=0.9)
+    bound = mdp_upper_bound(tiny.T, tiny.rbar, tiny.discount)
+    assert bound[0] >= 70.0
+    assert bound[0] == pytest.approx(70.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
@@ -286,9 +357,10 @@ def test_projection_reference_agrees_with_kernel(model):
 def test_backup_stage_monotone_values(model):
     """Cold start on the full instance: values only ever move up.
 
-    With discount 0.99 the gap from the pessimistic bound shrinks by a
-    factor 0.99 per sweep, so the stage is expected to hit the sweep cap
-    long before the epsilon test fires; monotonicity must hold regardless.
+    With discount 0.99 a backup sweep alone closes only about 1% of the
+    gap from the pessimistic bound; the evaluation sweeps between backup
+    sweeps close most of the rest. The history holds one row per backup
+    sweep, after its evaluation sweeps, and must never decrease.
     """
     b0 = initial_belief(model.states)
     rng = np.random.default_rng(0)
@@ -299,7 +371,8 @@ def test_backup_stage_monotone_values(model):
         model, beliefs, bound[None, :], np.array([0]),
         epsilon=default_epsilon(model), max_sweeps=120, collect_history=True)
     hist = info["value_history"]
-    print(f"sweeps={info['sweeps']} converged={info['converged']}")
+    print(f"sweeps={info['sweeps']} eval_sweeps={info['eval_sweeps']} "
+          f"converged={info['converged']}")
     assert np.diff(hist, axis=0).min() >= 0.0
     assert np.abs(hist[-1] - tracked).max() == 0.0
     # retained values are honest: each equals max over the final alpha set
@@ -308,8 +381,75 @@ def test_backup_stage_monotone_values(model):
     assert len(mat) == len(acts) <= len(beliefs) + 1
 
 
+def test_evaluate_plans_stop_rule_on_geometric_sum():
+    """One state, a plan that repeats reward 7 at discount 0.9 from node 30.
+
+    Sweep t lifts the node to 70 - 40 * 0.9**t, a gain of 4 * 0.9**(t-1),
+    which first drops below epsilon = 1 at t = 15.
+    """
+    tiny = _tiny_model(np.array([[3.0], [7.0]]), discount=0.9)
+    b = np.array([[1.0]])
+
+    def run(plan_act, tracked0, epsilon=1.0, max_sweeps=500):
+        anchors, tracked = np.array([[30.0]]), np.array([tracked0])
+        sweeps = pbvi._evaluate_plans(tiny, b, anchors, tracked, np.array([True]),
+                                      np.array([plan_act]), np.zeros((1, 2), dtype=int),
+                                      epsilon, max_sweeps)
+        return sweeps, anchors[0, 0], tracked[0]
+
+    sweeps, node, value = run(1, 30.0)
+    assert sweeps == 15
+    assert node == value == pytest.approx(70.0 - 40.0 * 0.9 ** 15, rel=1e-12)
+    sweeps, node, _ = run(1, 30.0, max_sweeps=5)
+    assert sweeps == 5 and node == pytest.approx(70.0 - 40.0 * 0.9 ** 5, rel=1e-12)
+    # reward 3 keeps the node at 30: adopted with zero gain, then stop
+    assert run(0, 30.0) == (1, 30.0, 30.0)
+    # a node below the tracked value is not adopted
+    assert run(0, 31.0) == (1, 30.0, 31.0)
+
+
+def test_plans_follow_the_backup_picks(model, monkeypatch):
+    """A plan rerun on the vectors its backup saw gives the backup's vector.
+
+    Only a backup sweep runs between two evaluation phases. Every belief
+    whose retained vector that sweep replaced must hold a plan, and the
+    node recomputed through that plan from the vectors retained before the
+    sweep must be the vector the belief adopted.
+    """
+    b0 = initial_belief(model.states)
+    extra = np.random.default_rng(0).dirichlet(np.ones(model.num_states), size=7)
+    beliefs = np.vstack([b0[None, :], extra])
+    evaluate = pbvi._evaluate_plans
+    seen = {"prev": None, "checked": 0}
+
+    def spy(model, beliefs, anchors, tracked, planned, plan_acts, succ, *rest):
+        prev = seen["prev"]
+        if prev is not None:
+            changed = np.flatnonzero((anchors != prev).any(axis=1))
+            assert planned[changed].all()
+            for k in changed:
+                a = plan_acts[k]
+                phi = (model.O[a] * prev[succ[k]].T).sum(axis=1)
+                want = model.T @ (model.rbar[a] + model.discount * phi)
+                assert np.abs(anchors[k] - want).max() <= 1e-12 * np.abs(want).max()
+            seen["checked"] += len(changed)
+        sweeps = evaluate(model, beliefs, anchors, tracked, planned, plan_acts,
+                          succ, *rest)
+        seen["prev"] = anchors.copy()
+        return sweeps
+
+    monkeypatch.setattr(pbvi, "_evaluate_plans", spy)
+    backup_stage(model, beliefs, initial_bound(model)[None, :], np.array([0]),
+                 epsilon=default_epsilon(model), max_sweeps=120)
+    assert seen["checked"] > 0
+
+
 def test_backup_stage_converges_then_fixed_point(toy):
-    """Discount 0.9 instance converges, and a rerun stops after one sweep."""
+    """Discount 0.9 instance converges; a rerun stops after one sweep.
+
+    The rerun's incoming vectors have no owner, so its single sweep makes
+    no plans and runs no evaluation sweep.
+    """
     b0 = initial_belief(toy.states)
     rng = np.random.default_rng(3)
     beliefs = np.vstack([b0[None, :], rng.dirichlet(np.ones(toy.num_states), size=5)])
@@ -317,11 +457,12 @@ def test_backup_stage_converges_then_fixed_point(toy):
     mat, acts, tracked, info = backup_stage(
         model=toy, beliefs=beliefs, alphas_mat=initial_bound(toy)[None, :],
         alpha_actions=np.array([0]), epsilon=eps)
-    print(f"toy stage sweeps: {info['sweeps']}")
+    print(f"toy stage sweeps: {info['sweeps']} + {info['eval_sweeps']} evaluation")
     assert info["converged"] and 1 < info["sweeps"] < 500
     _, _, tracked2, info2 = backup_stage(toy, beliefs, mat, acts, eps,
                                          tracked=tracked)
-    assert info2["sweeps"] == 1
+    assert info2["sweeps"] == 1 and info2["eval_sweeps"] == 0
+    assert info2["converged"]
     assert float(np.abs(tracked2 - tracked).max()) < eps
 
 
@@ -406,7 +547,9 @@ def test_extract_action_rules(model):
 def test_dedup_and_dominance_pruning():
     mat = np.array([[1.0, 2.0], [1.0, 2.0], [0.5, 1.0], [2.0, 0.1]])
     acts = np.array([0, 1, 2, 3])
-    ded, dacts = _dedup_rows(mat, acts)
+    keep = _dedup_rows(mat)
+    assert list(keep) == [0, 2, 3]
+    ded, dacts = mat[keep], acts[keep]
     assert ded.shape == (3, 2)
     assert list(dacts) == [0, 2, 3]
     pruned, pacts = _prune_dominated(ded, dacts)
@@ -458,6 +601,11 @@ def test_solver_input_validation(model):
         solve(model, initial_belief(model.states), num_stages=-1)
     with pytest.raises(ValueError):
         solve(model, initial_belief(model.states), expansions_per_stage=0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            solve(model, initial_belief(model.states), epsilon=bad)
+    with pytest.raises(ValueError):
+        solve(model, initial_belief(model.states), max_sweeps=0)
     with pytest.raises(ValueError):
         expand_beliefs(model, initial_belief(model.states)[None, :],
                        np.random.SeedSequence(0), metric="cosine")
