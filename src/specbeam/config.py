@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
-                     SPEED_OF_LIGHT, make_band)
+                     SPEED_OF_LIGHT, band_label, make_band)
 from .geometry import SceneConfig, build_road
 from .mobility import MobilityModel
 from .pomdp import PomdpModel, build_model
@@ -114,9 +114,16 @@ def validate_config(cfg: dict[str, Any]) -> None:
     bands = _get(cfg, "bands")
     if not isinstance(bands, list) or not bands:
         raise ConfigError("bands: must be a non-empty list")
+    first_with_label: dict[str, int] = {}
     for i in range(len(bands)):
         _require(cfg, f"bands.{i}.f_hz", pos, "must be a positive number")
         _require(cfg, f"bands.{i}.bandwidth_hz", pos, "must be a positive number")
+        # labels name the single-band agents, their policy files and util_* columns
+        label = band_label(bands[i]["f_hz"])
+        j = first_with_label.setdefault(label, i)
+        if j != i:
+            raise ConfigError(f"bands.{i}.f_hz: has the label {label!r} of bands.{j}.f_hz "
+                              f"(got {bands[i]['f_hz']!r})")
     _require(cfg, "propagation.k_const", pos, "must be a positive number")
     _require(cfg, "propagation.path_loss_exp", pos, "must be a positive number")
     _require(cfg, "propagation.tx_power_w", pos, "must be a positive number")

@@ -97,12 +97,8 @@ def build_observation_tensor(gains: np.ndarray, bands: tuple[BandConfig, ...],
                              consts: PropagationConstants, states: StateSpace,
                              actions: ActionSpace, thresholds: np.ndarray) -> np.ndarray:
     """O[a, s, z]: SNR-bin probabilities; rows depend on s only via its cell."""
-    num_a, num_cells = gains.shape
-    per_cell = np.empty((num_a, num_cells, thresholds.size + 1))
-    for a in range(num_a):
-        sig = consts.noise_variance_w(bands[actions.band_idx[a]].bandwidth_hz)
-        for c in range(num_cells):
-            per_cell[a, c] = observation_probs(gains[a, c], sig, thresholds)
+    bw = np.array([b.bandwidth_hz for b in bands])[actions.band_idx, None]
+    per_cell = observation_probs(gains, consts.noise_variance_w(bw), thresholds)
     return per_cell[:, states.cells() - 1, :]
 
 
@@ -110,13 +106,8 @@ def build_reward_vectors(gains: np.ndarray, bands: tuple[BandConfig, ...],
                          consts: PropagationConstants, states: StateSpace,
                          actions: ActionSpace) -> np.ndarray:
     """rbar[a, s]: expected rate of action a with the user at s's cell."""
-    num_a, num_cells = gains.shape
-    per_cell = np.empty((num_a, num_cells))
-    for a in range(num_a):
-        band = bands[actions.band_idx[a]]
-        sig = consts.noise_variance_w(band.bandwidth_hz)
-        for c in range(num_cells):
-            per_cell[a, c] = expected_rate(band.bandwidth_hz, gains[a, c], sig)
+    bw = np.array([b.bandwidth_hz for b in bands])[actions.band_idx, None]
+    per_cell = expected_rate(bw, gains, consts.noise_variance_w(bw))
     return per_cell[:, states.cells() - 1]
 
 

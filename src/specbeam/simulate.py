@@ -290,11 +290,8 @@ def perfect_info_rates(model: PomdpModel) -> dict[str, float]:
     """Per-channel mean over cells of the aligned expected rate, bits/s."""
     from .arrays import aligned_gain, expected_rate
 
-    out = {}
-    for band in model.bands:
-        sig = model.consts.noise_variance_w(band.bandwidth_hz)
-        vals = [expected_rate(band.bandwidth_hz,
-                              aligned_gain(model.consts, band, cell.r_m), sig)
-                for cell in model.road]
-        out[band.label] = math.fsum(vals) / len(vals)
-    return out
+    bw = np.array([band.bandwidth_hz for band in model.bands])[:, None]
+    aligned = np.array([[aligned_gain(model.consts, band, cell.r_m) for cell in model.road]
+                        for band in model.bands])
+    rates = expected_rate(bw, aligned, model.consts.noise_variance_w(bw))
+    return {band.label: math.fsum(row) / len(row) for band, row in zip(model.bands, rates)}

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from specbeam.arrays import (ApertureSpec, PropagationConstants,
-                             aligned_gain, dirichlet_ratio_abs,
+                             _rate_integral, aligned_gain, dirichlet_ratio_abs,
                              elements_for_band, expected_rate, gain,
                              make_band, normalized_angles, observation_probs,
                              rate)
-from _oracles import double_sum_response, mc_expected_rate
+from _oracles import double_sum_response, mc_expected_rate, quad_rate_integral
 
 AP_PAPER = ApertureSpec(a_y_m=0.0375, a_z_m=0.0375)
 AP_DEFAULT = ApertureSpec(a_y_m=0.038, a_z_m=0.038)
@@ -146,6 +146,32 @@ def test_rate_values():
         rate(100e6, -0.5)
 
 
+def test_rate_integral_matches_quadrature():
+    cs = np.logspace(-8.0, 8.0, 161)
+    closed = _rate_integral(cs)
+    ref = np.array([quad_rate_integral(c) for c in cs])
+    worst = np.max(np.abs(closed / ref - 1.0))
+    print(f"worst relative gap closed form vs quadrature: {worst:.3e}")
+    assert worst < 1e-10
+
+
+def test_rate_integral_two_term_series_below_1e8():
+    """I(c) = c (1 - euler_gamma - ln c)
+    + c^2 (3/4 - (euler_gamma + ln c)/2) + O(c^3 ln^2 c)."""
+    cs = np.logspace(-300.0, -8.0, 293)[:-1]
+    series = (cs * (1.0 - np.euler_gamma - np.log(cs))
+              + cs ** 2 * (0.75 - (np.euler_gamma + np.log(cs)) / 2.0))
+    worst = np.max(np.abs(_rate_integral(cs) / series - 1.0))
+    print(f"worst relative gap closed form vs two-term series: {worst:.3e}")
+    assert worst < 1e-15
+
+
+def test_rate_integral_branches_meet_at_one():
+    below, at_one = _rate_integral(np.array([np.nextafter(1.0, 0.0), 1.0]))
+    assert abs(below - at_one) <= 1e-15 * at_one
+    assert _rate_integral(0.0) == 0.0
+
+
 def test_expected_rate_against_monte_carlo():
     rng = np.random.default_rng(6)
     for trial in range(3):
@@ -153,7 +179,7 @@ def test_expected_rate_against_monte_carlo():
         sigma_sq = 10.0 ** rng.uniform(-15, -12)
         est, se = mc_expected_rate(100e6, g, sigma_sq, 10_000_000, seed=trial)
         got = expected_rate(100e6, g, sigma_sq)
-        print(f"quadrature {got:.6e} vs MC {est:.6e} +- {se:.2e}")
+        print(f"closed form {got:.6e} vs MC {est:.6e} +- {se:.2e}")
         assert abs(got - est) < 3.0 * se
 
 
@@ -161,7 +187,7 @@ def test_expected_rate_edge_cases_and_monotonicity():
     assert expected_rate(100e6, 0.0, 1e-12) == 0.0
     vals = [expected_rate(90e6, g, 1e-13) for g in (1e-12, 1e-10, 1e-8, 1e-6)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    # the tiny-SNR series branch joins the quadrature branch smoothly
+    # smooth and increasing across tiny SNR scales
     sigma = 1.0
     lo = expected_rate(1e8, 0.99e-8, sigma)
     hi = expected_rate(1e8, 1.01e-8, sigma)
@@ -170,6 +196,21 @@ def test_expected_rate_edge_cases_and_monotonicity():
         expected_rate(1e8, -1.0, sigma)
     with pytest.raises(ValueError):
         expected_rate(1e8, 1.0, 0.0)
+
+
+def test_expected_rate_and_observation_probs_broadcast():
+    """Array calls give, element by element, the scalar calls' values."""
+    bw = np.array([90e6, 400e6, 2e9])[:, None]
+    sig = 4e-21 * bw
+    g = 10.0 ** np.linspace(-14.0, -4.0, 7)
+    thr = 10.0 ** np.linspace(-5.0, 8.0, 24)
+    rates = expected_rate(bw, g, sig)
+    probs = observation_probs(g, sig, thr)
+    assert rates.shape == (3, 7) and probs.shape == (3, 7, 25)
+    for i in range(3):
+        for j in range(7):
+            assert rates[i, j] == expected_rate(bw[i, 0], g[j], sig[i, 0])
+            assert probs[i, j].tobytes() == observation_probs(g[j], sig[i, 0], thr).tobytes()
 
 
 def test_observation_probs():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -66,6 +67,22 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"scene": {"num_cells": 0}})
     with pytest.raises(ConfigError, match="discretization.num_levels"):
         ExperimentConfig.from_dict({"discretization": {"num_levels": 1}})
+
+
+def test_config_rejects_colliding_band_labels():
+    """Bands are named by f/1e9 in %g format; two bands may not share a name."""
+    same = [{"f_hz": 39.0e9, "bandwidth_hz": 100.0e6},
+            {"f_hz": 39.0e9, "bandwidth_hz": 400.0e6}]
+    with pytest.raises(ConfigError, match=r"bands\.1\.f_hz: has the label '39ghz' of bands\.0"):
+        ExperimentConfig.from_dict({"bands": same})
+    near = [{"f_hz": 15.0e9, "bandwidth_hz": 90.0e6},
+            {"f_hz": 39.0e9, "bandwidth_hz": 100.0e6},
+            {"f_hz": 39.0000001e9, "bandwidth_hz": 100.0e6}]
+    with pytest.raises(ConfigError, match=r"bands\.2\.f_hz: has the label '39ghz' of bands\.1"):
+        ExperimentConfig.from_dict({"bands": near})
+    near[2]["f_hz"] = 39.001e9
+    assert ExperimentConfig.from_dict({"bands": near}).agent_names() == (
+        "sm", "sf15", "sf39", "sf39.001")
 
 
 def test_config_rejects_horizon_zero():
@@ -406,3 +423,28 @@ def test_console_entry_point_smoke():
     assert proc.returncode == 0
     for cmd in ("solve", "sweep-p", "robustness", "report"):
         assert cmd in proc.stdout
+
+
+def test_cli_solve_needs_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: importing the CLI loads no
+    scipy module, and a solve succeeds with scipy made unimportable."""
+    import specbeam
+
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict(TINY).dump(cfg_path)
+    code = "\n".join([
+        "import sys",
+        "import specbeam.cli",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert not loaded, loaded",
+        "sys.modules['scipy'] = None",
+        f"sys.exit(specbeam.cli.main(['solve', '--config', {cfg_path!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specbeam.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "sm_p0.6.policy.json").exists()

@@ -11,7 +11,7 @@ from specbeam.geometry import SceneConfig, build_road
 from specbeam.mobility import MobilityModel
 from specbeam.pomdp import (belief_update, build_model, enumerate_actions,
                             initial_belief, snr_thresholds)
-from _oracles import dead_bin_model, reference_belief_update
+from _oracles import dead_bin_model, reference_belief_update, reference_model_tables
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -111,6 +111,26 @@ def test_aligned_reward_agrees_with_expected_rate(model):
             want = expected_rate(band.bandwidth_hz,
                                  aligned_gain(model.consts, band, geo.r_m), sig)
             assert model.rbar[a, s] == pytest.approx(want, rel=1e-12)
+
+
+FOUR_BANDS = [{"f_hz": 15.0e9, "bandwidth_hz": 90.0e6},
+              {"f_hz": 28.0e9, "bandwidth_hz": 400.0e6},
+              {"f_hz": 39.0e9, "bandwidth_hz": 100.0e6},
+              {"f_hz": 73.0e9, "bandwidth_hz": 2.0e9}]
+
+
+@pytest.mark.parametrize("bands", [None, FOUR_BANDS], ids=["default", "four_bands"])
+def test_vectorized_tables_match_reference_loop(bands):
+    """O is byte-identical to the per-(action, cell) loop; rbar is within
+    1e-12 of the table built with the quadrature expected rate."""
+    cfg = CFG if bands is None else ExperimentConfig.from_dict({"bands": bands})
+    model = cfg.build_model()
+    O, rbar = reference_model_tables(model)
+    assert model.O.tobytes() == O.tobytes()
+    assert np.all(rbar > 0)
+    worst = np.max(np.abs(model.rbar / rbar - 1.0))
+    print(f"worst relative gap rbar vs quadrature table: {worst:.3e}")
+    assert worst < 1e-12
 
 
 def test_high_gain_shifts_observation_mass_upward(model):
