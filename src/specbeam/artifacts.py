@@ -62,6 +62,12 @@ def _load(path: str, expected_format: str) -> dict:
     return record
 
 
+def _expect(path: str, record: dict, key: str, want: str | None, what: str) -> None:
+    if want is not None and record[key] != want:
+        raise ArtifactError(f"{path}: {what} mismatch "
+                            f"({record[key][:12]}… vs expected {want[:12]}…)")
+
+
 def model_digest(model: PomdpModel) -> str:
     """sha256 over the tensors and the scalars that shape them."""
     h = hashlib.sha256()
@@ -105,10 +111,7 @@ def save_model(path: str, model: PomdpModel, config_hash: str) -> str:
 def load_model_record(path: str, expect_config_hash: str | None = None) -> dict:
     """Load and digest-check a model artifact (tensors as nested lists)."""
     record = _load(path, MODEL_FORMAT)
-    if expect_config_hash is not None and record["config_hash"] != expect_config_hash:
-        raise ArtifactError(
-            f"{path}: config hash mismatch "
-            f"({record['config_hash'][:12]}… vs expected {expect_config_hash[:12]}…)")
+    _expect(path, record, "config_hash", expect_config_hash, "config hash")
     return record
 
 
@@ -133,14 +136,8 @@ def load_policy(path: str, *, expect_config_hash: str | None = None,
                 expect_model_digest: str | None = None) -> tuple[Policy, dict]:
     """Load a policy artifact; returns (policy, header metadata)."""
     record = _load(path, POLICY_FORMAT)
-    if expect_config_hash is not None and record["config_hash"] != expect_config_hash:
-        raise ArtifactError(
-            f"{path}: config hash mismatch "
-            f"({record['config_hash'][:12]}… vs expected {expect_config_hash[:12]}…)")
-    if expect_model_digest is not None and record["model_digest"] != expect_model_digest:
-        raise ArtifactError(
-            f"{path}: model digest mismatch "
-            f"({record['model_digest'][:12]}… vs expected {expect_model_digest[:12]}…)")
+    _expect(path, record, "config_hash", expect_config_hash, "config hash")
+    _expect(path, record, "model_digest", expect_model_digest, "model digest")
     policy = Policy(alpha=np.array(record["alpha"], dtype=float),
                     actions=np.array(record["actions"], dtype=int),
                     metadata=record["metadata"])

@@ -75,7 +75,7 @@ class ConfigError(ValueError):
 def _get(cfg: dict, path: str):
     node: Any = cfg
     for part in path.split("."):
-        if isinstance(node, list):
+        if isinstance(node, list) and part.isdigit() and int(part) < len(node):
             node = node[int(part)]
         elif isinstance(node, dict) and part in node:
             node = node[part]
@@ -88,6 +88,11 @@ def _require(cfg: dict, path: str, check, message: str) -> None:
     value = _get(cfg, path)
     if not check(value):
         raise ConfigError(f"{path}: {message} (got {value!r})")
+
+
+def _require_int(cfg: dict, path: str, lo: int, message: str | None = None) -> None:
+    ok = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+    _require(cfg, path, ok, message or f"must be an integer >= {lo}")
 
 
 def _is_num(x) -> bool:
@@ -105,8 +110,7 @@ def validate_config(cfg: dict[str, Any]) -> None:
     if _get(cfg, "scene.road_y_max_m") <= _get(cfg, "scene.road_y_min_m"):
         raise ConfigError("scene.road_y_max_m: must exceed scene.road_y_min_m")
     _require(cfg, "scene.ue_height_m", pos, "must be a positive number")
-    _require(cfg, "scene.num_cells",
-             lambda v: isinstance(v, int) and v >= 2, "must be an integer >= 2")
+    _require_int(cfg, "scene.num_cells", 2)
     if _get(cfg, "scene.ue_height_m") >= _get(cfg, "scene.bs_height_m"):
         raise ConfigError("scene.ue_height_m: must be below scene.bs_height_m")
     _require(cfg, "aperture.a_y_m", pos, "must be a positive number")
@@ -116,6 +120,11 @@ def validate_config(cfg: dict[str, Any]) -> None:
         raise ConfigError("bands: must be a non-empty list")
     first_with_label: dict[str, int] = {}
     for i in range(len(bands)):
+        if not isinstance(bands[i], dict):
+            raise ConfigError(f"bands.{i}: must be an object (got {bands[i]!r})")
+        unknown = sorted(set(bands[i]) - {"f_hz", "bandwidth_hz"})
+        if unknown:
+            raise ConfigError(f"bands.{i}.{unknown[0]}: unknown field")
         _require(cfg, f"bands.{i}.f_hz", pos, "must be a positive number")
         _require(cfg, f"bands.{i}.bandwidth_hz", pos, "must be a positive number")
         # labels name the single-band agents, their policy files and util_* columns
@@ -133,38 +142,30 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require(cfg, "mobility.kappa1", prob, "must lie in [0, 1]")
     _require(cfg, "mobility.kappa2", prob, "must lie in [0, 1]")
     _require(cfg, "mobility.window",
-             lambda v: v in (1, 2), "must be 1 or 2")
-    _require(cfg, "discretization.num_levels",
-             lambda v: isinstance(v, int) and v >= 2, "must be an integer >= 2")
+             lambda v: v in (1, 2) and not isinstance(v, bool), "must be 1 or 2")
+    _require_int(cfg, "discretization.num_levels", 2)
     _require(cfg, "discretization.low_db", _is_num, "must be a number")
     _require(cfg, "discretization.high_db", _is_num, "must be a number")
     if _get(cfg, "discretization.high_db") < _get(cfg, "discretization.low_db"):
         raise ConfigError("discretization.high_db: must be >= discretization.low_db")
     _require(cfg, "solver.discount",
              lambda v: _is_num(v) and 0.0 < v < 1.0, "must lie in (0, 1)")
-    _require(cfg, "solver.num_stages",
-             lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
-    _require(cfg, "solver.expansions_per_stage",
-             lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
+    _require_int(cfg, "solver.num_stages", 0)
+    _require_int(cfg, "solver.expansions_per_stage", 1)
     eps = _get(cfg, "solver.epsilon")
     if eps is not None and not pos(eps):
         raise ConfigError(f"solver.epsilon: must be null or positive (got {eps!r})")
-    _require(cfg, "solver.max_sweeps",
-             lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
-    _require(cfg, "solver.seed",
-             lambda v: isinstance(v, int) and v >= 0, "must be a nonnegative integer")
+    _require_int(cfg, "solver.max_sweeps", 1)
+    _require_int(cfg, "solver.seed", 0, "must be a nonnegative integer")
     _require(cfg, "solver.metric", lambda v: v in ("l1", "l2"), "must be 'l1' or 'l2'")
-    _require(cfg, "simulation.num_trials",
-             lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
-    _require(cfg, "simulation.horizon",
-             lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
+    _require_int(cfg, "simulation.num_trials", 1)
+    _require_int(cfg, "simulation.horizon", 1)
     for key in ("p_grid", "speed_grid_kmh"):
         grid = _get(cfg, f"simulation.{key}")
         if not isinstance(grid, list):
             raise ConfigError(f"simulation.{key}: must be a list")
         for i, v in enumerate(grid):
-            ok = (0.0 < v < 1.0) if key == "p_grid" else v > 0
-            if not (_is_num(v) and ok):
+            if not (_is_num(v) and (0.0 < v < 1.0 if key == "p_grid" else v > 0)):
                 raise ConfigError(f"simulation.{key}.{i}: out of range (got {v!r})")
     _require(cfg, "simulation.slot_s", pos, "must be a positive number")
     road_m = _get(cfg, "scene.road_y_max_m") - _get(cfg, "scene.road_y_min_m")
@@ -191,7 +192,9 @@ class ExperimentConfig:
         for section, value in data.items():
             if section not in merged:
                 raise ConfigError(f"{section}: unknown section")
-            if isinstance(value, dict):
+            if isinstance(merged[section], dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{section}: must be an object (got {value!r})")
                 unknown = set(value) - set(merged[section])
                 if unknown:
                     raise ConfigError(f"{section}.{sorted(unknown)[0]}: unknown field")

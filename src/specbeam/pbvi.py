@@ -10,8 +10,9 @@ the solver alternates belief-set expansion (one stochastic forward
 simulation per action per belief, keeping the candidate farthest from the
 set) with stages of point-based backup sweeps. Beliefs are the rows of an
 (N, |S|) array; expansion updates all N * |A| proposals of a round in one
-pomdp.belief_update call, and only its farthest-point picks run in turn. A backup at belief b picks,
-per (action, observation), the best projected vector
+pomdp.belief_update call, and only its farthest-point picks run in turn.
+A backup at belief b picks, per (action, observation), the best projected
+vector
 
     proj[v, a, z, s] = sum_{s'} T[s, s'] * O[a, s', z] * alpha[v, s']
 
@@ -20,30 +21,24 @@ discount * sum_z O[a*, s', z] * alpha_best[s']) for the maximizing
 action. The reward term rides inside the transition product because a
 slot's transmission happens after the move: both the reward and the
 observation are generated at the successor state, exactly as the
-simulator pays them. Ties (actions, vectors) resolve to the lowest
-index.
+simulator pays them.
+
+Every vector, action and adoption decision takes the lowest index whose
+score is within tie_tolerance of the maximum (first_near_max), so ties
+resolve alike however BLAS rounds, whatever the chunk size or thread
+count. A sweep keeps, per belief, the fresh backup only where the rule
+prefers it to the retained vector, so values never decrease. A retained
+vector's value is computed once, when adopted, and carried verbatim; a
+recomputed dot product can wobble by a few ulps, which would read as a
+decrease.
 
 Because observation rows depend on a state only through its current cell,
 the score b . proj[v, a, z] contracts over the handful of cells rather
 than the full state space, and the projection tensor itself is never
-formed. A sweep scores a chunk of beliefs against every vector at once,
-reduces the scores with a max over vectors, picks each belief's action
-from those maxima, and runs the argmax over vectors only on the chosen
-action's observation columns. The score block, megabytes at a few dozen
-vectors, is written into one buffer, sized for the stage's largest alpha
-set, that every chunk of every sweep of the stage reuses.
-Each product keeps the shape it had in the all-argmax kernel kept in
-tests/_oracles.py, so the policy bytes are the same: scoring only the
-observation columns that are nonzero somewhere, or in smaller chunks,
-is faster but lets BLAS round differently, and at a tie within an ulp
-that changes which vector or action wins.
-
-Each sweep keeps, per belief, the better of the fresh backup and the
-belief's previously retained vector, so per-belief values never decrease.
-A retained vector's value is computed once, when adopted, and carried
-verbatim afterwards; at the ~1e11 bits/s value scale a recomputed dot
-product can wobble by ~1e-5 absolute (a few ulps), which would otherwise
-read as a spurious decrease.
+formed. A sweep scores a small chunk of beliefs against every vector at
+once, reduces the scores with a max over vectors, picks each belief's
+action from those maxima, and picks among vectors only on the chosen
+action's observation columns.
 
 With discount 0.99 a backup sweep closes only about 1% of the remaining
 value gap, so between backup (improvement) sweeps the stage runs cheap
@@ -58,17 +53,14 @@ recomputes every planned belief's node from the retained vectors,
     node_k = T (rbar[a_k] + discount * sum_z O[a_k, :, z] * node[succ[k, z]]),
 
 at a cost of N * (|S| * M_z + |S|^2), against the N * V * C * |A| * M_z
-score product of a backup sweep. Each node is the value of a finite plan whose leaves are
-retained vectors, and those are values of plans too, so every node is
-still a lower bound. A belief adopts its node under the same
-keep-the-better rule, so per-belief values stay monotone. Evaluation
-stops when a sweep adopts nothing or gains less than epsilon, or after
-max_sweeps sweeps.
+score product of a backup sweep. Each node is the value of a finite
+plan whose leaves are retained vectors, and those are values of plans
+too, so every node is still a lower bound. A belief adopts its node under
+the same rule, so per-belief values stay monotone.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -79,7 +71,7 @@ from .pomdp import PomdpModel, belief_update
 
 @dataclass
 class Policy:
-    """Final alpha set; the greedy action at b is actions[argmax alpha @ b]."""
+    """Final alpha set; the greedy action at b is actions[first_near_max(alpha @ b)]."""
 
     alpha: np.ndarray               # (V, |S|)
     actions: np.ndarray             # (V,) action index per vector
@@ -87,6 +79,47 @@ class Policy:
 
     def value(self, b: np.ndarray) -> float:
         return float((self.alpha @ b).max())
+
+
+def tie_tolerance(model: PomdpModel) -> float:
+    """Relative tolerance of first_near_max: 4 gamma_k, k = 2|S| + C + M_z + 1.
+
+    Every compared score is a sum of nonnegative products. The longest is
+    a backup's action total, sum_s' tb[s'] rbar[a, s'] + discount * sum_z
+    max_v sum_c OZ[c, a, z] sum_{s' in c} alpha[v, s'] tb[s'], tb = b T.
+    A term of it passes through at most k roundings (C cells, M_z
+    observations): |S| in tb, one product with alpha, |S| - 1 additions in
+    a cell, one product with OZ, C - 1 and M_z - 1 additions, the discount
+    and the reward sum's addition; a max rounds nothing. The computed sum
+    is then within gamma_k = k u / (1 - k u), u = 2^-53, of the exact one,
+    relatively, in any order (Higham 2002, Lemmas 3.1, 3.3). With x the
+    exact maximum, every computed score, and so the computed maximum and
+    the band's floor, lies within about x gamma_k of its exact value: a
+    candidate within 2 gamma_k of x is in the band and one more than
+    6 gamma_k below x is out, for any product shape and BLAS build. An
+    underflowing product is off by up to u * 2^-1022 instead, and vector
+    values (~1e13) stay below 1/u, so the band is measured from
+    max(|top|, 2^-969): scores of an all but impossible observation tie.
+    """
+    cells = np.unique(model.states.cells()).size
+    ku = (2 * model.num_states + cells + model.num_observations + 1) * 2.0 ** -53
+    return 4.0 * ku / (1.0 - ku)            # 4 gamma_k, gamma_k = k u / (1 - k u)
+
+
+def _band_floor(top: np.ndarray, tol: float) -> np.ndarray:
+    return top - tol * np.maximum(np.abs(top), 2.0 ** -969)
+
+
+def first_near_max(scores: np.ndarray, tol: float, axis: int = -1) -> np.ndarray:
+    """The decision rule: the lowest index along `axis` whose score is at
+    least top - tol * max(|top|, 2^-969), top the computed maximum."""
+    top = scores.max(axis=axis, keepdims=True)
+    return (scores >= _band_floor(top, tol)).argmax(axis=axis)
+
+
+def _beats(fresh: np.ndarray, kept: np.ndarray, tol: float) -> np.ndarray:
+    """Where the rule over the pair (kept, fresh) picks fresh: kept is below its band."""
+    return kept < _band_floor(fresh, tol)
 
 
 def initial_bound(model: PomdpModel) -> np.ndarray:
@@ -110,15 +143,13 @@ def _cell_tensors(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
     return e, oz
 
 
-# Beliefs per chunk of the score product. BLAS may round a product of a
-# different shape differently, and a tie between alpha vectors or actions
-# can then fall the other way, so the chunk is part of what fixes the
-# policy bytes.
-_BELIEF_CHUNK = 32
+# Beliefs per chunk of the score product: small chunks keep the score block
+# in cache (default model: 1 and 2 beat 4-32 at 64 and 256 beliefs).
+_BELIEF_CHUNK = 2
 
 
 def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
-                  e: np.ndarray, oz: np.ndarray, buf: np.ndarray | None = None
+                  e: np.ndarray, oz: np.ndarray, tol: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Back up each row of `tb`: vectors (N,S), actions (N,) and picks (N,Z).
 
@@ -126,26 +157,22 @@ def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
     the backup needs: scores b . proj[v, a, z] are computed as H @ OZ with
     H[v, n, c] = sum_{s' in cell c} alpha[v, s'] tb[n, s']. picks[n, z] is
     the row of `alpha_mat` chosen for observation z under the chosen
-    action. `buf`, when given, holds at least (V * min(32, N), |A| * M_z)
-    scores and is reused instead of allocating one.
+    action. Actions and picks are first_near_max decisions at `tol`.
     """
     n_v, n_s = alpha_mat.shape
     n_a, _, n_z = model.O.shape
     disc = model.discount
     acts = np.empty(len(tb), dtype=int)
     best_v = np.empty((len(tb), n_z), dtype=int)            # of the chosen action
-    if buf is None:
-        buf = np.empty((n_v * min(_BELIEF_CHUNK, len(tb)), n_a * n_z))
     for lo in range(0, len(tb), _BELIEF_CHUNK):
         tbc = tb[lo:lo + _BELIEF_CHUNK]
         n = len(tbc)
         w = alpha_mat[:, None, :] * tbc[None, :, :]
-        h = w.reshape(n_v * n, n_s) @ e
-        scores = np.matmul(h, oz, out=buf[:n_v * n]).reshape(n_v, n, n_a, n_z)
+        scores = ((w.reshape(n_v * n, n_s) @ e) @ oz).reshape(n_v, n, n_a, n_z)
         totals = tbc @ model.rbar.T + disc * scores.max(axis=0).sum(axis=2)
-        a = totals.argmax(axis=1)                           # (n,)
+        a = first_near_max(totals, tol, axis=1)             # (n,)
         acts[lo:lo + n] = a
-        best_v[lo:lo + n] = scores[:, np.arange(n), a, :].argmax(axis=0)
+        best_v[lo:lo + n] = first_near_max(scores[:, np.arange(n), a, :], tol, axis=0)
     g = alpha_mat[best_v]                                   # (N, Z, S)
     phi = (model.O[acts] * g.transpose(0, 2, 1)).sum(axis=2)
     pre = model.rbar[acts] + disc * phi
@@ -157,14 +184,10 @@ def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
 
 def _dedup_rows(mat: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct row, in order."""
-    seen: set[bytes] = set()
-    keep = []
-    for i in range(len(mat)):
-        key = mat[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return np.array(keep, dtype=int)
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(mat):
+        first.setdefault(row.tobytes(), i)
+    return np.array(list(first.values()), dtype=int)
 
 
 def _prune_dominated(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,32 +202,17 @@ def _prune_dominated(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, 
     return mat[keep], actions[keep]
 
 
-def _mapped_buffer(rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) float array in its own anonymous memory mapping.
-
-    A stage's score buffer, megabytes, lives while the sweeps' smaller
-    temporaries come and go. From the malloc heap, buffers of the growing
-    stage sizes would land between those temporaries and fragment it; the
-    heap then grew over repeated solves and peak memory with it. A mapping
-    goes back to the system when the array is freed.
-    """
-    mapping = mmap.mmap(-1, rows * cols * 8)
-    return np.frombuffer(mapping, dtype=np.float64).reshape(rows, cols)
-
-
 def _evaluate_plans(model: PomdpModel, beliefs: np.ndarray, anchors: np.ndarray,
                     tracked: np.ndarray, planned: np.ndarray, plan_acts: np.ndarray,
-                    succ: np.ndarray, epsilon: float, max_sweeps: int) -> int:
+                    succ: np.ndarray, epsilon: float, tol: float,
+                    max_sweeps: int) -> int:
     """Evaluation sweeps of the beliefs' plans; returns the sweeps run.
 
-    Belief k's plan is action plan_acts[k] followed, after observation z,
-    by the node of belief succ[k, z]. A sweep recomputes every planned
-    node from the current ones, node_k = T (rbar[a_k] + discount *
-    sum_z O[a_k, :, z] * node[succ[k, z]]), and a belief adopts its node
-    only where the node's value at the belief reaches its tracked value.
-    `anchors` and `tracked` are updated in place; a planned belief's
-    retained action is already its plan's. Sweeps stop once one adopts
-    nothing or gains less than `epsilon` anywhere.
+    Belief k's plan is action plan_acts[k], then the node of belief
+    succ[k, z] after observation z. A sweep recomputes every planned node
+    (node_k in the module docstring), and a belief adopts its node where
+    the rule at `tol` prefers it; `anchors` and `tracked` change in place.
+    Sweeps stop once one adopts nothing or gains less than `epsilon`.
     """
     rows = np.flatnonzero(planned)
     acts = plan_acts[rows]
@@ -217,11 +225,11 @@ def _evaluate_plans(model: PomdpModel, beliefs: np.ndarray, anchors: np.ndarray,
         nodes = pre @ model.T.T
         vals = np.einsum("ms,ms->m", b, nodes)
         gain = vals - tracked[rows]
-        take = gain >= 0.0
+        take = _beats(vals, tracked[rows], tol)
         adopt = rows[take]
         anchors[adopt] = nodes[take]
         tracked[adopt] = vals[take]
-        if not take.any() or gain[take].max() < epsilon:
+        if not adopt.size or gain[take].max() < epsilon:
             return sweep
     return max_sweeps
 
@@ -234,38 +242,35 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
     """Sweep backups over the belief set until point values settle.
 
     `tracked` carries each belief's retained value in from a previous stage
-    (None evaluates the incoming set once). Between improvement sweeps,
-    evaluation sweeps (at most `max_sweeps` each time) rerun the plans the
-    improvement sweeps chose. Returns the new alpha matrix, its actions,
-    the updated tracked values, and an info dict with the improvement and
-    evaluation sweep counts, the convergence flag, and optionally the
-    per-sweep value history (one row per improvement sweep, taken after
-    its evaluation sweeps).
+    (None, or -inf for a belief, evaluates the incoming set there). Between
+    improvement sweeps, evaluation sweeps (at most `max_sweeps` each time)
+    rerun the plans the improvement sweeps chose. Returns the new alpha
+    matrix, its actions, the updated tracked values, and an info dict with
+    the improvement and evaluation sweep counts, the convergence flag, and
+    optionally the per-sweep value history (one row per improvement sweep,
+    taken after its evaluation sweeps).
     """
     e, oz = _cell_tensors(model)
+    tol = tie_tolerance(model)
     tb = beliefs @ model.T
     n_b = len(beliefs)
-    n_z = model.num_observations
     eval0 = beliefs @ alphas_mat.T                              # (N, V)
-    best0 = eval0.argmax(axis=1)
+    best0 = first_near_max(eval0, tol, axis=1)
     anchors = alphas_mat[best0]                             # (N, S)
     anchor_acts = alpha_actions[best0]
-    vals0 = eval0.max(axis=1)
+    vals0 = eval0[np.arange(n_b), best0]
     tracked = vals0 if tracked is None else np.maximum(tracked, vals0)
     history = [tracked.copy()]
-    # alpha sets after the first sweep hold at most one vector per belief
-    buf = _mapped_buffer(max(len(alphas_mat), n_b) * min(_BELIEF_CHUNK, n_b),
-                         model.num_actions * n_z)
     owner = None                # belief whose anchor each alpha row is
     planned = np.zeros(n_b, dtype=bool)
     plan_acts = np.zeros(n_b, dtype=int)
-    succ = np.zeros((n_b, n_z), dtype=int)
+    succ = np.zeros((n_b, model.num_observations), dtype=int)
     converged = False
     sweeps = eval_sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        new_vecs, new_acts, picks = _backup_block(model, tb, alphas_mat, e, oz, buf)
+        new_vecs, new_acts, picks = _backup_block(model, tb, alphas_mat, e, oz, tol)
         new_vals = np.einsum("ns,ns->n", beliefs, new_vecs)
-        take = new_vals >= tracked
+        take = _beats(new_vals, tracked, tol)
         anchors = np.where(take[:, None], new_vecs, anchors)
         anchor_acts = np.where(take, new_acts, anchor_acts)
         delta = float(np.where(take, new_vals - tracked, 0.0).max())
@@ -278,7 +283,7 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
         if not converged and planned.any():
             eval_sweeps += _evaluate_plans(model, beliefs, anchors, tracked,
                                            planned, plan_acts, succ, epsilon,
-                                           max_sweeps)
+                                           tol, max_sweeps)
         owner = _dedup_rows(anchors)
         alphas_mat, alpha_actions = anchors[owner], anchor_acts[owner]
         if collect_history:
@@ -357,23 +362,16 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
     for _ in range(num_stages):
         for _ in range(expansions_per_stage):
             round_id += 1
-            old_n = len(beliefs)
             beliefs = expand_beliefs(model, beliefs,
                                      np.random.SeedSequence((seed, round_id)),
                                      metric=metric)
-            if tracked is not None and len(beliefs) > old_n:
-                fresh = (beliefs[old_n:] @ alphas_mat.T).max(axis=1)
-                tracked = np.concatenate([tracked, fresh])
+            if tracked is not None:     # backup_stage values the new beliefs
+                tracked = np.append(tracked, np.full(len(beliefs) - len(tracked), -np.inf))
             alphas_mat, alpha_actions, tracked, info = backup_stage(
                 model, beliefs, alphas_mat, alpha_actions, eps, max_sweeps,
                 tracked=tracked, collect_history=collect_history)
-            entry = {"round": round_id, "num_beliefs": len(beliefs),
-                     "num_alphas": len(alphas_mat), "sweeps": info["sweeps"],
-                     "eval_sweeps": info["eval_sweeps"],
-                     "converged": info["converged"]}
-            if collect_history:
-                entry["value_history"] = info["value_history"]
-            stage_log.append(entry)
+            stage_log.append({"round": round_id, "num_beliefs": len(beliefs),
+                              "num_alphas": len(alphas_mat), **info})
     metadata = {"seed": seed, "num_stages": num_stages,
                 "expansions_per_stage": expansions_per_stage,
                 "epsilon": eps, "max_sweeps": max_sweeps, "metric": metric,

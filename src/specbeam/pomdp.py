@@ -14,7 +14,7 @@ belief_update is the one implementation of this filter, batched over rows:
 the simulator runs it once per slot over all trials, and belief expansion
 once per round over all (belief, action) proposals. Each row's T^T b is a
 per-row product stacked by np.matmul; a batched B @ T rounds differently,
-and one ulp can flip a later action or expansion pick.
+and one ulp changes recorded beliefs and can flip a later expansion pick.
 """
 
 from __future__ import annotations

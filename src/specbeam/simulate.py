@@ -16,10 +16,11 @@ beliefs are the rows of an (n, |S|) matrix and all trials advance one slot
 at a time. Paths and noise do not depend on actions, so each trial's
 streams are drawn before the loop (Generator.random(h) equals h single
 draws; fixed paths draw nothing). The traces are bit-identical to a
-per-trial loop: pomdp.belief_update and PolicyAgent.act stack per-row
-matrix-vector products with np.matmul (a batched B @ T rounds differently,
-and a one-ulp difference can flip an action), and the logs are
-math.log1p/math.log2, which differ from the numpy ufuncs in the last bit.
+per-trial loop: pomdp.belief_update stacks per-row matrix-vector products
+with np.matmul (a batched B @ T rounds the beliefs differently), the logs
+are math.log1p/math.log2, which differ from the numpy ufuncs in the last
+bit, and actions are pbvi.first_near_max decisions, which the rounding
+of the score product does not flip at ties.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SceneConfig, containing_cell
-from .pbvi import Policy
+from .pbvi import Policy, first_near_max, tie_tolerance
 from .pomdp import PomdpModel, belief_update, initial_belief
 
 _Z95 = 1.959963984540054
@@ -52,11 +53,11 @@ class PolicyAgent(Agent):
         self.label = label
         self.model = model
         self.policy = policy
+        self.tol = tie_tolerance(model)
 
     def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
-        # per-row alpha @ b, stacked; argmax keeps the lowest index on ties
-        values = np.matmul(self.policy.alpha, beliefs[:, :, None])[..., 0]
-        return self.policy.actions[values.argmax(axis=1)]
+        values = beliefs @ self.policy.alpha.T
+        return self.policy.actions[first_near_max(values, self.tol, axis=1)]
 
 
 class OracleAgent(Agent):
@@ -88,8 +89,8 @@ def oracle_action(model: PomdpModel, true_cell: int) -> int:
     num_bands = len(model.bands)
     base = (true_cell - 1) * num_bands
     s = int(np.flatnonzero(model.states.cells() == true_cell)[0])
-    aligned = [float(model.rbar[base + q, s]) for q in range(num_bands)]
-    return base + int(np.argmax(aligned))
+    aligned = model.rbar[base:base + num_bands, s]
+    return base + int(first_near_max(aligned, tie_tolerance(model)))
 
 
 class MarkovDynamics:

@@ -12,7 +12,9 @@ be held to it, bit for bit or within a stated tolerance: the quadrature
 expected rate, the per-(action, cell) model tables, the scalar belief
 update, the per-proposal belief expansion, the sequential dominance pruning,
 the backup kernel, the backup stage without evaluation sweeps and the
-per-trial episode loop.
+per-trial episode loop. Those that decide (a vector, an action or an
+adoption) restate the package's tie rule in their own code: the lowest
+index whose score is within a relative tolerance of the maximum.
 """
 
 from __future__ import annotations
@@ -241,6 +243,63 @@ def reference_belief_update(model, b: np.ndarray, a: int, z: int) -> np.ndarray:
 
 # ------------------------------------------------------------------ pbvi ---
 
+UNDERFLOW_SCALE = math.ldexp(1.0, -969)    # smallest normal / unit roundoff
+
+
+def band_width(top, tol: float):
+    """tol * max(|top|, 2^-969): half-width of the tie rule's band."""
+    return tol * np.maximum(np.abs(top), UNDERFLOW_SCALE)
+
+
+def tie_tolerance(model) -> float:
+    """4 gamma_k with k = 2|S| + C + M_z + 1, restated from pbvi.tie_tolerance.
+
+    k counts the roundings of the longest score sum, a backup's action
+    total: |S| in b T, then the alpha product, |S| - 1 additions in a
+    cell, the OZ product, C - 1 and M_z - 1 additions, the discount and
+    the reward sum's addition.
+    """
+    cells = len(set(model.states.cells().tolist()))
+    k = 2 * model.num_states + cells + model.O.shape[2] + 1
+    unit = 2.0 ** -53
+    return 4 * k * unit / (1 - k * unit)
+
+
+def lowest_in_band(scores: np.ndarray, tol: float, axis: int) -> np.ndarray:
+    """Smallest index i along `axis` with scores[i] >= top - band_width(top)."""
+    moved = np.moveaxis(scores, axis, 0)
+    top = moved.max(axis=0)
+    idx = np.arange(len(moved)).reshape((-1,) + (1,) * (moved.ndim - 1))
+    return np.where(moved >= top - band_width(top, tol), idx, len(moved)).min(axis=0)
+
+
+def edge_margins(scores: np.ndarray, tol: float, axis: int) -> np.ndarray:
+    """Per decision, how near the tie rule's band edge its candidates sit.
+
+    For each decision along `axis` (floor = top - band_width(top), pick
+    the lowest index in the band), the smallest |score - floor| over the
+    candidates at or before the pick, relative to max(|top|, 2^-969): the
+    only candidates whose crossing of the edge would change the pick.
+    """
+    moved = np.moveaxis(scores, axis, -1)
+    top = moved.max(axis=-1, keepdims=True)
+    floor = top - band_width(top, tol)
+    pick = (moved >= floor).argmax(axis=-1)
+    dist = np.abs(moved - floor) / np.maximum(np.abs(top), UNDERFLOW_SCALE)
+    upto = np.arange(moved.shape[-1]) <= pick[..., None]
+    return np.where(upto, dist, np.inf).min(axis=-1)
+
+
+def adopts(fresh: np.ndarray, kept: np.ndarray, tol: float) -> np.ndarray:
+    """Keep-the-better: True where `fresh` wins the pair (kept, fresh).
+
+    The rule takes kept, the lower index, unless it scores below fresh's
+    band.
+    """
+    pair = np.stack([kept, fresh])
+    return lowest_in_band(pair, tol, axis=0) == 1
+
+
 def reference_expand_beliefs(model, beliefs: np.ndarray,
                              seed_seq: np.random.SeedSequence,
                              metric: str = "l1") -> np.ndarray:
@@ -312,13 +371,18 @@ def backup_at(model, b: np.ndarray, alpha_mat: np.ndarray) -> tuple[np.ndarray, 
     from specbeam.pbvi import _backup_block, _cell_tensors
 
     e, oz = _cell_tensors(model)
-    vecs, acts, _ = _backup_block(model, (b @ model.T)[None, :], alpha_mat, e, oz)
+    vecs, acts, _ = _backup_block(model, (b @ model.T)[None, :], alpha_mat, e, oz,
+                                  tie_tolerance(model))
     return vecs[0], int(acts[0])
 
 
-def extract_action(policy, b: np.ndarray) -> int:
-    """Greedy action of the vector maximizing alpha @ b (lowest index wins)."""
-    return int(policy.actions[int(np.argmax(policy.alpha @ b))])
+def extract_action(policy, b: np.ndarray, tol: float) -> int:
+    """Action of the first vector whose alpha @ b is within tol of the max."""
+    scores = (policy.alpha @ b).tolist()
+    top = max(scores)
+    floor = top - tol * max(abs(top), UNDERFLOW_SCALE)
+    first = next(i for i, x in enumerate(scores) if x >= floor)
+    return int(policy.actions[first])
 
 
 def bruteforce_backup(T: np.ndarray, O: np.ndarray, rbar: np.ndarray,
@@ -364,18 +428,18 @@ REFERENCE_CHUNK = 32
 
 
 def reference_backup_block(model, tb: np.ndarray, alpha_mat: np.ndarray,
-                           e: np.ndarray, oz: np.ndarray, buf=None
+                           e: np.ndarray, oz: np.ndarray, tol: float
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The solver's earlier sweep kernel, kept as the bit-exact reference.
 
     Scores every (vector, belief, action, observation) over all of OZ's
-    columns in chunks of 32 beliefs, takes the full argmax over vectors
-    and gathers the best scores with take_along_axis. `e` and `oz` are the
-    (|S|, C) state->cell one-hot and the (C, |A|*M_z) per-cell observation
-    rows; `tb` holds the predicted beliefs (beliefs @ T), one per row.
-    Returns the vectors, the actions and, per belief and observation, the
-    row of `alpha_mat` picked under the chosen action. `buf` is accepted
-    for the solver kernel's signature and ignored.
+    columns in chunks of 32 beliefs, picks among vectors for every (action,
+    observation) and totals each action from the best scores. `e` and `oz`
+    are the (|S|, C) state->cell one-hot and the (C, |A|*M_z) per-cell
+    observation rows; `tb` holds the predicted beliefs (beliefs @ T), one
+    per row. Returns the vectors, the actions and, per belief and
+    observation, the row of `alpha_mat` picked under the chosen action.
+    Vectors and actions are picked by lowest_in_band at `tol`.
     """
     n_v, n_s = alpha_mat.shape
     n_a, _, n_z = model.O.shape
@@ -389,10 +453,9 @@ def reference_backup_block(model, tb: np.ndarray, alpha_mat: np.ndarray,
         w = alpha_mat[:, None, :] * tbc[None, :, :]
         h = w.reshape(n_v * n, n_s) @ e
         scores = (h @ oz).reshape(n_v, n, n_a, n_z)
-        best_v = scores.argmax(axis=0)                      # (n, A, Z)
-        best = np.take_along_axis(scores, best_v[None], axis=0)[0]
-        totals = tbc @ model.rbar.T + disc * best.sum(axis=2)
-        acts = totals.argmax(axis=1)                        # (n,)
+        best_v = lowest_in_band(scores, tol, axis=0)        # (n, A, Z)
+        totals = tbc @ model.rbar.T + disc * scores.max(axis=0).sum(axis=2)
+        acts = lowest_in_band(totals, tol, axis=1)          # (n,)
         for k in range(n):
             a = acts[k]
             g = alpha_mat[best_v[k, a]]                     # (Z, S)
@@ -409,11 +472,11 @@ def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
                            collect_history: bool = False):
     """The solver's backup stage before evaluation sweeps, kept as the reference.
 
-    Improvement sweeps only, each one kernel call with its own score
-    buffer, keep-the-better per belief and an exact-duplicate filter. It
-    differs from the earlier code only in taking two of the kernel's three
-    outputs, in filtering duplicates here, and in reporting
-    `eval_sweeps: 0` so that solve's stage log has the same keys.
+    Improvement sweeps only, each one kernel call, keep-the-better per
+    belief and an exact-duplicate filter. It differs from the earlier code
+    only in taking two of the kernel's three outputs, in filtering
+    duplicates here, in deciding by this module's tie rule, and in
+    reporting `eval_sweeps: 0` so that solve's stage log has the same keys.
     """
     from specbeam.pbvi import _backup_block, _cell_tensors, _prune_dominated
 
@@ -428,20 +491,21 @@ def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
         return mat[keep], actions[keep]
 
     e, oz = _cell_tensors(model)
+    tol = tie_tolerance(model)
     tb = beliefs @ model.T
     eval0 = beliefs @ alphas_mat.T                              # (N, V)
-    best0 = eval0.argmax(axis=1)
+    best0 = lowest_in_band(eval0, tol, axis=1)
     anchors = alphas_mat[best0]                             # (N, S)
     anchor_acts = alpha_actions[best0]
-    vals0 = eval0.max(axis=1)
+    vals0 = np.take_along_axis(eval0, best0[:, None], axis=1)[:, 0]
     tracked = vals0 if tracked is None else np.maximum(tracked, vals0)
     history = [tracked.copy()]
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        new_vecs, new_acts, _ = _backup_block(model, tb, alphas_mat, e, oz)
+        new_vecs, new_acts, _ = _backup_block(model, tb, alphas_mat, e, oz, tol)
         new_vals = np.einsum("ns,ns->n", beliefs, new_vecs)
-        take = new_vals >= tracked
+        take = adopts(new_vals, tracked, tol)
         anchors = np.where(take[:, None], new_vecs, anchors)
         anchor_acts = np.where(take, new_acts, anchor_acts)
         delta = float(np.where(take, new_vals - tracked, 0.0).max())
@@ -495,12 +559,12 @@ def dead_bin_model(model):
     return replace(model, O=dead, thresholds=huge)
 
 
-def reference_act(agent, b: np.ndarray, true_cell: int) -> int:
+def reference_act(agent, b: np.ndarray, true_cell: int, tol: float) -> int:
     """One belief's action, as the per-trial agents decided it."""
     from specbeam.simulate import FixedActionAgent, OracleAgent, PolicyAgent
 
     if isinstance(agent, PolicyAgent):
-        return extract_action(agent.policy, b)
+        return extract_action(agent.policy, b, tol)
     if isinstance(agent, OracleAgent):
         return int(agent._by_cell[true_cell - 1])
     if isinstance(agent, FixedActionAgent):
@@ -532,6 +596,7 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
     top = model.num_states - 1
     t_cum = model.T.cumsum(axis=1)
     state_cells = model.states.cells()
+    tol = tie_tolerance(model)
 
     fixed = isinstance(dynamics, FixedPathDynamics)
     if fixed:
@@ -560,7 +625,7 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
             state = min(int(np.searchsorted(t_cum[state], path_rng.random(),
                                             side="right")), top)
             cell = int(state_cells[state])
-        a = reference_act(agent, b, cell)
+        a = reference_act(agent, b, cell, tol)
         u = noise_rng.random()
         e = -math.log1p(-u)
         q = band_idx[a]

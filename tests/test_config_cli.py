@@ -67,6 +67,23 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"scene": {"num_cells": 0}})
     with pytest.raises(ConfigError, match="discretization.num_levels"):
         ExperimentConfig.from_dict({"discretization": {"num_levels": 1}})
+    with pytest.raises(ConfigError, match=r"simulation\.p_grid\.0: out of range"):
+        ExperimentConfig.from_dict({"simulation": {"p_grid": ["0.5"]}})
+    with pytest.raises(ConfigError, match=r"simulation\.speed_grid_kmh\.1: out of range"):
+        ExperimentConfig.from_dict({"simulation": {"speed_grid_kmh": [10.0, None]}})
+    with pytest.raises(ConfigError, match=r"^bands: must be a non-empty list"):
+        ExperimentConfig.from_dict({"bands": {"f_hz": 15.0e9, "bandwidth_hz": 90.0e6}})
+    with pytest.raises(ConfigError, match=r"^bands\.0: must be an object"):
+        ExperimentConfig.from_dict({"bands": [15.0e9]})
+    with pytest.raises(ConfigError, match=r"^scene: must be an object"):
+        ExperimentConfig.from_dict({"scene": [1, 2]})
+    with pytest.raises(ConfigError, match=r"^bands\.0\.typo: unknown field"):
+        ExperimentConfig.from_dict(
+            {"bands": [{"f_hz": 15.0e9, "bandwidth_hz": 90.0e6, "typo": 1}]})
+    with pytest.raises(ConfigError, match=r"^solver\.seed: must be a nonnegative integer"):
+        ExperimentConfig.from_dict({"solver": {"seed": True}})
+    with pytest.raises(ConfigError, match=r"^mobility\.window: must be 1 or 2"):
+        ExperimentConfig.from_dict({"mobility": {"window": True}})
 
 
 def test_config_rejects_colliding_band_labels():

@@ -1,6 +1,9 @@
 """Backup correctness, monotone values, expansion, and policy extraction."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,15 +13,17 @@ from specbeam.arrays import BandConfig, PropagationConstants
 from specbeam.config import ExperimentConfig
 from specbeam.mobility import MobilityModel, StateSpace
 from specbeam.pbvi import (Policy, backup_stage, default_epsilon,
-                           expand_beliefs, initial_bound, solve,
-                           _BELIEF_CHUNK, _backup_block, _cell_tensors,
-                           _dedup_rows, _prune_dominated)
+                           expand_beliefs, first_near_max, initial_bound,
+                           solve, tie_tolerance, _BELIEF_CHUNK, _backup_block,
+                           _cell_tensors, _dedup_rows, _prune_dominated)
 from specbeam.pomdp import PomdpModel, initial_belief
 from specbeam.simulate import PolicyAgent
-from _oracles import (backup_at, bruteforce_backup, freudenthal_weights,
-                      mdp_upper_bound, projections, reference_backup_block,
-                      reference_backup_stage, reference_expand_beliefs,
-                      reference_prune_dominated, simplex_grid)
+import _oracles
+from _oracles import (backup_at, bruteforce_backup, edge_margins,
+                      freudenthal_weights, lowest_in_band, mdp_upper_bound,
+                      projections, reference_backup_block, reference_backup_stage,
+                      reference_expand_beliefs, reference_prune_dominated,
+                      simplex_grid)
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -133,9 +138,10 @@ def _point_heavy_beliefs(model, n, rng):
 @pytest.mark.parametrize("band", [None, "39ghz"])
 @pytest.mark.parametrize("num_random", [3, 200])
 def test_backup_block_matches_reference_kernel(band, num_random):
-    """The max-reduce kernel returns the all-argmax kernel's exact bits."""
+    """The max-reduce kernel returns the all-vector kernel's exact bits."""
     sub = CFG.build_model(p=0.6, band_label=band)
     e, oz = _cell_tensors(sub)
+    tol = tie_tolerance(sub)
     assert not oz.any(axis=0).all()     # some (a, z) columns are zero everywhere
     rng = np.random.default_rng(21)
     for n in (1, _BELIEF_CHUNK - 1, _BELIEF_CHUNK + 1, 70):
@@ -143,25 +149,19 @@ def test_backup_block_matches_reference_kernel(band, num_random):
         dense = rng.dirichlet(np.ones(sub.num_states), size=n)
         for tb in (point, dense):
             alpha_mat = _tied_alphas(sub, tb, rng, num_random)
-            got_vec, got_act, got_pick = _backup_block(sub, tb, alpha_mat, e, oz)
+            got_vec, got_act, got_pick = _backup_block(sub, tb, alpha_mat, e, oz, tol)
             want_vec, want_act, want_pick = reference_backup_block(
-                sub, tb, alpha_mat, e, oz)
+                sub, tb, alpha_mat, e, oz, tol)
             assert np.array_equal(got_act, want_act), n
             assert np.array_equal(got_pick, want_pick), n
             assert np.array_equal(got_vec, want_vec), n
-            # a larger shared score buffer gives the same bits
-            buf = np.full((len(alpha_mat) * _BELIEF_CHUNK + 5, oz.shape[1]), np.nan)
-            again = _backup_block(sub, tb, alpha_mat, e, oz, buf)
-            assert all(np.array_equal(x, y) for x, y in
-                       zip(again, (got_vec, got_act, got_pick))), n
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
 def test_solve_improvement_path_matches_reference_stage(p, monkeypatch):
     """With evaluation adopting nothing, solves match the stage without it.
 
-    The shared score buffer, the plan bookkeeping and the duplicate filter
-    then leave the improvement sweeps' policy bytes and stage log as the
+    The plan bookkeeping and the duplicate filter then leave the improvement sweeps' policy bytes and stage log as the
     earlier stage code gives them.
     """
     full = CFG.build_model(p=p)
@@ -231,6 +231,81 @@ def test_solve_bytes_match_reference_kernel(p, monkeypatch):
     assert got.alpha.tobytes() == want.alpha.tobytes()
     assert np.array_equal(got.actions, want.actions)
     assert got.metadata["stages"] == want.metadata["stages"]
+
+
+def test_tie_rule_matches_oracle():
+    """The tolerance and the rule agree with their restatement in _oracles."""
+    for m in (CFG.build_model(p=0.6), CFG.build_model(p=0.35, band_label="39ghz"),
+              _tiny_model(np.array([[3.0], [7.0]]))):
+        assert tie_tolerance(m) == _oracles.tie_tolerance(m)
+    sm = CFG.build_model(p=0.95)
+    k = 2 * 46 + 12 + 25 + 1                    # 2|S| + C + M_z + 1
+    assert tie_tolerance(sm) == pytest.approx(4 * k * 2.0 ** -53, rel=1e-12)
+    tol = 1e-12
+    row = np.array([1.0 - 2e-12, 1.0 - 0.5e-12, 1.0, 1.0])
+    assert first_near_max(row, tol) == 1        # in the band, not the argmax
+    assert first_near_max(np.array([-5.0, -1.0 - 0.5e-12, -1.0]), tol) == 1
+    assert first_near_max(np.array([0.0, 0.0]), tol) == 0
+    # candidates 0 and 1 sit 1e-12 and 0.5e-12 from the floor 1 - 1e-12
+    assert edge_margins(row, tol, 0) == pytest.approx(0.5e-12, rel=1e-3)
+    rng = np.random.default_rng(5)
+    base = rng.random((6, 5, 4))
+    nudged = base * (1.0 + rng.choice([0.0, 0.4e-12, 0.9e-12, 2e-12], size=base.shape))
+    for scores in (base, nudged, np.round(base, 1), -nudged):
+        for axis in range(3):
+            assert np.array_equal(first_near_max(scores, tol, axis=axis),
+                                  lowest_in_band(scores, tol, axis)), axis
+    # adoption: fresh must beat the retained value by more than the band
+    fresh = rng.random(60) * 1e11
+    kept = fresh * (1.0 - rng.choice([-1e-12, 0.0, 0.5e-12, 2e-12], size=60))
+    assert np.array_equal(pbvi._beats(fresh, kept, tol), _oracles.adopts(fresh, kept, tol))
+    assert 0 < pbvi._beats(fresh, kept, tol).sum() < (kept < fresh).sum()
+
+
+@pytest.mark.parametrize("band, p", [(None, 0.35), (None, 0.95), ("39ghz", 0.95)])
+def test_solve_bytes_do_not_depend_on_chunk(band, p, monkeypatch):
+    """The chunk of the score product shapes BLAS rounding, not the policy."""
+    sub = CFG.build_model(p=p, band_label=band)
+    b0 = initial_belief(sub.states)
+    want = solve(sub, b0, num_stages=2)
+    for chunk in (1, 16, 32, 64):
+        monkeypatch.setattr(pbvi, "_BELIEF_CHUNK", chunk)
+        got = solve(sub, b0, num_stages=2)
+        assert got.alpha.tobytes() == want.alpha.tobytes(), chunk
+        assert np.array_equal(got.actions, want.actions), chunk
+        assert got.metadata["stages"] == want.metadata["stages"], chunk
+
+
+_SOLVE_HASHES = """
+import hashlib
+from specbeam.config import ExperimentConfig
+from specbeam.pbvi import solve
+from specbeam.pomdp import initial_belief
+cfg = ExperimentConfig.from_dict({})
+for band in (None, "39ghz"):
+    model = cfg.build_model(p=0.95, band_label=band)
+    pol = solve(model, initial_belief(model.states), num_stages=3)
+    print(hashlib.sha256(pol.alpha.tobytes() + pol.actions.tobytes()).hexdigest())
+"""
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads():
+    """3-stage sm and sf39 at p=0.95 under one and two OpenBLAS threads.
+
+    OpenBLAS reads its thread count when numpy loads, so each count gets
+    its own interpreter.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pbvi.__file__)))
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_HASHES], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 def _expansion_sets(model, rng):
@@ -394,7 +469,7 @@ def test_evaluate_plans_stop_rule_on_geometric_sum():
         anchors, tracked = np.array([[30.0]]), np.array([tracked0])
         sweeps = pbvi._evaluate_plans(tiny, b, anchors, tracked, np.array([True]),
                                       np.array([plan_act]), np.zeros((1, 2), dtype=int),
-                                      epsilon, max_sweeps)
+                                      epsilon, tie_tolerance(tiny), max_sweeps)
         return sweeps, anchors[0, 0], tracked[0]
 
     sweeps, node, value = run(1, 30.0)
@@ -402,7 +477,7 @@ def test_evaluate_plans_stop_rule_on_geometric_sum():
     assert node == value == pytest.approx(70.0 - 40.0 * 0.9 ** 15, rel=1e-12)
     sweeps, node, _ = run(1, 30.0, max_sweeps=5)
     assert sweeps == 5 and node == pytest.approx(70.0 - 40.0 * 0.9 ** 5, rel=1e-12)
-    # reward 3 keeps the node at 30: adopted with zero gain, then stop
+    # reward 3 keeps the node at 30: not adopted, then stop
     assert run(0, 30.0) == (1, 30.0, 30.0)
     # a node below the tracked value is not adopted
     assert run(0, 31.0) == (1, 30.0, 31.0)
@@ -542,6 +617,9 @@ def test_extract_action_rules(model):
     # ties resolve to the lowest vector index
     dup = act(np.vstack([alpha[0], alpha[0]]), np.array([9, 4]), b)
     assert np.array_equal(dup, [9, 9, 9, 9])
+    # and so do near ties: a vector higher by less than the tie band loses
+    near = act(np.vstack([alpha[0], alpha[0] * (1.0 + 1e-15)]), np.array([9, 4]), b)
+    assert np.array_equal(near, [9, 9, 9, 9])
 
 
 def test_dedup_and_dominance_pruning():
