@@ -20,7 +20,7 @@ from .config import ConfigError, ExperimentConfig
 from .pomdp import initial_belief
 from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
                        aggregate, monte_carlo, perfect_info_rates,
-                       simulate_trials)
+                       simulate_runs)
 
 ROBUSTNESS_P = (0.35, 0.95)
 
@@ -189,16 +189,15 @@ def cmd_robustness(args) -> int:
             runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
             for speed in sim["speed_grid_kmh"]:
                 dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
-                for model, agent in runs:
-                    traces = simulate_trials(model, dyn, agent, dyn.n_slots,
-                                             sim["num_trials"], seed)
-                    m = aggregate(model, agent, dyn.n_slots, traces)
+                traces = simulate_runs(runs, dyn, dyn.n_slots, sim["num_trials"], seed)
+                for (model, agent), run_traces in zip(runs, traces):
+                    m = aggregate(model, agent, dyn.n_slots, run_traces)
                     rows.append(_metric_row(m, labels, agent.label, p, seed,
                                             speed_kmh=speed))
                     if trace_fh is not None:
-                        for trial, trace in enumerate(traces):
-                            _write_trace(trace_fh, trace, agent.label, p, speed, trial)
-                    del traces          # one agent's traces in memory at a time
+                        _write_traces(trace_fh, run_traces, agent.label, p, speed)
+                # one (p, speed) point's traces, every agent's, in memory at a time
+                del traces, run_traces
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -207,15 +206,17 @@ def cmd_robustness(args) -> int:
     return 0
 
 
-def _write_trace(fh, trace, agent: str, p: float, speed: float, trial: int) -> None:
-    fh.write(json.dumps({
-        "agent": agent, "p": p, "speed_kmh": speed, "trial": trial,
-        "cells": trace.cells.tolist(), "actions": trace.actions.tolist(),
-        "noise_draws": trace.noise_draws.tolist(),
-        "snrs": trace.snrs.tolist(), "rates": trace.rates.tolist(),
-        "mean_rate_bps": float(trace.rates.mean()) if len(trace.rates) else 0.0,
-    }, sort_keys=True))
-    fh.write("\n")
+def _write_traces(fh, traces, agent: str, p: float, speed: float) -> None:
+    """One JSON line per trial, in trial order."""
+    for trial, trace in enumerate(traces):
+        fh.write(json.dumps({
+            "agent": agent, "p": p, "speed_kmh": speed, "trial": trial,
+            "cells": trace.cells.tolist(), "actions": trace.actions.tolist(),
+            "noise_draws": trace.noise_draws.tolist(),
+            "snrs": trace.snrs.tolist(), "rates": trace.rates.tolist(),
+            "mean_rate_bps": float(trace.rates.mean()) if len(trace.rates) else 0.0,
+        }, sort_keys=True))
+        fh.write("\n")
 
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> tuple[tuple[str, ...], list[dict]]:
@@ -248,11 +249,24 @@ def _by_agent(rows: list[dict]) -> dict[str, dict]:
     return {r["agent"]: r for r in rows}
 
 
+def _pct(num: float, den: float, spec: str) -> str:
+    """100 * num / den formatted by spec; n/a on a zero base."""
+    return format(100 * num / den, spec) if den else "n/a"
+
+
 def _reset_lines(rows: list[dict], keys: tuple[str, ...]) -> list[str]:
     """One line naming every row whose belief-reset fraction is nonzero."""
     hits = [" ".join([r["agent"], *(f"{k}={r[k]:g}" for k in keys)])
             + f" ({r['reset_fraction']:.4g})" for r in rows if r["reset_fraction"]]
     return [f"Nonzero belief-reset fraction: {', '.join(hits)}", ""] if hits else []
+
+
+def _robustness_row(path: str, rows: list[dict], agent: str, p: float,
+                    speed: float) -> dict:
+    for r in rows:
+        if r["agent"] == agent and r["speed_kmh"] == speed:
+            return r
+    raise ConfigError(f"{path}: p={p:g}: no {agent!r} row at speed_kmh={speed:g}")
 
 
 def cmd_report(args) -> int:
@@ -266,14 +280,19 @@ def cmd_report(args) -> int:
                 "|---|---|---|---|---|---|"]
         for p in ps:
             sub = _by_agent([r for r in rows if r["p"] == p])
+            for agent in ("sm", "oracle"):
+                if agent not in sub:
+                    raise ConfigError(f"{args.sweep}: p={p:g}: no {agent!r} row")
             singles = {a: r for a, r in sub.items() if a.startswith("sf")}
+            if not singles:
+                raise ConfigError(f"{args.sweep}: p={p:g}: no single-band (sf*) row")
             best_a = max(singles, key=lambda a: singles[a]["mean_rate_bps"])
             sm = sub["sm"]["mean_rate_bps"]
             best = singles[best_a]["mean_rate_bps"]
             orc = sub["oracle"]["mean_rate_bps"]
             out.append(f"| {p:g} | {sm / 1e9:.4f} | {best / 1e9:.4f} ({best_a}) "
-                       f"| {100 * (sm - best) / best:+.2f} | {orc / 1e9:.4f} "
-                       f"| {100 * (orc - sm) / orc:.2f} |")
+                       f"| {_pct(sm - best, best, '+.2f')} | {orc / 1e9:.4f} "
+                       f"| {_pct(orc - sm, orc, '.2f')} |")
         out += ["", "### Channel utilization of the joint planner", "",
                 "| p | " + " | ".join(f"{c.removeprefix('util_')} GHz" for c in utils) + " |",
                 "|---|" + "---|" * len(utils)]
@@ -292,11 +311,12 @@ def cmd_report(args) -> int:
             vmin = min(r["speed_kmh"] for r in sub)
             vmax = max(r["speed_kmh"] for r in sub)
             for agent in sorted({r["agent"] for r in sub}):
-                lo = next(r for r in sub if r["agent"] == agent and r["speed_kmh"] == vmin)
-                hi = next(r for r in sub if r["agent"] == agent and r["speed_kmh"] == vmax)
-                drop = 100 * (lo["mean_rate_bps"] - hi["mean_rate_bps"]) / lo["mean_rate_bps"]
+                lo, hi = (_robustness_row(args.robustness, sub, agent, p, v)
+                          for v in (vmin, vmax))
+                drop = _pct(lo["mean_rate_bps"] - hi["mean_rate_bps"],
+                            lo["mean_rate_bps"], ".2f")
                 out.append(f"| {p:g} | {agent} | {lo['mean_rate_bps'] / 1e9:.4f} "
-                           f"| {hi['mean_rate_bps'] / 1e9:.4f} | {drop:.2f} |")
+                           f"| {hi['mean_rate_bps'] / 1e9:.4f} | {drop} |")
         out += ["", *_reset_lines(rows, ("p", "speed_kmh"))]
     if args.config:
         cfg = ExperimentConfig.load(args.config)

@@ -13,13 +13,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
+
+import numpy as np
 
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
                      SPEED_OF_LIGHT, band_label, make_band)
 from .geometry import SceneConfig, build_road
 from .mobility import MobilityModel
-from .pomdp import PomdpModel, build_model
+from .pomdp import PomdpModel, build_model, enumerate_actions, per_cell_gains
 
 _K_FREE_SPACE = (SPEED_OF_LIGHT / (4.0 * math.pi)) ** 2
 
@@ -260,16 +263,31 @@ class ExperimentConfig:
     def band_labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.bands())
 
+    @cached_property
+    def _gain_table(self) -> np.ndarray:
+        """Gains of the all-band actions at every cell, computed once per config.
+
+        Gains do not depend on p, and a one-band model's actions are every
+        len(bands)-th all-band action, so every build slices this table.
+        """
+        road, bands = build_road(self.scene()), self.bands()
+        table = per_cell_gains(road, bands, self.constants(), enumerate_actions(road, bands))
+        table.setflags(write=False)
+        return table
+
     def build_model(self, p: float | None = None,
                     band_label: str | None = None) -> PomdpModel:
         """Full model, optionally overriding p or restricting to one band."""
-        bands = self.bands()
+        bands, gains = self.bands(), self._gain_table
         if band_label is not None:
-            bands = tuple(b for b in bands if b.label == band_label)
-            if not bands:
+            labels = [b.label for b in bands]
+            if band_label not in labels:
                 raise ConfigError(
                     f"bands: no band labelled {band_label!r} "
-                    f"(have {', '.join(self.band_labels())})")
+                    f"(have {', '.join(labels)})")
+            q = labels.index(band_label)
+            gains = np.ascontiguousarray(gains[q::len(bands)])
+            bands = (bands[q],)
         d = self.raw["discretization"]
         return build_model(
             road=build_road(self.scene()),
@@ -280,6 +298,7 @@ class ExperimentConfig:
             low_db=d["low_db"],
             high_db=d["high_db"],
             discount=self.raw["solver"]["discount"],
+            gains=gains,
         )
 
     def agent_names(self) -> tuple[str, ...]:

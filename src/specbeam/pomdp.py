@@ -11,10 +11,11 @@ Belief updates condition the observation on the successor state:
     b'[s'] ∝ O(s', a, z) * sum_s T(s, s') * b[s]
 
 belief_update is the one implementation of this filter, batched over rows:
-the simulator runs it once per slot over all trials, and belief expansion
-once per round over all (belief, action) proposals. Each row's T^T b is a
-per-row product stacked by np.matmul; a batched B @ T rounds differently,
-and one ulp changes recorded beliefs and can flip a later expansion pick.
+the simulator runs it once per slot over all trials of every agent, and
+belief expansion once per round over all (belief, action) proposals. Each
+row's T^T b is a per-row product stacked by np.matmul; a batched B @ T
+rounds differently, and one ulp changes recorded beliefs and can flip a
+later expansion pick.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def snr_thresholds(num_levels: int, low_db: float, high_db: float) -> np.ndarray
     return 10.0 ** (edges_db / 10.0)
 
 
-def _per_cell_gains(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
-                    consts: PropagationConstants, actions: ActionSpace) -> np.ndarray:
+def per_cell_gains(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
+                   consts: PropagationConstants, actions: ActionSpace) -> np.ndarray:
     """Gain of each action at each road cell, shape (|A|, num_cells)."""
     out = np.empty((len(actions), len(road)))
     for a in range(len(actions)):
@@ -148,12 +149,17 @@ class PomdpModel:
 def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
                 consts: PropagationConstants, mobility: MobilityModel,
                 num_levels: int, low_db: float, high_db: float,
-                discount: float) -> PomdpModel:
-    """Assemble the full POMDP from physical parameters."""
+                discount: float, gains: np.ndarray | None = None) -> PomdpModel:
+    """Assemble the full POMDP from physical parameters.
+
+    `gains` may pass in the per_cell_gains table of these actions when the
+    caller already has it.
+    """
     states = enumerate_states(len(road), mobility.window)
     actions = enumerate_actions(road, bands)
     thr = snr_thresholds(num_levels, low_db, high_db)
-    gains = _per_cell_gains(road, bands, consts, actions)
+    if gains is None:
+        gains = per_cell_gains(road, bands, consts, actions)
     return PomdpModel(
         states=states,
         actions=actions,
@@ -181,14 +187,21 @@ def initial_belief(states: StateSpace) -> np.ndarray:
     return b
 
 
-def belief_update(model: PomdpModel, beliefs: np.ndarray, a: np.ndarray,
-                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def belief_update(model: PomdpModel, beliefs: np.ndarray, a: np.ndarray | None = None,
+                  z: np.ndarray | None = None, likelihood: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors of beliefs (n, |S|) after actions a (n,) and observations z (n,).
+
+    `likelihood` (n, |S|) may replace a and z with rows already gathered
+    as O[a, :, z], possibly from other models that share model.T: the
+    simulator updates the rows of every agent in one call.
 
     Returns (posteriors (n, |S|), impossible (n,)): rows whose observation
     has probability <= 1e-300 under the belief are uniform and flagged.
     """
-    post = model.O[a, :, z] * np.matmul(model.T.T, beliefs[:, :, None])[..., 0]
+    if likelihood is None:
+        likelihood = model.O[a, :, z]
+    post = likelihood * np.matmul(model.T.T, beliefs[:, :, None])[..., 0]
     norm = post.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         post /= norm[:, None]

@@ -6,21 +6,24 @@ previous position (it must predict the move); the oracle reads the new cell
 directly, so its beam is always aligned. The sampled SNR is quantized into
 the observation that drives the belief update.
 
-Agents are compared under common random numbers: trial t of every agent is
-driven by streams spawned from SeedSequence((root_seed, t)), and since
-decisions consume no randomness, paths and noise realizations coincide
-across agents with identical dynamics.
+Agents are compared under common random numbers, which hold by
+construction: one lockstep runner steps a list of (model, agent) runs whose
+models share the chain T, the SNR bins and the states. Trial t's streams,
+spawned from SeedSequence((root_seed, t)), are drawn once, so its path and
+noise draws are one array shared by every run, not equal copies.
 
-One lockstep runner simulates every trial of a (model, agent) run: the
-beliefs are the rows of an (n, |S|) matrix and all trials advance one slot
-at a time. Paths and noise do not depend on actions, so each trial's
-streams are drawn before the loop (Generator.random(h) equals h single
-draws; fixed paths draw nothing). The traces are bit-identical to a
-per-trial loop: pomdp.belief_update stacks per-row matrix-vector products
-with np.matmul (a batched B @ T rounds the beliefs differently), the logs
-are math.log1p/math.log2, which differ from the numpy ufuncs in the last
-bit, and actions are pbvi.first_near_max decisions, which the rounding
-of the score product does not flip at ties.
+The beliefs of all runs are the rows of one matrix, a block of trials per
+run, and all trials advance one slot at a time. Each agent acts on its own
+block, each run gathers its likelihood rows O[a, :, z] from its own model,
+and one pomdp.belief_update call per slot updates every row. Paths and
+noise do not depend on actions, so they are drawn before the loop
+(Generator.random(h) equals h single draws; fixed paths draw nothing).
+The traces are bit-identical to a per-trial, per-agent loop:
+pomdp.belief_update stacks per-row matrix-vector products with np.matmul
+(a batched B @ T rounds the beliefs differently), the logs are
+math.log1p/math.log2, which differ from the numpy ufuncs in the last bit,
+and actions are pbvi.first_near_max decisions on each agent's unchanged
+row block, which the rounding of the score product does not flip at ties.
 """
 
 from __future__ import annotations
@@ -169,11 +172,39 @@ class Metrics:
     slot_mean_rates: np.ndarray | None = None
 
 
-def _lockstep(model: PomdpModel, dynamics, agent: Agent, horizon: int,
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a math function) of every element of x; numpy's ufuncs round differently."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _check_shared_chain(runs: list[tuple[PomdpModel, Agent]]) -> None:
+    """Raise unless every run's model has the first run's T, SNR bins and states."""
+    first = runs[0][0]
+    for i, (model, agent) in enumerate(runs[1:], start=1):
+        for name, same in (("states", model.states == first.states),
+                           ("T", np.array_equal(model.T, first.T)),
+                           ("thresholds", np.array_equal(model.thresholds,
+                                                         first.thresholds))):
+            if not same:
+                raise ValueError(
+                    f"run {i} ({agent.label}): its model's {name} differs from "
+                    f"run 0's; runs stepped together share one chain, one set "
+                    f"of SNR bins and one state space")
+
+
+def _lockstep(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
               seqs: list, record_beliefs: bool = False,
-              config_hash: str = "") -> list[TrialTrace]:
-    """Traces of the trials seeded by `seqs`, all advanced one slot at a time."""
-    n, num_states = len(seqs), model.num_states
+              config_hash: str = "") -> list[list[TrialTrace]]:
+    """Traces [run][trial] of the trials seeded by `seqs`, all runs in step.
+
+    Run r owns rows r*n, ..., r*n + n - 1 of one belief matrix, n = len(seqs);
+    paths and noise are drawn once per trial and shared by every run.
+    """
+    if not runs:
+        return []
+    _check_shared_chain(runs)
+    first = runs[0][0]
+    n, num_states = len(seqs), first.num_states
     rngs = [[np.random.default_rng(ss) for ss in seq.spawn(2)] for seq in seqs]
     if isinstance(dynamics, FixedPathDynamics):
         horizon = dynamics.n_slots
@@ -181,40 +212,50 @@ def _lockstep(model: PomdpModel, dynamics, agent: Agent, horizon: int,
         cells = np.tile(dynamics.cells, (n, 1))
     else:
         states = dynamics.states(np.array([path.random(horizon + 1) for path, _ in rngs]))
-        cells = model.states.cells()[states]
-    draws = np.array([[-math.log1p(-u) for u in noise.random(horizon).tolist()]
-                      for _, noise in rngs])
+        cells = first.states.cells()[states]
+    draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
 
-    widths = np.array([b.bandwidth_hz for b in model.bands])
-    sigmas = np.array([model.consts.noise_variance_w(w) for w in widths])
-    band_idx = model.actions.band_idx
-    actions = np.empty((n, horizon), dtype=int)
-    snrs = np.empty((n, horizon))
-    obs = np.empty((n, horizon), dtype=int)
-    resets = np.zeros((n, horizon), dtype=bool)
-    b = np.tile(initial_belief(model.states), (n, 1))
-    beliefs = np.empty((n, horizon + 1, num_states)) if record_beliefs else None
+    blocks = [slice(r * n, (r + 1) * n) for r in range(len(runs))]
+    widths = [np.array([b.bandwidth_hz for b in model.bands]) for model, _ in runs]
+    sigmas = [np.array([model.consts.noise_variance_w(w) for w in width])
+              [model.actions.band_idx] for (model, _), width in zip(runs, widths)]
+    rows = n * len(runs)
+    actions = np.empty((rows, horizon), dtype=int)
+    snrs = np.empty((rows, horizon))
+    obs = np.empty((rows, horizon), dtype=int)
+    resets = np.zeros((rows, horizon), dtype=bool)
+    likelihood = np.empty((rows, num_states))
+    b = np.tile(initial_belief(first.states), (rows, 1))
+    beliefs = np.empty((rows, horizon + 1, num_states)) if record_beliefs else None
     if beliefs is not None:
         beliefs[:, 0] = b
 
+    thresholds = first.thresholds
     for t in range(horizon):
-        a = agent.act(b, cells[:, t])
-        snr = model.gains[a, cells[:, t] - 1] / (sigmas[band_idx[a]] * draws[:, t])
-        z = np.searchsorted(model.thresholds, snr, side="right")
-        b, resets[:, t] = belief_update(model, b, a, z)
-        actions[:, t], snrs[:, t], obs[:, t] = a, snr, z
+        cell, e = cells[:, t], draws[:, t]
+        c = cell - 1
+        for (model, agent), block, sigma in zip(runs, blocks, sigmas):
+            a = agent.act(b[block], cell)
+            snr = model.gains[a, c] / (sigma[a] * e)
+            z = thresholds.searchsorted(snr, side="right")
+            likelihood[block] = model.O[a, :, z]
+            actions[block, t], snrs[block, t], obs[block, t] = a, snr, z
+        b, resets[:, t] = belief_update(first, b, likelihood=likelihood)
         if beliefs is not None:
             beliefs[:, t + 1] = b
-    log2s = [math.log2(1.0 + s) for s in snrs.ravel().tolist()]
-    rates = widths[band_idx[actions]] * np.array(log2s).reshape(n, horizon)
 
-    return [TrialTrace(states=states[i], cells=cells[i], actions=actions[i],
-                       noise_draws=draws[i], snrs=snrs[i], rates=rates[i],
-                       observations=obs[i], resets=resets[i],
-                       seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
-                       config_hash=config_hash,
-                       beliefs=None if beliefs is None else beliefs[i])
-            for i, seq in enumerate(seqs)]
+    seed_keys = [tuple(int(x) for x in np.atleast_1d(seq.entropy)) for seq in seqs]
+    out = []
+    for (model, _), block, width in zip(runs, blocks, widths):
+        rates = width[model.actions.band_idx[actions[block]]] * _elementwise(
+            math.log2, 1.0 + snrs[block])
+        out.append([TrialTrace(states=states[i], cells=cells[i], actions=actions[row],
+                               noise_draws=draws[i], snrs=snrs[row], rates=rates[i],
+                               observations=obs[row], resets=resets[row],
+                               seed_key=seed_keys[i], config_hash=config_hash,
+                               beliefs=None if beliefs is None else beliefs[row])
+                    for i, row in enumerate(range(block.start, block.stop))])
+    return out
 
 
 def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
@@ -222,20 +263,28 @@ def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
               config_hash: str = "") -> TrialTrace:
     """Simulate one episode: the lockstep runner on a single trial."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return _lockstep(model, dynamics, agent, horizon, [seq], record_beliefs,
-                     config_hash)[0]
+    return _lockstep([(model, agent)], dynamics, horizon, [seq], record_beliefs,
+                     config_hash)[0][0]
+
+
+def simulate_runs(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
+                  num_trials: int, seed: int) -> list[list[TrialTrace]]:
+    """Trials 0, ..., num_trials - 1 of every run, stepped together: [run][trial].
+
+    Trial t is seeded by SeedSequence((seed, t)), whatever the trial count.
+    The runs' models must share T, the SNR bins and the states (ValueError
+    names the first run that does not).
+    """
+    if num_trials < 1:
+        raise ValueError("num_trials must be >= 1")
+    return _lockstep(runs, dynamics, horizon,
+                     [np.random.SeedSequence((seed, t)) for t in range(num_trials)])
 
 
 def simulate_trials(model: PomdpModel, dynamics, agent: Agent, horizon: int,
                     num_trials: int, seed: int) -> list[TrialTrace]:
-    """Trials 0, ..., num_trials - 1 of one agent, in trial order.
-
-    Trial t is seeded by SeedSequence((seed, t)), whatever the trial count.
-    """
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
-    return _lockstep(model, dynamics, agent, horizon,
-                     [np.random.SeedSequence((seed, t)) for t in range(num_trials)])
+    """Trials 0, ..., num_trials - 1 of one agent, in trial order."""
+    return simulate_runs([(model, agent)], dynamics, horizon, num_trials, seed)[0]
 
 
 def aggregate(model: PomdpModel, agent: Agent, horizon: int,
@@ -265,17 +314,16 @@ def aggregate(model: PomdpModel, agent: Agent, horizon: int,
 
 def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
                 horizon: int, seed: int, keep_slots: bool = False) -> list[Metrics]:
-    """Paired Monte Carlo over agents on each model's own chain.
+    """Paired Monte Carlo over agents on the runs' shared chain.
 
     `runs` pairs each agent with the model whose action space it uses
-    (single-frequency agents carry their restricted model); trial t shares
-    its randomness across runs.
+    (single-frequency agents carry their restricted model); all runs step
+    together, so trial t's path and noise are one draw for every agent.
     """
-    return [aggregate(model, agent, horizon,
-                      simulate_trials(model, MarkovDynamics(model), agent,
-                                      horizon, num_trials, seed),
-                      keep_slots)
-            for model, agent in runs]
+    dynamics = MarkovDynamics(runs[0][0]) if runs else None
+    traces = simulate_runs(runs, dynamics, horizon, num_trials, seed)
+    return [aggregate(model, agent, horizon, run_traces, keep_slots)
+            for (model, agent), run_traces in zip(runs, traces)]
 
 
 def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,

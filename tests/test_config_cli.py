@@ -434,6 +434,71 @@ def test_cli_report_rejects_malformed_csv(cli_dir, capsys):
     assert "row 2" in err["message"] and "mean_rate_bps" in err["message"]
 
 
+def _csv_variant(cli_dir, name, source, keep=lambda row: True, edit=None, extra=()):
+    """A copy of a result CSV: rows filtered by keep, edited, extra rows appended."""
+    lines = open(str(cli_dir / source)).read().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = [edit(dict(r)) if edit else r for r in rows if keep(r)] + list(extra)
+    path = str(cli_dir / name)
+    with open(path, "w") as fh:
+        fh.write(lines[0] + "\n")
+        for r in rows:
+            fh.write(",".join(r[c] for c in header) + "\n")
+    return path, rows
+
+
+def _report_error(argv, capsys) -> str:
+    assert main(["report", *argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    return err["message"]
+
+
+@pytest.mark.parametrize("agent", ["oracle", "sm"])
+def test_cli_report_names_missing_sweep_agent(cli_dir, capsys, agent):
+    path, _ = _csv_variant(cli_dir, f"no_{agent}.csv", "sweep_a.csv",
+                           keep=lambda r: r["agent"] != agent)
+    message = _report_error(["--sweep", path], capsys)
+    assert message == f"{path}: p=0.6: no {agent!r} row"
+
+
+def test_cli_report_names_missing_single_band_rows(cli_dir, capsys):
+    path, _ = _csv_variant(cli_dir, "no_sf.csv", "sweep_a.csv",
+                           keep=lambda r: not r["agent"].startswith("sf"))
+    message = _report_error(["--sweep", path], capsys)
+    assert message == f"{path}: p=0.6: no single-band (sf*) row"
+
+
+def test_cli_report_zero_base_rate_renders_na(cli_dir, capsys):
+    def zero_oracle(r):
+        if r["agent"] == "oracle" and r["p"] == "0.35":
+            r["mean_rate_bps"] = "0.0"
+        return r
+
+    path, _ = _csv_variant(cli_dir, "zero_base.csv", "robust.csv", edit=zero_oracle)
+    assert main(["report", "--robustness", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "| 0.35 | oracle | 0.0000 | 0.0000 | n/a |" in lines
+    # every other row still computes its drop
+    drops = [line.rsplit("|", 2)[1].strip() for line in lines
+             if line.startswith("| 0.")]
+    assert len(drops) == 10 and drops.count("n/a") == 1
+
+
+def test_cli_report_names_missing_robustness_speed(cli_dir, capsys):
+    def faster(r):
+        return dict(r, speed_kmh="90.0")
+
+    src = open(str(cli_dir / "robust.csv")).read().splitlines()
+    header = src[0].split(",")
+    sm = next(dict(zip(header, line.split(","))) for line in src[1:]
+              if line.startswith("sm,0.35,"))
+    path, _ = _csv_variant(cli_dir, "one_fast.csv", "robust.csv", extra=[faster(sm)])
+    message = _report_error(["--robustness", path], capsys)
+    assert message == f"{path}: p=0.35: no 'oracle' row at speed_kmh=90"
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "specbeam.cli", "--help"],
                           capture_output=True, text=True)

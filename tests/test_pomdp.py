@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from specbeam import pomdp
 from specbeam.arrays import PropagationConstants, expected_rate, make_band
 from specbeam.config import ExperimentConfig
 from specbeam.geometry import SceneConfig, build_road
@@ -198,6 +199,23 @@ def test_belief_update_rows_match_scalar_reference(model):
     assert np.array_equal(got, np.full_like(got, 1 / model.num_states))
 
 
+def test_belief_update_takes_gathered_likelihoods(model):
+    """Rows gathered by the caller, from models sharing T, update bit for bit."""
+    sub = CFG.build_model(p=0.8, band_label="39ghz")
+    rng = np.random.default_rng(21)
+    n = 60
+    b = rng.dirichlet(np.ones(model.num_states), size=2 * n)
+    a = rng.integers(sub.num_actions, size=2 * n)
+    z = rng.integers(model.num_observations, size=2 * n)
+    lik = np.concatenate([model.O[a[:n], :, z[:n]], sub.O[a[n:], :, z[n:]]])
+    got, impossible = belief_update(model, b, likelihood=lik)
+    want_full = belief_update(model, b[:n], a[:n], z[:n])
+    want_sub = belief_update(sub, b[n:], a[n:], z[n:])
+    for rows, (post, imp) in ((slice(0, n), want_full), (slice(n, 2 * n), want_sub)):
+        assert got[rows].tobytes() == post.tobytes()
+        assert np.array_equal(impossible[rows], imp)
+
+
 def test_belief_update_hand_example(toy):
     """Dirt-simple numbers: point mass on cell 2, observe from the aligned
     action; posterior over cell c must be prop. to P_move(c) * O[a, c, z]."""
@@ -271,3 +289,30 @@ def test_model_validation():
     road = build_road(SceneConfig())
     with pytest.raises(ValueError):
         enumerate_actions(road, ())
+
+
+def test_config_builds_slice_one_gain_table(monkeypatch):
+    """Every build of a config reuses one gain table, bit for bit."""
+    calls = []
+    real_gain = pomdp.gain
+    monkeypatch.setattr(pomdp, "gain", lambda *args: calls.append(1) or real_gain(*args))
+    cfg = ExperimentConfig.from_dict({})
+    d = cfg.raw["discretization"]
+    for p in (0.95, 0.35):
+        for agent in cfg.agent_names():
+            label = cfg.band_label_for_agent(agent)
+            cached = cfg.build_model(p=p, band_label=label)
+            bands = tuple(b for b in cfg.bands() if label in (None, b.label))
+            n_calls = len(calls)
+            uncached = build_model(build_road(cfg.scene()), bands, cfg.constants(),
+                                   cfg.mobility(p), d["num_levels"], d["low_db"],
+                                   d["high_db"], cfg.raw["solver"]["discount"])
+            assert len(calls) == n_calls + uncached.gains.size
+            for name in ("gains", "O", "rbar", "T", "thresholds"):
+                got, want = getattr(cached, name), getattr(uncached, name)
+                assert got.shape == want.shape and got.strides == want.strides, (agent, name)
+                assert got.tobytes() == want.tobytes(), (agent, p, name)
+    num_cells, num_bands = cfg.raw["scene"]["num_cells"], len(cfg.raw["bands"])
+    table_calls = num_cells * num_bands * num_cells
+    uncached_calls = 2 * (table_calls + num_bands * num_cells * num_cells)
+    assert len(calls) == table_calls + uncached_calls

@@ -1,6 +1,8 @@
 """Episode loop, common random numbers, fixed paths, and aggregation."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from specbeam.pomdp import initial_belief
 from specbeam.simulate import (FixedActionAgent, FixedPathDynamics,
                                MarkovDynamics, OracleAgent, PolicyAgent,
                                fixed_path_eval, monte_carlo, oracle_action,
-                               perfect_info_rates, run_trial, simulate_trials)
+                               perfect_info_rates, run_trial, simulate_runs,
+                               simulate_trials)
 
 CFG = ExperimentConfig.from_dict({})
 TRACE_FIELDS = ("states", "cells", "actions", "noise_draws", "snrs", "rates",
@@ -240,36 +243,55 @@ def assert_traces_equal(got, want):
     assert got.seed_key == want.seed_key
 
 
-def assert_matches_reference(model, dyn, agent, horizon, n, seed):
-    got = simulate_trials(model, dyn, agent, horizon, n, seed)
-    assert len(got) == n
-    for t, trace in enumerate(got):
-        assert_traces_equal(trace, reference_run_trial(
-            model, dyn, agent, horizon, np.random.SeedSequence((seed, t))))
+def assert_runs_match_reference(runs, dyn, horizon, n, seed, record_beliefs=False):
+    """One lockstep call over all runs against the per-trial reference loop."""
+    seqs = [np.random.SeedSequence((seed, t)) for t in range(n)]
+    got = simulate._lockstep(runs, dyn, horizon, seqs, record_beliefs=record_beliefs)
+    assert len(got) == len(runs)
+    for (model, agent), traces in zip(runs, got):
+        assert len(traces) == n
+        for t, trace in enumerate(traces):
+            want = reference_run_trial(model, dyn, agent, horizon,
+                                       np.random.SeedSequence((seed, t)),
+                                       record_beliefs=record_beliefs)
+            assert_traces_equal(trace, want)
+            if record_beliefs:
+                assert np.array_equal(trace.beliefs, want.beliefs), (agent.label, t)
+    return got
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
 def test_lockstep_matches_reference_on_markov_paths(agents_by_p, p):
-    for model, agent in agents_by_p[p]:
-        for n in (1, 7, 32):
-            for horizon in (0, 1, 200):
-                assert_matches_reference(model, MarkovDynamics(model), agent,
-                                         horizon, n, seed=31 + n)
+    runs = agents_by_p[p]
+    dyn = MarkovDynamics(runs[0][0])
+    for n in (1, 7, 32):
+        for horizon in (0, 1, 200):
+            assert_runs_match_reference(runs, dyn, horizon, n, seed=31 + n)
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
 def test_lockstep_matches_reference_on_fixed_paths(agents_by_p, p):
     scene = CFG.scene()
-    for model, agent in agents_by_p[p]:
-        for speed in (10.0, 50.0, 130.0):
-            assert_matches_reference(model, FixedPathDynamics(scene, speed, 0.25),
-                                     agent, 0, 7, seed=17)
+    for speed in (10.0, 50.0, 130.0):
+        assert_runs_match_reference(agents_by_p[p], FixedPathDynamics(scene, speed, 0.25),
+                                    0, 7, seed=17)
 
 
 def test_lockstep_matches_reference_with_resets(model):
     broken = dead_bin_model(model)
-    for agent in (OracleAgent(broken), FixedActionAgent(5)):
-        assert_matches_reference(broken, MarkovDynamics(broken), agent, 16, 7, seed=2)
+    # the same bins with bin 0 certain: every observation is possible there
+    certain = np.zeros_like(broken.O)
+    certain[:, :, 0] = 1.0
+    alive = replace(broken, O=certain)
+    runs = [(alive, FixedActionAgent(5)), (broken, OracleAgent(broken)),
+            (broken, FixedActionAgent(5)), (alive, OracleAgent(alive))]
+    got = assert_runs_match_reference(runs, MarkovDynamics(broken), 16, 7, seed=2,
+                                      record_beliefs=True)
+    for (m, _), traces in zip(runs, got):
+        for trace in traces:
+            assert trace.resets.all() if m is broken else not trace.resets.any()
+            if m is broken:
+                assert np.all(trace.beliefs[1:] == 1.0 / m.num_states)
     trace = simulate_trials(broken, MarkovDynamics(broken), FixedActionAgent(5),
                             16, 3, seed=2)[1]
     assert trace.resets.all()
@@ -289,8 +311,51 @@ def test_lockstep_beliefs_match_reference(agents_by_p):
     assert np.array_equal(got.beliefs, want.beliefs)
     assert got.config_hash == "abc"
     seqs = [np.random.SeedSequence((8, t)) for t in range(32)]
-    block = simulate._lockstep(model, dyn, agent, 200, seqs, record_beliefs=True)
+    (block,) = simulate._lockstep([(model, agent)], dyn, 200, seqs, record_beliefs=True)
     for t, trace in enumerate(block):
         want = reference_run_trial(model, dyn, agent, 200,
                                    np.random.SeedSequence((8, t)), record_beliefs=True)
         assert np.array_equal(trace.beliefs, want.beliefs), t
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_lockstep_beliefs_of_every_run_match_reference(agents_by_p, p):
+    runs = agents_by_p[p]
+    assert_runs_match_reference(runs, MarkovDynamics(runs[0][0]), 200, 7, seed=8,
+                                record_beliefs=True)
+    assert_runs_match_reference(runs, FixedPathDynamics(CFG.scene(), 50.0, 0.25),
+                                0, 3, seed=8, record_beliefs=True)
+
+
+def test_monte_carlo_matches_per_run_simulation(agents_by_p):
+    """The merged runner aggregates exactly what one run at a time gives."""
+    runs = agents_by_p[0.95]
+    merged = monte_carlo(runs, 9, 40, seed=3, keep_slots=True)
+    for (model, agent), m in zip(runs, merged):
+        alone = simulate.aggregate(model, agent, 40, simulate_trials(
+            model, MarkovDynamics(model), agent, 40, 9, seed=3), keep_slots=True)
+        assert m == replace(alone, slot_mean_rates=m.slot_mean_rates)
+        assert np.array_equal(m.slot_mean_rates, alone.slot_mean_rates)
+    assert monte_carlo([], 9, 40, seed=3) == []
+
+
+def test_runs_with_another_chain_are_rejected(agents_by_p, model):
+    fast, slow = agents_by_p[0.95], agents_by_p[0.35]
+    other_cells = ExperimentConfig.from_dict({"scene": {"num_cells": 4}}).build_model()
+    broken = dead_bin_model(model)
+    cases = [
+        (fast[:2] + slow[3:4] + slow[:1], "run 2 (oracle): its model's T differs"),
+        ([(model, OracleAgent(model)), (broken, FixedActionAgent(5, "dead"))],
+         "run 1 (dead): its model's thresholds differs"),
+        ([(model, OracleAgent(model)), (other_cells, FixedActionAgent(1))],
+         "run 1 (blind): its model's states differs"),
+    ]
+    for runs, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate._lockstep(runs, MarkovDynamics(runs[0][0]), 5,
+                               [np.random.SeedSequence(0)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo(runs, 2, 5, seed=0)
+    with pytest.raises(ValueError, match="run 1"):
+        simulate_runs(fast[:1] + slow[:1], FixedPathDynamics(CFG.scene(), 50.0, 0.25),
+                      0, 2, seed=0)
