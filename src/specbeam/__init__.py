@@ -22,7 +22,7 @@ from .simulate import (Agent, FixedActionAgent, FixedPathDynamics,
                        MarkovDynamics, Metrics, OracleAgent, PolicyAgent,
                        TrialTrace, aggregate, fixed_path_eval, monte_carlo,
                        oracle_action, perfect_info_rates, run_trial,
-                       simulate_runs, simulate_trials)
+                       simulate_metrics, simulate_runs, simulate_trials)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "Agent", "FixedActionAgent", "FixedPathDynamics", "MarkovDynamics",
     "Metrics", "OracleAgent", "PolicyAgent", "TrialTrace", "aggregate",
     "fixed_path_eval", "monte_carlo", "oracle_action", "perfect_info_rates",
-    "run_trial", "simulate_runs", "simulate_trials",
+    "run_trial", "simulate_metrics", "simulate_runs", "simulate_trials",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from .config import ConfigError, ExperimentConfig
 from .pomdp import initial_belief
 from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
                        aggregate, monte_carlo, perfect_info_rates,
-                       simulate_runs)
+                       simulate_metrics, simulate_runs)
 
 ROBUSTNESS_P = (0.35, 0.95)
 
@@ -189,15 +189,20 @@ def cmd_robustness(args) -> int:
             runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
             for speed in sim["speed_grid_kmh"]:
                 dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
-                traces = simulate_runs(runs, dyn, dyn.n_slots, sim["num_trials"], seed)
-                for (model, agent), run_traces in zip(runs, traces):
-                    m = aggregate(model, agent, dyn.n_slots, run_traces)
+                if trace_fh is None:
+                    metrics = simulate_metrics(runs, dyn, dyn.n_slots,
+                                               sim["num_trials"], seed)
+                else:
+                    # one (p, speed) point's traces, every agent's, in memory at a time
+                    traces = simulate_runs(runs, dyn, dyn.n_slots, sim["num_trials"], seed)
+                    metrics = [aggregate(model, agent, dyn.n_slots, run_traces)
+                               for (model, agent), run_traces in zip(runs, traces)]
+                    for (_, agent), run_traces in zip(runs, traces):
+                        _write_traces(trace_fh, run_traces, agent.label, p, speed)
+                    del traces, run_traces
+                for (_, agent), m in zip(runs, metrics):
                     rows.append(_metric_row(m, labels, agent.label, p, seed,
                                             speed_kmh=speed))
-                    if trace_fh is not None:
-                        _write_traces(trace_fh, run_traces, agent.label, p, speed)
-                # one (p, speed) point's traces, every agent's, in memory at a time
-                del traces, run_traces
     finally:
         if trace_fh is not None:
             trace_fh.close()

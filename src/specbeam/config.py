@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-import numpy as np
-
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
                      SPEED_OF_LIGHT, band_label, make_band)
 from .geometry import SceneConfig, build_road
 from .mobility import MobilityModel
-from .pomdp import PomdpModel, build_model, enumerate_actions, per_cell_gains
+from .pomdp import PomdpModel, band_gains, build_model, gain_table
 
 _K_FREE_SPACE = (SPEED_OF_LIGHT / (4.0 * math.pi)) ** 2
 
@@ -264,14 +262,13 @@ class ExperimentConfig:
         return tuple(b.label for b in self.bands())
 
     @cached_property
-    def _gain_table(self) -> np.ndarray:
-        """Gains of the all-band actions at every cell, computed once per config.
+    def _gain_table(self):
+        """pomdp.gain_table of the configured bands, computed once per config.
 
-        Gains do not depend on p, and a one-band model's actions are every
-        len(bands)-th all-band action, so every build slices this table.
+        Gains do not depend on p, and every build, one-band builds too,
+        takes its rows from this table.
         """
-        road, bands = build_road(self.scene()), self.bands()
-        table = per_cell_gains(road, bands, self.constants(), enumerate_actions(road, bands))
+        table = gain_table(build_road(self.scene()), self.bands(), self.constants())
         table.setflags(write=False)
         return table
 
@@ -286,7 +283,7 @@ class ExperimentConfig:
                     f"bands: no band labelled {band_label!r} "
                     f"(have {', '.join(labels)})")
             q = labels.index(band_label)
-            gains = np.ascontiguousarray(gains[q::len(bands)])
+            gains = band_gains(gains, len(bands), q)
             bands = (bands[q],)
         d = self.raw["discretization"]
         return build_model(

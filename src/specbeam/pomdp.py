@@ -82,8 +82,8 @@ def snr_thresholds(num_levels: int, low_db: float, high_db: float) -> np.ndarray
     return 10.0 ** (edges_db / 10.0)
 
 
-def per_cell_gains(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
-                   consts: PropagationConstants, actions: ActionSpace) -> np.ndarray:
+def _per_cell_gains(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
+                    consts: PropagationConstants, actions: ActionSpace) -> np.ndarray:
     """Gain of each action at each road cell, shape (|A|, num_cells)."""
     out = np.empty((len(actions), len(road)))
     for a in range(len(actions)):
@@ -92,6 +92,21 @@ def per_cell_gains(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
         for c, cell in enumerate(road):
             out[a, c] = gain(consts, band, cell.r_m, cell.theta, cell.phi, th, ph)
     return out
+
+
+def gain_table(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
+               consts: PropagationConstants) -> np.ndarray:
+    """Gain of every (beam, band) action at every road cell, (|A|, num_cells).
+
+    Actions run cell-major, then band, so the model of band q alone uses
+    rows q, q + len(bands), ... (band_gains).
+    """
+    return _per_cell_gains(road, bands, consts, enumerate_actions(road, bands))
+
+
+def band_gains(table: np.ndarray, num_bands: int, q: int) -> np.ndarray:
+    """The rows of an all-band gain_table that the model of band q alone uses."""
+    return np.ascontiguousarray(table[q::num_bands])
 
 
 def build_observation_tensor(gains: np.ndarray, bands: tuple[BandConfig, ...],
@@ -152,14 +167,14 @@ def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
                 discount: float, gains: np.ndarray | None = None) -> PomdpModel:
     """Assemble the full POMDP from physical parameters.
 
-    `gains` may pass in the per_cell_gains table of these actions when the
-    caller already has it.
+    `gains` may pass in the gain_table of these bands (or band_gains of a
+    larger one) when the caller already has it.
     """
     states = enumerate_states(len(road), mobility.window)
     actions = enumerate_actions(road, bands)
     thr = snr_thresholds(num_levels, low_db, high_db)
     if gains is None:
-        gains = per_cell_gains(road, bands, consts, actions)
+        gains = _per_cell_gains(road, bands, consts, actions)
     return PomdpModel(
         states=states,
         actions=actions,

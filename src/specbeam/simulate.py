@@ -24,6 +24,11 @@ pomdp.belief_update stacks per-row matrix-vector products with np.matmul
 math.log1p/math.log2, which differ from the numpy ufuncs in the last bit,
 and actions are pbvi.first_near_max decisions on each agent's unchanged
 row block, which the rounding of the score product does not flip at ties.
+
+simulate_runs keeps the full traces. simulate_metrics (behind monte_carlo
+and fixed_path_eval) steps the same slots but keeps only what aggregate
+reads, the rates, actions and reset flags, so a Monte Carlo point of five
+agents holds about 10 bytes per agent-slot rather than 33.
 """
 
 from __future__ import annotations
@@ -192,70 +197,89 @@ def _check_shared_chain(runs: list[tuple[PomdpModel, Agent]]) -> None:
                     f"of SNR bins and one state space")
 
 
-def _lockstep(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
-              seqs: list, record_beliefs: bool = False,
-              config_hash: str = "") -> list[list[TrialTrace]]:
-    """Traces [run][trial] of the trials seeded by `seqs`, all runs in step.
+def _steps(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int, seqs: list):
+    """Shared draws of the trials seeded by `seqs`, and the runs' slots.
 
-    Run r owns rows r*n, ..., r*n + n - 1 of one belief matrix, n = len(seqs);
-    paths and noise are drawn once per trial and shared by every run.
+    Returns (states, cells, draws, slots): the (n, h) paths and noise draws,
+    n = len(seqs), that every run shares, and an iterator over the h slots
+    yielding (actions, snrs, observations, rates, resets, posteriors) of all
+    rows. Run r owns rows r*n, ..., r*n + n - 1 of one belief matrix.
     """
-    if not runs:
-        return []
     _check_shared_chain(runs)
     first = runs[0][0]
-    n, num_states = len(seqs), first.num_states
     rngs = [[np.random.default_rng(ss) for ss in seq.spawn(2)] for seq in seqs]
     if isinstance(dynamics, FixedPathDynamics):
         horizon = dynamics.n_slots
-        states = np.full((n, horizon), -1)
-        cells = np.tile(dynamics.cells, (n, 1))
+        states = np.full((len(seqs), horizon), -1)
+        cells = np.tile(dynamics.cells, (len(seqs), 1))
     else:
         states = dynamics.states(np.array([path.random(horizon + 1) for path, _ in rngs]))
         cells = first.states.cells()[states]
     draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
+    return states, cells, draws, _slots(runs, cells, draws)
 
+
+def _slots(runs: list[tuple[PomdpModel, Agent]], cells: np.ndarray, draws: np.ndarray):
+    first = runs[0][0]
+    n, horizon = cells.shape
     blocks = [slice(r * n, (r + 1) * n) for r in range(len(runs))]
-    widths = [np.array([b.bandwidth_hz for b in model.bands]) for model, _ in runs]
-    sigmas = [np.array([model.consts.noise_variance_w(w) for w in width])
-              [model.actions.band_idx] for (model, _), width in zip(runs, widths)]
+    sigmas, widths = [], []
+    for model, _ in runs:
+        width = np.array([b.bandwidth_hz for b in model.bands])
+        sigma = np.array([model.consts.noise_variance_w(w) for w in width])
+        sigmas.append(sigma[model.actions.band_idx])
+        widths.append(width[model.actions.band_idx])
     rows = n * len(runs)
-    actions = np.empty((rows, horizon), dtype=int)
-    snrs = np.empty((rows, horizon))
-    obs = np.empty((rows, horizon), dtype=int)
-    resets = np.zeros((rows, horizon), dtype=bool)
-    likelihood = np.empty((rows, num_states))
+    likelihood = np.empty((rows, first.num_states))
     b = np.tile(initial_belief(first.states), (rows, 1))
-    beliefs = np.empty((rows, horizon + 1, num_states)) if record_beliefs else None
-    if beliefs is not None:
-        beliefs[:, 0] = b
-
     thresholds = first.thresholds
     for t in range(horizon):
         cell, e = cells[:, t], draws[:, t]
         c = cell - 1
-        for (model, agent), block, sigma in zip(runs, blocks, sigmas):
-            a = agent.act(b[block], cell)
-            snr = model.gains[a, c] / (sigma[a] * e)
-            z = thresholds.searchsorted(snr, side="right")
-            likelihood[block] = model.O[a, :, z]
-            actions[block, t], snrs[block, t], obs[block, t] = a, snr, z
-        b, resets[:, t] = belief_update(first, b, likelihood=likelihood)
+        a, snr, z = np.empty(rows, dtype=int), np.empty(rows), np.empty(rows, dtype=int)
+        width = np.empty(rows)
+        for (model, agent), block, sigma, bw in zip(runs, blocks, sigmas, widths):
+            act = agent.act(b[block], cell)
+            run_snr = model.gains[act, c] / (sigma[act] * e)
+            run_z = thresholds.searchsorted(run_snr, side="right")
+            likelihood[block] = model.O[act, :, run_z]
+            a[block], snr[block], z[block], width[block] = act, run_snr, run_z, bw[act]
+        rates = width * _elementwise(math.log2, 1.0 + snr)
+        b, resets = belief_update(first, b, likelihood=likelihood)
+        yield a, snr, z, rates, resets, b
+
+
+def _lockstep(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
+              seqs: list, record_beliefs: bool = False,
+              config_hash: str = "") -> list[list[TrialTrace]]:
+    """Traces [run][trial] of the trials seeded by `seqs`, all runs in step."""
+    if not runs:
+        return []
+    states, cells, draws, slots = _steps(runs, dynamics, horizon, seqs)
+    n, horizon = cells.shape
+    rows = n * len(runs)
+    actions = np.empty((rows, horizon), dtype=int)
+    snrs = np.empty((rows, horizon))
+    obs = np.empty((rows, horizon), dtype=int)
+    rates = np.empty((rows, horizon))
+    resets = np.empty((rows, horizon), dtype=bool)
+    beliefs = None
+    if record_beliefs:
+        beliefs = np.empty((rows, horizon + 1, runs[0][0].num_states))
+        beliefs[:, 0] = initial_belief(runs[0][0].states)
+    for t, (a, snr, z, rate, reset, b) in enumerate(slots):
+        actions[:, t], snrs[:, t], obs[:, t], rates[:, t], resets[:, t] = a, snr, z, rate, reset
         if beliefs is not None:
             beliefs[:, t + 1] = b
 
     seed_keys = [tuple(int(x) for x in np.atleast_1d(seq.entropy)) for seq in seqs]
-    out = []
-    for (model, _), block, width in zip(runs, blocks, widths):
-        rates = width[model.actions.band_idx[actions[block]]] * _elementwise(
-            math.log2, 1.0 + snrs[block])
-        out.append([TrialTrace(states=states[i], cells=cells[i], actions=actions[row],
-                               noise_draws=draws[i], snrs=snrs[row], rates=rates[i],
-                               observations=obs[row], resets=resets[row],
-                               seed_key=seed_keys[i], config_hash=config_hash,
-                               beliefs=None if beliefs is None else beliefs[row])
-                    for i, row in enumerate(range(block.start, block.stop))])
-    return out
+    return [[TrialTrace(states=states[i], cells=cells[i], actions=actions[row],
+                        noise_draws=draws[i], snrs=snrs[row], rates=rates[row],
+                        observations=obs[row], resets=resets[row],
+                        seed_key=seed_keys[i], config_hash=config_hash,
+                        beliefs=None if beliefs is None else beliefs[row])
+             for i, row in enumerate(range(r * n, (r + 1) * n))]
+            for r in range(len(runs))]
 
 
 def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
@@ -267,6 +291,13 @@ def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
                      config_hash)[0][0]
 
 
+def _trial_seeds(seed: int, num_trials: int) -> list:
+    """Trial t is seeded by SeedSequence((seed, t)), whatever the trial count."""
+    if num_trials < 1:
+        raise ValueError("num_trials must be >= 1")
+    return [np.random.SeedSequence((seed, t)) for t in range(num_trials)]
+
+
 def simulate_runs(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
                   num_trials: int, seed: int) -> list[list[TrialTrace]]:
     """Trials 0, ..., num_trials - 1 of every run, stepped together: [run][trial].
@@ -275,10 +306,7 @@ def simulate_runs(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
     The runs' models must share T, the SNR bins and the states (ValueError
     names the first run that does not).
     """
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
-    return _lockstep(runs, dynamics, horizon,
-                     [np.random.SeedSequence((seed, t)) for t in range(num_trials)])
+    return _lockstep(runs, dynamics, horizon, _trial_seeds(seed, num_trials))
 
 
 def simulate_trials(model: PomdpModel, dynamics, agent: Agent, horizon: int,
@@ -287,29 +315,58 @@ def simulate_trials(model: PomdpModel, dynamics, agent: Agent, horizon: int,
     return simulate_runs([(model, agent)], dynamics, horizon, num_trials, seed)[0]
 
 
-def aggregate(model: PomdpModel, agent: Agent, horizon: int,
-              traces: list[TrialTrace], keep_slots: bool = False) -> Metrics:
-    """Mean rate with its 95% interval, band utilization and reset share."""
-    n = len(traces)
-    means = np.array([float(tr.rates.mean()) if len(tr.rates) else 0.0
-                      for tr in traces])
-    counts = np.sum([np.bincount(model.actions.band_idx[tr.actions],
-                                 minlength=len(model.bands)) for tr in traces], axis=0)
-    resets = sum(int(tr.resets.sum()) for tr in traces)
+def simulate_metrics(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
+                     num_trials: int, seed: int, keep_slots: bool = False) -> list[Metrics]:
+    """aggregate() of every run of simulate_runs, without keeping its traces.
+
+    Only the rates, the actions (in the smallest integer type that holds
+    them) and the reset flags of each agent-slot are stored.
+    """
+    seqs = _trial_seeds(seed, num_trials)
+    if not runs:
+        return []
+    _, cells, _, slots = _steps(runs, dynamics, horizon, seqs)
+    n, horizon = cells.shape
+    rows = n * len(runs)
+    rates = np.empty((rows, horizon))
+    actions = np.empty((rows, horizon),
+                       dtype=np.min_scalar_type(max(len(m.actions) for m, _ in runs) - 1))
+    resets = np.empty((rows, horizon), dtype=bool)
+    for t, (a, _, _, rate, reset, _) in enumerate(slots):
+        actions[:, t], rates[:, t], resets[:, t] = a, rate, reset
+    return [_summarize(model, agent.label, horizon, rates[r * n:(r + 1) * n],
+                       actions[r * n:(r + 1) * n], resets[r * n:(r + 1) * n], keep_slots)
+            for r, (model, agent) in enumerate(runs)]
+
+
+def _summarize(model: PomdpModel, label: str, horizon: int, rates: np.ndarray,
+               actions: np.ndarray, resets: np.ndarray, keep_slots: bool) -> Metrics:
+    """Metrics of (trials, slots) rates, actions and reset flags."""
+    n = len(rates)
+    means = np.array([float(row.mean()) if len(row) else 0.0 for row in rates])
+    counts = np.bincount(model.actions.band_idx[actions].ravel(),
+                         minlength=len(model.bands))
     mean = math.fsum(means) / n
     sd = float(means.std(ddof=1)) if n > 1 else 0.0
     half = _Z95 * sd / math.sqrt(n) if n > 1 else float("inf")
     total_slots = int(counts.sum())
     util = {band.label: (float(counts[q]) / total_slots if total_slots else 0.0)
             for q, band in enumerate(model.bands)}
-    slot_means = None
-    if keep_slots and horizon:
-        slot_means = np.sum([tr.rates for tr in traces], axis=0) / n
-    return Metrics(label=agent.label, mean_rate_bps=mean, ci_halfwidth=half,
+    slot_means = rates.sum(axis=0) / n if keep_slots and horizon else None
+    return Metrics(label=label, mean_rate_bps=mean, ci_halfwidth=half,
                    confidence=0.95, utilization=util, num_trials=n,
                    horizon=horizon,
-                   reset_fraction=resets / max(total_slots, 1),
+                   reset_fraction=int(resets.sum()) / max(total_slots, 1),
                    slot_mean_rates=slot_means)
+
+
+def aggregate(model: PomdpModel, agent: Agent, horizon: int,
+              traces: list[TrialTrace], keep_slots: bool = False) -> Metrics:
+    """Mean rate with its 95% interval, band utilization and reset share."""
+    return _summarize(model, agent.label, horizon,
+                      np.array([tr.rates for tr in traces]),
+                      np.array([tr.actions for tr in traces]),
+                      np.array([tr.resets for tr in traces]), keep_slots)
 
 
 def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
@@ -321,9 +378,7 @@ def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
     together, so trial t's path and noise are one draw for every agent.
     """
     dynamics = MarkovDynamics(runs[0][0]) if runs else None
-    traces = simulate_runs(runs, dynamics, horizon, num_trials, seed)
-    return [aggregate(model, agent, horizon, run_traces, keep_slots)
-            for (model, agent), run_traces in zip(runs, traces)]
+    return simulate_metrics(runs, dynamics, horizon, num_trials, seed, keep_slots)
 
 
 def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
@@ -331,8 +386,8 @@ def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
                     seed: int) -> Metrics:
     """Constant-speed traversal; belief still evolves by the Markov model."""
     dyn = FixedPathDynamics(scene, speed_kmh, slot_s)
-    traces = simulate_trials(model, dyn, agent, dyn.n_slots, num_trials, seed)
-    return aggregate(model, agent, dyn.n_slots, traces, keep_slots=True)
+    return simulate_metrics([(model, agent)], dyn, dyn.n_slots, num_trials, seed,
+                            keep_slots=True)[0]
 
 
 def perfect_info_rates(model: PomdpModel) -> dict[str, float]:

@@ -369,6 +369,12 @@ def test_cli_robustness_with_traces(cli_dir, capsys):
                  if (r["agent"], r["p"], r["speed_kmh"]) == key]
         assert len(means) == int(row["num_trials"])
         assert math.fsum(means) / int(row["num_trials"]) == float(row["mean_rate_bps"])
+    # without --traces the rows come from the metrics-only runner, same bytes
+    plain = str(cli_dir / "robust_plain.csv")
+    assert main(["robustness", "--config", cfg_path, "--out", plain,
+                 "--policies", pol_dir]) == 0
+    capsys.readouterr()
+    assert open(plain).read() == open(csv_path).read()
 
 
 def test_cli_report(cli_dir, capsys):

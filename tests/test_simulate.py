@@ -244,9 +244,16 @@ def assert_traces_equal(got, want):
 
 
 def assert_runs_match_reference(runs, dyn, horizon, n, seed, record_beliefs=False):
-    """One lockstep call over all runs against the per-trial reference loop."""
-    seqs = [np.random.SeedSequence((seed, t)) for t in range(n)]
-    got = simulate._lockstep(runs, dyn, horizon, seqs, record_beliefs=record_beliefs)
+    """One runner call over all runs against the per-trial reference loop.
+
+    Without recorded beliefs the call is the public simulate_runs, so its
+    trial seeds are checked too; simulate_runs records no beliefs.
+    """
+    if record_beliefs:
+        seqs = [np.random.SeedSequence((seed, t)) for t in range(n)]
+        got = simulate._lockstep(runs, dyn, horizon, seqs, record_beliefs=True)
+    else:
+        got = simulate_runs(runs, dyn, horizon, n, seed)
     assert len(got) == len(runs)
     for (model, agent), traces in zip(runs, got):
         assert len(traces) == n
@@ -327,6 +334,14 @@ def test_lockstep_beliefs_of_every_run_match_reference(agents_by_p, p):
                                 0, 3, seed=8, record_beliefs=True)
 
 
+def assert_metrics_equal(got, want):
+    assert got == replace(want, slot_mean_rates=got.slot_mean_rates)
+    if want.slot_mean_rates is None:
+        assert got.slot_mean_rates is None
+    else:
+        assert got.slot_mean_rates.tobytes() == want.slot_mean_rates.tobytes()
+
+
 def test_monte_carlo_matches_per_run_simulation(agents_by_p):
     """The merged runner aggregates exactly what one run at a time gives."""
     runs = agents_by_p[0.95]
@@ -334,9 +349,32 @@ def test_monte_carlo_matches_per_run_simulation(agents_by_p):
     for (model, agent), m in zip(runs, merged):
         alone = simulate.aggregate(model, agent, 40, simulate_trials(
             model, MarkovDynamics(model), agent, 40, 9, seed=3), keep_slots=True)
-        assert m == replace(alone, slot_mean_rates=m.slot_mean_rates)
-        assert np.array_equal(m.slot_mean_rates, alone.slot_mean_rates)
+        assert_metrics_equal(m, alone)
     assert monte_carlo([], 9, 40, seed=3) == []
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_metrics_runner_matches_aggregated_traces(agents_by_p, model, p):
+    """simulate_metrics keeps no traces but aggregates the same numbers."""
+    broken = dead_bin_model(model)
+    cases = [(agents_by_p[p], MarkovDynamics(agents_by_p[p][0][0]), 60, 7),
+             (agents_by_p[p], MarkovDynamics(agents_by_p[p][0][0]), 0, 3),
+             (agents_by_p[p], FixedPathDynamics(CFG.scene(), 130.0, 0.25), 0, 5),
+             ([(broken, FixedActionAgent(5)), (broken, OracleAgent(broken))],
+              MarkovDynamics(broken), 16, 4)]
+    for runs, dyn, horizon, n in cases:
+        traces = simulate_runs(runs, dyn, horizon, n, seed=12)
+        for keep_slots in (False, True):
+            got = simulate.simulate_metrics(runs, dyn, horizon, n, seed=12,
+                                            keep_slots=keep_slots)
+            assert len(got) == len(runs)
+            for (m, agent), metrics, run_traces in zip(runs, got, traces):
+                h = len(run_traces[0].rates)
+                assert_metrics_equal(metrics, simulate.aggregate(m, agent, h, run_traces,
+                                                                 keep_slots=keep_slots))
+    assert simulate.simulate_metrics([], None, 5, 2, seed=0) == []
+    with pytest.raises(ValueError):
+        simulate.simulate_metrics([], None, 5, 0, seed=0)
 
 
 def test_runs_with_another_chain_are_rejected(agents_by_p, model):
