@@ -6,6 +6,8 @@ by point-based value iteration, and evaluates the resulting planner against
 oracle and single-frequency baselines by Monte Carlo simulation.
 """
 
+import types as _types
+
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
                      aligned_gain, dirichlet_ratio_abs, elements_for_band,
                      expected_rate, gain, make_band, normalized_angles,
@@ -18,29 +20,15 @@ from .pbvi import (Policy, backup_stage, default_epsilon, expand_beliefs,
                    initial_bound, solve)
 from .pomdp import (ActionSpace, PomdpModel, belief_update, build_model,
                     enumerate_actions, initial_belief, snr_thresholds)
-from .simulate import (Agent, FixedActionAgent, FixedPathDynamics,
+from .simulate import (Agent, FixedPathDynamics,
                        MarkovDynamics, Metrics, OracleAgent, PolicyAgent,
-                       TrialTrace, aggregate, fixed_path_eval, monte_carlo,
-                       oracle_action, perfect_info_rates, run_trial,
-                       simulate_metrics, simulate_runs, simulate_trials)
+                       SlotLog, TrialTrace, aggregate, fixed_path_eval,
+                       monte_carlo, oracle_action, perfect_info_rates, run_trial,
+                       simulate_metrics, simulate_runs, simulate_slots,
+                       simulate_trials, trial_means)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApertureSpec", "BandConfig", "PropagationConstants", "aligned_gain",
-    "dirichlet_ratio_abs", "elements_for_band", "expected_rate", "gain",
-    "make_band", "normalized_angles", "observation_probs", "rate",
-    "ConfigError", "ExperimentConfig", "default_config_dict",
-    "CellCoord", "SceneConfig", "build_road", "cell_angles", "containing_cell",
-    "MobilityModel", "StateSpace", "enumerate_states",
-    "successor_distribution", "transition_matrix",
-    "Policy", "backup_stage", "default_epsilon", "expand_beliefs",
-    "initial_bound", "solve",
-    "ActionSpace", "PomdpModel", "belief_update", "build_model",
-    "enumerate_actions", "initial_belief", "snr_thresholds",
-    "Agent", "FixedActionAgent", "FixedPathDynamics", "MarkovDynamics",
-    "Metrics", "OracleAgent", "PolicyAgent", "TrialTrace", "aggregate",
-    "fixed_path_eval", "monte_carlo", "oracle_action", "perfect_info_rates",
-    "run_trial", "simulate_metrics", "simulate_runs", "simulate_trials",
-    "__version__",
-]
+# every name imported above, the submodules themselves left out
+__all__ = [name for name, obj in globals().items() if not name.startswith("_")
+           and not isinstance(obj, _types.ModuleType)] + ["__version__"]

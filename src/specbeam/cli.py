@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -19,8 +20,8 @@ from . import artifacts, pbvi
 from .config import ConfigError, ExperimentConfig
 from .pomdp import initial_belief
 from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
-                       aggregate, monte_carlo, perfect_info_rates,
-                       simulate_metrics, simulate_runs)
+                       SlotLog, monte_carlo, perfect_info_rates, simulate_slots,
+                       trial_means)
 
 ROBUSTNESS_P = (0.35, 0.95)
 
@@ -58,17 +59,10 @@ def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
 
 def _metric_row(m: Metrics, band_labels, agent: str, p: float, seed: int,
                 speed_kmh: float | None = None) -> dict:
-    row = {
-        "agent": agent,
-        "p": float(p),
-        "mean_rate_bps": m.mean_rate_bps,
-        "ci_halfwidth": m.ci_halfwidth,
-        "num_trials": m.num_trials,
-        "seed": seed,
-        "reset_fraction": m.reset_fraction,
-    }
-    for lbl in band_labels:
-        row[_util_column(lbl)] = m.utilization.get(lbl, 0.0)
+    row = {"agent": agent, "p": float(p), "mean_rate_bps": m.mean_rate_bps,
+           "ci_halfwidth": m.ci_halfwidth, "num_trials": m.num_trials, "seed": seed,
+           "reset_fraction": m.reset_fraction,
+           **{_util_column(lbl): m.utilization.get(lbl, 0.0) for lbl in band_labels}}
     if speed_kmh is not None:
         row["speed_kmh"] = float(speed_kmh)
     return row
@@ -130,6 +124,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     model, policy = _solve_one(cfg, args.agent, p, seed)
     wall_s = time.perf_counter() - t0
+    stages = policy.metadata["stages"]
     cfg_hash = cfg.content_hash()
     digest = artifacts.model_digest(model)
     base = os.path.join(args.out, f"{args.agent}_p{p:g}")
@@ -148,9 +143,9 @@ def cmd_solve(args) -> int:
         "wall_s": wall_s,
         "num_beliefs": policy.metadata["num_beliefs"],
         "num_alphas": int(policy.alpha.shape[0]),
-        "solver": policy.metadata,
+        "solver": {**policy.metadata, "stages": [
+            {**st, "wall_s": w} for st, w in zip(stages, policy.stage_wall_s)]},
     })
-    stages = policy.metadata["stages"]
     unconverged = sum(not st["converged"] for st in stages)
     print(f"solved {args.agent} at p={p:g}: |B|={policy.metadata['num_beliefs']}, "
           f"|V|={policy.alpha.shape[0]}, unconverged rounds: {unconverged}, "
@@ -182,46 +177,39 @@ def cmd_robustness(args) -> int:
     sim = cfg.raw["simulation"]
     scene = cfg.scene()
     labels = cfg.band_labels()
-    trace_fh = open(args.traces, "w") if args.traces else None
     rows = []
-    try:
+    with open(args.traces, "w") if args.traces else contextlib.nullcontext() as trace_fh:
         for p in ROBUSTNESS_P:
             runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
             for speed in sim["speed_grid_kmh"]:
                 dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
-                if trace_fh is None:
-                    metrics = simulate_metrics(runs, dyn, dyn.n_slots,
-                                               sim["num_trials"], seed)
-                else:
-                    # one (p, speed) point's traces, every agent's, in memory at a time
-                    traces = simulate_runs(runs, dyn, dyn.n_slots, sim["num_trials"], seed)
-                    metrics = [aggregate(model, agent, dyn.n_slots, run_traces)
-                               for (model, agent), run_traces in zip(runs, traces)]
-                    for (_, agent), run_traces in zip(runs, traces):
-                        _write_traces(trace_fh, run_traces, agent.label, p, speed)
-                    del traces, run_traces
-                for (_, agent), m in zip(runs, metrics):
+                log = simulate_slots(runs, dyn, dyn.n_slots, sim["num_trials"], seed)
+                for (_, agent), m in zip(runs, log.metrics()):
                     rows.append(_metric_row(m, labels, agent.label, p, seed,
                                             speed_kmh=speed))
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+                if trace_fh is not None:
+                    _write_traces(trace_fh, log, p, speed)
+                del log                 # one point's slots in memory at a time
     _write_csv(args.out, robust_columns(labels), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def _write_traces(fh, traces, agent: str, p: float, speed: float) -> None:
-    """One JSON line per trial, in trial order."""
-    for trial, trace in enumerate(traces):
-        fh.write(json.dumps({
-            "agent": agent, "p": p, "speed_kmh": speed, "trial": trial,
-            "cells": trace.cells.tolist(), "actions": trace.actions.tolist(),
-            "noise_draws": trace.noise_draws.tolist(),
-            "snrs": trace.snrs.tolist(), "rates": trace.rates.tolist(),
-            "mean_rate_bps": float(trace.rates.mean()) if len(trace.rates) else 0.0,
-        }, sort_keys=True))
-        fh.write("\n")
+def _write_traces(fh, log: SlotLog, p: float, speed: float) -> None:
+    """One line per agent-trial, runs in order and each run's trials in order:
+    json.dumps(record, sort_keys=True) of the record spelled out below, with a
+    trial's cells and noise draws, one array for all agents, encoded once."""
+    shared = [(json.dumps(c.tolist()), json.dumps(e.tolist()))
+              for c, e in zip(log.cells, log.noise_draws)]
+    point = f'"p": {json.dumps(p)}, "speed_kmh": {json.dumps(speed)}, "trial": '
+    means = trial_means(log.rates)
+    for r, (_, agent) in enumerate(log.runs):
+        label = json.dumps(agent.label)
+        for trial, (cells, draws) in enumerate(shared):
+            row = r * len(shared) + trial
+            fh.write(f'{{"actions": {json.dumps(log.actions[row].tolist())}, "agent": {label}, '
+                     f'"cells": {cells}, "mean_rate_bps": {json.dumps(means[row])}, '
+                     f'"noise_draws": {draws}, {point}{trial}}}\n')
 
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> tuple[tuple[str, ...], list[dict]]:

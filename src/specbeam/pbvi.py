@@ -61,6 +61,7 @@ the same rule, so per-belief values stay monotone.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -76,6 +77,7 @@ class Policy:
     alpha: np.ndarray               # (V, |S|)
     actions: np.ndarray             # (V,) action index per vector
     metadata: dict[str, Any] = field(default_factory=dict)
+    stage_wall_s: list[float] = field(default_factory=list)  # per round; not saved
 
     def value(self, b: np.ndarray) -> float:
         return float((self.alpha @ b).max())
@@ -358,10 +360,12 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
     beliefs = np.asarray(b0, dtype=float)[None, :]
     tracked: np.ndarray | None = None
     stage_log: list[dict] = []
+    stage_wall_s: list[float] = []
     round_id = 0
     for _ in range(num_stages):
         for _ in range(expansions_per_stage):
             round_id += 1
+            t0 = time.perf_counter()
             beliefs = expand_beliefs(model, beliefs,
                                      np.random.SeedSequence((seed, round_id)),
                                      metric=metric)
@@ -372,10 +376,12 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
                 tracked=tracked, collect_history=collect_history)
             stage_log.append({"round": round_id, "num_beliefs": len(beliefs),
                               "num_alphas": len(alphas_mat), **info})
+            stage_wall_s.append(time.perf_counter() - t0)
     metadata = {"seed": seed, "num_stages": num_stages,
                 "expansions_per_stage": expansions_per_stage,
                 "epsilon": eps, "max_sweeps": max_sweeps, "metric": metric,
                 "discount": model.discount, "stages": stage_log,
                 "num_beliefs": len(beliefs)}
-    return Policy(alpha=alphas_mat, actions=alpha_actions, metadata=metadata)
+    return Policy(alpha=alphas_mat, actions=alpha_actions, metadata=metadata,
+                  stage_wall_s=stage_wall_s)
 

@@ -25,10 +25,11 @@ math.log1p/math.log2, which differ from the numpy ufuncs in the last bit,
 and actions are pbvi.first_near_max decisions on each agent's unchanged
 row block, which the rounding of the score product does not flip at ties.
 
-simulate_runs keeps the full traces. simulate_metrics (behind monte_carlo
-and fixed_path_eval) steps the same slots but keeps only what aggregate
-reads, the rates, actions and reset flags, so a Monte Carlo point of five
-agents holds about 10 bytes per agent-slot rather than 33.
+One collector fills the slot fields a caller keeps. simulate_runs keeps
+them all, as traces. simulate_slots (behind simulate_metrics, monte_carlo,
+fixed_path_eval and the CLI's robustness study and trace log) keeps the
+rates, actions and reset flags, about 10 bytes per agent-slot rather than
+33, next to the shared cells and noise draws.
 """
 
 from __future__ import annotations
@@ -79,17 +80,6 @@ class OracleAgent(Agent):
 
     def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
         return self._by_cell[true_cells - 1]
-
-
-class FixedActionAgent(Agent):
-    """Blind agent that repeats one action; a floor for sanity checks."""
-
-    def __init__(self, action: int, label: str = "blind"):
-        self.label = label
-        self.action = int(action)
-
-    def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
-        return np.full(len(true_cells), self.action)
 
 
 def oracle_action(model: PomdpModel, true_cell: int) -> int:
@@ -197,29 +187,8 @@ def _check_shared_chain(runs: list[tuple[PomdpModel, Agent]]) -> None:
                     f"of SNR bins and one state space")
 
 
-def _steps(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int, seqs: list):
-    """Shared draws of the trials seeded by `seqs`, and the runs' slots.
-
-    Returns (states, cells, draws, slots): the (n, h) paths and noise draws,
-    n = len(seqs), that every run shares, and an iterator over the h slots
-    yielding (actions, snrs, observations, rates, resets, posteriors) of all
-    rows. Run r owns rows r*n, ..., r*n + n - 1 of one belief matrix.
-    """
-    _check_shared_chain(runs)
-    first = runs[0][0]
-    rngs = [[np.random.default_rng(ss) for ss in seq.spawn(2)] for seq in seqs]
-    if isinstance(dynamics, FixedPathDynamics):
-        horizon = dynamics.n_slots
-        states = np.full((len(seqs), horizon), -1)
-        cells = np.tile(dynamics.cells, (len(seqs), 1))
-    else:
-        states = dynamics.states(np.array([path.random(horizon + 1) for path, _ in rngs]))
-        cells = first.states.cells()[states]
-    draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
-    return states, cells, draws, _slots(runs, cells, draws)
-
-
 def _slots(runs: list[tuple[PomdpModel, Agent]], cells: np.ndarray, draws: np.ndarray):
+    """Per slot, the actions, SNRs, observations, rates, resets and posteriors of all rows."""
     first = runs[0][0]
     n, horizon = cells.shape
     blocks = [slice(r * n, (r + 1) * n) for r in range(len(runs))]
@@ -249,36 +218,63 @@ def _slots(runs: list[tuple[PomdpModel, Agent]], cells: np.ndarray, draws: np.nd
         yield a, snr, z, rates, resets, b
 
 
+def _collect(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
+             seqs: list, keep: tuple[str, ...]):
+    """Shared draws of the trials seeded by `seqs`, and the kept fields.
+
+    Returns (cells, draws, kept): the (n, h) cells and noise draws, n =
+    len(seqs), that every run shares, and an array per name in `keep`:
+    states (n, h), or a field that _slots yields, (rows, h) or (rows, h,
+    |S|) for beliefs, run r owning rows r*n, ..., r*n + n - 1. Actions
+    take the smallest integer type that holds them.
+    """
+    _check_shared_chain(runs)
+    first = runs[0][0]
+    rngs = [[np.random.default_rng(ss) for ss in seq.spawn(2)] for seq in seqs]
+    if isinstance(dynamics, FixedPathDynamics):
+        horizon = dynamics.n_slots
+        states = np.full((len(seqs), horizon), -1)
+        cells = np.tile(dynamics.cells, (len(seqs), 1))
+    else:
+        states = dynamics.states(np.array([path.random(horizon + 1) for path, _ in rngs]))
+        cells = first.states.cells()[states]
+    draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
+    kept = {"states": states} if "states" in keep else {}
+    del states, rngs                # held through the slots only if kept
+    rows = len(seqs) * len(runs)
+    dtypes = {"actions": np.min_scalar_type(max(len(m.actions) for m, _ in runs) - 1),
+              "snrs": float, "observations": int, "rates": float, "resets": bool,
+              "beliefs": float}                     # in the order _slots yields
+    kept.update({name: np.empty((rows, horizon, first.num_states) if name == "beliefs"
+                                else (rows, horizon), dtypes[name])
+                 for name in keep if name in dtypes})
+    fill = [(i, kept[name]) for i, name in enumerate(dtypes) if name in kept]
+    for t, slot in enumerate(_slots(runs, cells, draws)):
+        for i, buf in fill:
+            buf[:, t] = slot[i]
+    return cells, draws, kept
+
+
 def _lockstep(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
               seqs: list, record_beliefs: bool = False,
               config_hash: str = "") -> list[list[TrialTrace]]:
     """Traces [run][trial] of the trials seeded by `seqs`, all runs in step."""
     if not runs:
         return []
-    states, cells, draws, slots = _steps(runs, dynamics, horizon, seqs)
-    n, horizon = cells.shape
-    rows = n * len(runs)
-    actions = np.empty((rows, horizon), dtype=int)
-    snrs = np.empty((rows, horizon))
-    obs = np.empty((rows, horizon), dtype=int)
-    rates = np.empty((rows, horizon))
-    resets = np.empty((rows, horizon), dtype=bool)
-    beliefs = None
+    fields = ("states", "actions", "snrs", "observations", "rates", "resets")
+    cells, draws, kept = _collect(runs, dynamics, horizon, seqs,
+                                  fields + ("beliefs",) * record_beliefs)
+    states, kept["actions"] = kept.pop("states"), kept["actions"].astype(int)
     if record_beliefs:
-        beliefs = np.empty((rows, horizon + 1, runs[0][0].num_states))
-        beliefs[:, 0] = initial_belief(runs[0][0].states)
-    for t, (a, snr, z, rate, reset, b) in enumerate(slots):
-        actions[:, t], snrs[:, t], obs[:, t], rates[:, t], resets[:, t] = a, snr, z, rate, reset
-        if beliefs is not None:
-            beliefs[:, t + 1] = b
-
+        prior = np.broadcast_to(initial_belief(runs[0][0].states),
+                                (len(kept["rates"]), 1, runs[0][0].num_states))
+        kept["beliefs"] = np.concatenate([prior, kept["beliefs"]], axis=1)
+    n = len(seqs)
     seed_keys = [tuple(int(x) for x in np.atleast_1d(seq.entropy)) for seq in seqs]
-    return [[TrialTrace(states=states[i], cells=cells[i], actions=actions[row],
-                        noise_draws=draws[i], snrs=snrs[row], rates=rates[row],
-                        observations=obs[row], resets=resets[row],
+    return [[TrialTrace(states=states[i], cells=cells[i], noise_draws=draws[i],
                         seed_key=seed_keys[i], config_hash=config_hash,
-                        beliefs=None if beliefs is None else beliefs[row])
-             for i, row in enumerate(range(r * n, (r + 1) * n))]
+                        **{name: buf[r * n + i] for name, buf in kept.items()})
+             for i in range(n)]
             for r in range(len(runs))]
 
 
@@ -315,35 +311,57 @@ def simulate_trials(model: PomdpModel, dynamics, agent: Agent, horizon: int,
     return simulate_runs([(model, agent)], dynamics, horizon, num_trials, seed)[0]
 
 
+@dataclass
+class SlotLog:
+    """What the metrics runner keeps of the trials of a list of runs.
+
+    Run r owns rows r*n, ..., r*n + n - 1 of actions, rates and resets
+    (n trials, h slots). cells and noise_draws, (n, h), are every run's.
+    """
+
+    runs: list
+    cells: np.ndarray
+    noise_draws: np.ndarray
+    actions: np.ndarray         # the smallest integer type that holds them
+    rates: np.ndarray           # bits/s
+    resets: np.ndarray
+
+    def metrics(self, keep_slots: bool = False) -> list[Metrics]:
+        """aggregate() of each run's rows."""
+        n, h = self.cells.shape
+        return [_summarize(model, agent.label, h, self.rates[r * n:(r + 1) * n],
+                           self.actions[r * n:(r + 1) * n],
+                           self.resets[r * n:(r + 1) * n], keep_slots)
+                for r, (model, agent) in enumerate(self.runs)]
+
+
+def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
+                   num_trials: int, seed: int) -> SlotLog:
+    """The trials of simulate_runs, keeping each agent-slot's action, rate and reset."""
+    cells, draws, kept = _collect(runs, dynamics, horizon, _trial_seeds(seed, num_trials),
+                                  ("actions", "rates", "resets"))
+    return SlotLog(runs, cells, draws, **kept)
+
+
 def simulate_metrics(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
                      num_trials: int, seed: int, keep_slots: bool = False) -> list[Metrics]:
-    """aggregate() of every run of simulate_runs, without keeping its traces.
+    """aggregate() of every run of simulate_runs, from simulate_slots' log."""
+    if runs:
+        return simulate_slots(runs, dynamics, horizon, num_trials, seed).metrics(keep_slots)
+    _trial_seeds(seed, num_trials)          # rejects num_trials < 1 all the same
+    return []
 
-    Only the rates, the actions (in the smallest integer type that holds
-    them) and the reset flags of each agent-slot are stored.
-    """
-    seqs = _trial_seeds(seed, num_trials)
-    if not runs:
-        return []
-    _, cells, _, slots = _steps(runs, dynamics, horizon, seqs)
-    n, horizon = cells.shape
-    rows = n * len(runs)
-    rates = np.empty((rows, horizon))
-    actions = np.empty((rows, horizon),
-                       dtype=np.min_scalar_type(max(len(m.actions) for m, _ in runs) - 1))
-    resets = np.empty((rows, horizon), dtype=bool)
-    for t, (a, _, _, rate, reset, _) in enumerate(slots):
-        actions[:, t], rates[:, t], resets[:, t] = a, rate, reset
-    return [_summarize(model, agent.label, horizon, rates[r * n:(r + 1) * n],
-                       actions[r * n:(r + 1) * n], resets[r * n:(r + 1) * n], keep_slots)
-            for r, (model, agent) in enumerate(runs)]
+
+def trial_means(rates: np.ndarray) -> list[float]:
+    """Each trial's mean rate; 0.0 for a trial without slots."""
+    return [float(row.mean()) if len(row) else 0.0 for row in rates]
 
 
 def _summarize(model: PomdpModel, label: str, horizon: int, rates: np.ndarray,
                actions: np.ndarray, resets: np.ndarray, keep_slots: bool) -> Metrics:
     """Metrics of (trials, slots) rates, actions and reset flags."""
     n = len(rates)
-    means = np.array([float(row.mean()) if len(row) else 0.0 for row in rates])
+    means = np.array(trial_means(rates))
     counts = np.bincount(model.actions.band_idx[actions].ravel(),
                          minlength=len(model.bands))
     mean = math.fsum(means) / n

@@ -559,9 +559,20 @@ def dead_bin_model(model):
     return replace(model, O=dead, thresholds=huge)
 
 
+class FixedActionAgent:
+    """Blind agent that repeats one action; a floor for sanity checks."""
+
+    def __init__(self, action: int, label: str = "blind"):
+        self.label = label
+        self.action = int(action)
+
+    def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
+        return np.full(len(true_cells), self.action)
+
+
 def reference_act(agent, b: np.ndarray, true_cell: int, tol: float) -> int:
     """One belief's action, as the per-trial agents decided it."""
-    from specbeam.simulate import FixedActionAgent, OracleAgent, PolicyAgent
+    from specbeam.simulate import OracleAgent, PolicyAgent
 
     if isinstance(agent, PolicyAgent):
         return extract_action(agent.policy, b, tol)

@@ -10,7 +10,8 @@ from specbeam.arrays import (ApertureSpec, PropagationConstants,
                              elements_for_band, expected_rate, gain,
                              make_band, normalized_angles, observation_probs,
                              rate)
-from _oracles import double_sum_response, mc_expected_rate, quad_rate_integral
+from _oracles import (FixedActionAgent, double_sum_response, mc_expected_rate,
+                      quad_rate_integral)
 
 AP_PAPER = ApertureSpec(a_y_m=0.0375, a_z_m=0.0375)
 AP_DEFAULT = ApertureSpec(a_y_m=0.038, a_z_m=0.038)
@@ -119,7 +120,7 @@ def test_snr_sample_distribution():
     SNR has cdf F(x) = exp(-G / (sigma^2 x)).
     """
     from specbeam.config import ExperimentConfig
-    from specbeam.simulate import FixedActionAgent, MarkovDynamics, simulate_trials
+    from specbeam.simulate import MarkovDynamics, simulate_trials
 
     model = ExperimentConfig.from_dict({}).build_model(p=0.8)
     traces = simulate_trials(model, MarkovDynamics(model), FixedActionAgent(0),

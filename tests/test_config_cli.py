@@ -9,13 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import dead_bin_model
+from _oracles import FixedActionAgent, dead_bin_model
 from specbeam import artifacts
-from specbeam.cli import _metric_row, build_parser, main, policy_filename
+from specbeam.cli import (ROBUSTNESS_P, _load_agents, _metric_row, build_parser, main,
+                          policy_filename)
 from specbeam.config import ConfigError, ExperimentConfig, default_config_dict
 from specbeam.pbvi import solve
 from specbeam.pomdp import initial_belief
-from specbeam.simulate import FixedActionAgent, FixedPathDynamics, monte_carlo
+from specbeam.simulate import FixedPathDynamics, monte_carlo, simulate_runs
 
 TINY = {
     "scene": {"num_cells": 4},
@@ -233,7 +234,13 @@ def test_cli_solve_writes_reproducible_artifacts(cli_dir, capsys):
         a = open(f"{out_a}/{name}", "rb").read()
         b = open(f"{out_b}/{name}", "rb").read()
         assert a == b, name
-    manifest = json.load(open(f"{out_a}/{names[2]}"))
+    for out in (out_a, out_b):
+        manifest = json.load(open(f"{out}/{names[2]}"))
+        solver = manifest["solver"]
+        walls = [st["wall_s"] for st in solver["stages"]]
+        assert len(walls) == solver["num_stages"] * solver["expansions_per_stage"]
+        assert min(walls) >= 0.0
+        assert math.fsum(walls) <= manifest["wall_s"]
     assert manifest["agent"] == "sm" and manifest["p"] == 0.6
     assert manifest["num_alphas"] >= 1
     pol, header = artifacts.load_policy(f"{out_a}/{names[0]}")
@@ -251,8 +258,10 @@ def test_cli_solve_manifest_keeps_stage_log(tmp_path, capsys):
     (stage,) = manifest["solver"]["stages"]
     assert stage == {"round": 1, "num_beliefs": manifest["num_beliefs"],
                      "num_alphas": stage["num_alphas"], "sweeps": 1,
-                     "eval_sweeps": 0, "converged": False}
+                     "eval_sweeps": 0, "converged": False,
+                     "wall_s": stage["wall_s"]}
     policy = json.load(open(tmp_path / "out" / "sm_p0.6.policy.json"))
+    del stage["wall_s"]             # the policy file keeps no wall time
     assert policy["metadata"]["stages"] == [stage]
 
 
@@ -350,12 +359,22 @@ def test_cli_robustness_with_traces(cli_dir, capsys):
             assert (cli_dir / "policies" / policy_filename(agent, p)).exists()
     logged = [json.loads(s) for s in open(traces).read().splitlines()]
     assert len(logged) == 2 * 1 * 5 * 6       # ... x num_trials
-    for rec in logged[:8]:
+    cfg = ExperimentConfig.load(cfg_path)
+    for rec in logged:
         assert rec["speed_kmh"] == 50.0
-        n = len(rec["rates"])
-        assert n == len(rec["cells"]) == len(rec["actions"]) == len(rec["snrs"])
-        assert rec["mean_rate_bps"] == pytest.approx(
-            sum(rec["rates"]) / n, rel=1e-12)
+        assert sorted(rec) == ["actions", "agent", "cells", "mean_rate_bps",
+                               "noise_draws", "p", "speed_kmh", "trial"]
+        assert len(rec["cells"]) == len(rec["actions"]) == len(rec["noise_draws"]) > 0
+        # the rates replay from the config's model bit for bit
+        model = cfg.build_model(p=rec["p"], band_label=cfg.band_label_for_agent(
+            "sm" if rec["agent"] == "oracle" else rec["agent"]))
+        bw = [model.bands[q].bandwidth_hz for q in model.actions.band_idx]
+        sigma = [model.consts.noise_variance_w(w) for w in bw]
+        rates = []
+        for a, c, e in zip(rec["actions"], rec["cells"], rec["noise_draws"]):
+            snr = model.gains[a, c - 1] / (sigma[a] * e)
+            rates.append(bw[a] * math.log2(1 + snr))
+        assert float(np.array(rates).mean()) == rec["mean_rate_bps"]
     # same (p, trial) -> identical mobility/noise randomness across agents
     first_two = [r for r in logged if r["p"] == 0.35 and r["trial"] == 0]
     assert len(first_two) == 5
@@ -375,6 +394,27 @@ def test_cli_robustness_with_traces(cli_dir, capsys):
                  "--policies", pol_dir]) == 0
     capsys.readouterr()
     assert open(plain).read() == open(csv_path).read()
+
+
+def test_cli_trace_lines_are_full_trace_records(cli_dir, capsys):
+    """Each line is the full runner's record without SNRs and rates."""
+    cfg_path, pol_dir = str(cli_dir / "exp.json"), str(cli_dir / "policies")
+    cfg = ExperimentConfig.load(cfg_path)
+    sim, seed = cfg.raw["simulation"], cfg.raw["solver"]["seed"]
+    want = []
+    for p in ROBUSTNESS_P:
+        runs = _load_agents(cfg, pol_dir, p, seed, solve_missing=False)
+        for speed in sim["speed_grid_kmh"]:
+            dyn = FixedPathDynamics(cfg.scene(), speed, sim["slot_s"])
+            for (_, agent), traces in zip(runs, simulate_runs(
+                    runs, dyn, dyn.n_slots, sim["num_trials"], seed)):
+                want += [json.dumps({
+                    "agent": agent.label, "p": p, "speed_kmh": speed, "trial": trial,
+                    "cells": tr.cells.tolist(), "actions": tr.actions.tolist(),
+                    "noise_draws": tr.noise_draws.tolist(),
+                    "mean_rate_bps": float(tr.rates.mean()) if len(tr.rates) else 0.0,
+                }, sort_keys=True) for trial, tr in enumerate(traces)]
+    assert open(str(cli_dir / "traces.jsonl")).read().splitlines() == want
 
 
 def test_cli_report(cli_dir, capsys):

@@ -7,17 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import dead_bin_model, reference_run_trial
+from _oracles import FixedActionAgent, dead_bin_model, reference_run_trial
 from specbeam import simulate
 from specbeam.arrays import aligned_gain, expected_rate, gain
 from specbeam.config import ExperimentConfig
 from specbeam.pbvi import Policy, solve
 from specbeam.pomdp import initial_belief
-from specbeam.simulate import (FixedActionAgent, FixedPathDynamics,
-                               MarkovDynamics, OracleAgent, PolicyAgent,
-                               fixed_path_eval, monte_carlo, oracle_action,
-                               perfect_info_rates, run_trial, simulate_runs,
-                               simulate_trials)
+from specbeam.simulate import (FixedPathDynamics, MarkovDynamics, OracleAgent,
+                               PolicyAgent, fixed_path_eval, monte_carlo,
+                               oracle_action, perfect_info_rates, run_trial,
+                               simulate_runs, simulate_trials)
 
 CFG = ExperimentConfig.from_dict({})
 TRACE_FIELDS = ("states", "cells", "actions", "noise_draws", "snrs", "rates",
