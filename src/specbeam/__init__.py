@@ -20,12 +20,10 @@ from .pbvi import (Policy, backup_stage, default_epsilon, expand_beliefs,
                    initial_bound, solve)
 from .pomdp import (ActionSpace, PomdpModel, belief_update, build_model,
                     enumerate_actions, initial_belief, snr_thresholds)
-from .simulate import (Agent, FixedPathDynamics,
-                       MarkovDynamics, Metrics, OracleAgent, PolicyAgent,
-                       SlotLog, TrialTrace, aggregate, fixed_path_eval,
-                       monte_carlo, oracle_action, perfect_info_rates, run_trial,
-                       simulate_metrics, simulate_runs, simulate_slots,
-                       simulate_trials, trial_means)
+from .simulate import (Agent, FixedPathDynamics, MarkovDynamics, Metrics,
+                       OracleAgent, PolicyAgent, SlotLog, fixed_path_eval,
+                       monte_carlo, oracle_action, perfect_info_rates,
+                       simulate_slots, trial_means)
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,6 @@ import numpy as np
 from .pbvi import Policy
 from .pomdp import PomdpModel
 
-MODEL_FORMAT = "specbeam-model"
 POLICY_FORMAT = "specbeam-policy"
 FORMAT_VERSION = 1
 
@@ -85,34 +84,6 @@ def model_digest(model: PomdpModel) -> str:
     }
     h.update(json.dumps(key, sort_keys=True).encode())
     return h.hexdigest()
-
-
-def save_model(path: str, model: PomdpModel, config_hash: str) -> str:
-    """Persist the tensor fingerprint; returns the file's sha256."""
-    record = {
-        "format": MODEL_FORMAT,
-        "version": FORMAT_VERSION,
-        "config_hash": config_hash,
-        "model_digest": model_digest(model),
-        "num_states": model.num_states,
-        "num_actions": model.num_actions,
-        "num_observations": model.num_observations,
-        "discount": model.discount,
-        "bands": [b.label for b in model.bands],
-        "p": model.mobility.p,
-        "T": model.T.tolist(),
-        "O": model.O.tolist(),
-        "rbar": model.rbar.tolist(),
-        "thresholds": model.thresholds.tolist(),
-    }
-    return _dump(path, record)
-
-
-def load_model_record(path: str, expect_config_hash: str | None = None) -> dict:
-    """Load and digest-check a model artifact (tensors as nested lists)."""
-    record = _load(path, MODEL_FORMAT)
-    _expect(path, record, "config_hash", expect_config_hash, "config hash")
-    return record
 
 
 def save_policy(path: str, policy: Policy, *, config_hash: str,

@@ -131,12 +131,10 @@ def cmd_solve(args) -> int:
     policy_hash = artifacts.save_policy(
         base + ".policy.json", policy, config_hash=cfg_hash,
         model_digest_hex=digest, agent=args.agent, p=p)
-    model_hash = artifacts.save_model(base + ".model.json", model, cfg_hash)
     artifacts.save_manifest(base + ".manifest.json", {
         "config_hash": cfg_hash,
         "model_digest": digest,
         "policy_sha256": policy_hash,
-        "model_sha256": model_hash,
         "agent": args.agent,
         "p": p,
         "seed": seed,

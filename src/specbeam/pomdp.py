@@ -82,18 +82,6 @@ def snr_thresholds(num_levels: int, low_db: float, high_db: float) -> np.ndarray
     return 10.0 ** (edges_db / 10.0)
 
 
-def _per_cell_gains(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
-                    consts: PropagationConstants, actions: ActionSpace) -> np.ndarray:
-    """Gain of each action at each road cell, shape (|A|, num_cells)."""
-    out = np.empty((len(actions), len(road)))
-    for a in range(len(actions)):
-        band = bands[actions.band_idx[a]]
-        th, ph = actions.theta_hat[a], actions.phi_hat[a]
-        for c, cell in enumerate(road):
-            out[a, c] = gain(consts, band, cell.r_m, cell.theta, cell.phi, th, ph)
-    return out
-
-
 def gain_table(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
                consts: PropagationConstants) -> np.ndarray:
     """Gain of every (beam, band) action at every road cell, (|A|, num_cells).
@@ -101,7 +89,14 @@ def gain_table(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
     Actions run cell-major, then band, so the model of band q alone uses
     rows q, q + len(bands), ... (band_gains).
     """
-    return _per_cell_gains(road, bands, consts, enumerate_actions(road, bands))
+    actions = enumerate_actions(road, bands)
+    out = np.empty((len(actions), len(road)))
+    for a in range(len(actions)):
+        band = bands[actions.band_idx[a]]
+        th, ph = actions.theta_hat[a], actions.phi_hat[a]
+        for c, cell in enumerate(road):
+            out[a, c] = gain(consts, band, cell.r_m, cell.theta, cell.phi, th, ph)
+    return out
 
 
 def band_gains(table: np.ndarray, num_bands: int, q: int) -> np.ndarray:
@@ -174,7 +169,7 @@ def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
     actions = enumerate_actions(road, bands)
     thr = snr_thresholds(num_levels, low_db, high_db)
     if gains is None:
-        gains = _per_cell_gains(road, bands, consts, actions)
+        gains = gain_table(road, bands, consts)
     return PomdpModel(
         states=states,
         actions=actions,

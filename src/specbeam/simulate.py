@@ -1,4 +1,4 @@
-"""Episode simulation, Monte Carlo aggregation, and the fixed-path study.
+"""Episode simulation, Monte Carlo metrics, and the fixed-path study.
 
 Slot protocol: the user moves first, transmission happens at the new cell.
 A policy agent therefore commits its action from the belief over the
@@ -6,11 +6,11 @@ previous position (it must predict the move); the oracle reads the new cell
 directly, so its beam is always aligned. The sampled SNR is quantized into
 the observation that drives the belief update.
 
-Agents are compared under common random numbers, which hold by
-construction: one lockstep runner steps a list of (model, agent) runs whose
-models share the chain T, the SNR bins and the states. Trial t's streams,
-spawned from SeedSequence((root_seed, t)), are drawn once, so its path and
-noise draws are one array shared by every run, not equal copies.
+One runner, simulate_slots, steps a list of (model, agent) runs whose
+models share the chain T, the SNR bins and the states. Agents are compared
+under common random numbers, which hold by construction: trial t's
+streams, spawned from SeedSequence((seed, t)), are drawn once, so its path
+and noise draws are one array shared by every run, not equal copies.
 
 The beliefs of all runs are the rows of one matrix, a block of trials per
 run, and all trials advance one slot at a time. Each agent acts on its own
@@ -18,18 +18,18 @@ block, each run gathers its likelihood rows O[a, :, z] from its own model,
 and one pomdp.belief_update call per slot updates every row. Paths and
 noise do not depend on actions, so they are drawn before the loop
 (Generator.random(h) equals h single draws; fixed paths draw nothing).
-The traces are bit-identical to a per-trial, per-agent loop:
+Every slot is bit-identical to a per-trial, per-agent loop:
 pomdp.belief_update stacks per-row matrix-vector products with np.matmul
 (a batched B @ T rounds the beliefs differently), the logs are
 math.log1p/math.log2, which differ from the numpy ufuncs in the last bit,
 and actions are pbvi.first_near_max decisions on each agent's unchanged
 row block, which the rounding of the score product does not flip at ties.
 
-One collector fills the slot fields a caller keeps. simulate_runs keeps
-them all, as traces. simulate_slots (behind simulate_metrics, monte_carlo,
-fixed_path_eval and the CLI's robustness study and trace log) keeps the
-rates, actions and reset flags, about 10 bytes per agent-slot rather than
-33, next to the shared cells and noise draws.
+The runner keeps each agent-slot's action, rate and reset flag, about 10
+bytes, next to the shared cells and noise draws; SNRs, observations and
+beliefs last one slot. SlotLog.metrics gives the rows of monte_carlo,
+fixed_path_eval and the CLI's CSVs, and the CLI's trace log is written
+from the same log.
 """
 
 from __future__ import annotations
@@ -135,23 +135,6 @@ class FixedPathDynamics:
             for t in range(1, self.n_slots + 1)], dtype=int)
 
 
-@dataclass
-class TrialTrace:
-    """Per-slot log of one episode; rates are recomputable from it."""
-
-    states: np.ndarray        # true window-state index, -1 on fixed paths
-    cells: np.ndarray         # true cell during each transmission
-    actions: np.ndarray
-    noise_draws: np.ndarray   # unit-exponential |n|^2 / sigma^2 draws
-    snrs: np.ndarray
-    rates: np.ndarray         # bits/s
-    observations: np.ndarray
-    resets: np.ndarray        # True where an impossible observation reset b
-    seed_key: tuple
-    config_hash: str = ""
-    beliefs: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class Metrics:
     """Aggregate over trials for one agent."""
@@ -188,7 +171,7 @@ def _check_shared_chain(runs: list[tuple[PomdpModel, Agent]]) -> None:
 
 
 def _slots(runs: list[tuple[PomdpModel, Agent]], cells: np.ndarray, draws: np.ndarray):
-    """Per slot, the actions, SNRs, observations, rates, resets and posteriors of all rows."""
+    """Per slot, the actions, rates and reset flags of all rows."""
     first = runs[0][0]
     n, horizon = cells.shape
     blocks = [slice(r * n, (r + 1) * n) for r in range(len(runs))]
@@ -201,119 +184,24 @@ def _slots(runs: list[tuple[PomdpModel, Agent]], cells: np.ndarray, draws: np.nd
     rows = n * len(runs)
     likelihood = np.empty((rows, first.num_states))
     b = np.tile(initial_belief(first.states), (rows, 1))
-    thresholds = first.thresholds
     for t in range(horizon):
         cell, e = cells[:, t], draws[:, t]
         c = cell - 1
-        a, snr, z = np.empty(rows, dtype=int), np.empty(rows), np.empty(rows, dtype=int)
-        width = np.empty(rows)
+        a, snr, width = np.empty(rows, dtype=int), np.empty(rows), np.empty(rows)
         for (model, agent), block, sigma, bw in zip(runs, blocks, sigmas, widths):
             act = agent.act(b[block], cell)
             run_snr = model.gains[act, c] / (sigma[act] * e)
-            run_z = thresholds.searchsorted(run_snr, side="right")
-            likelihood[block] = model.O[act, :, run_z]
-            a[block], snr[block], z[block], width[block] = act, run_snr, run_z, bw[act]
+            z = first.thresholds.searchsorted(run_snr, side="right")
+            likelihood[block] = model.O[act, :, z]
+            a[block], snr[block], width[block] = act, run_snr, bw[act]
         rates = width * _elementwise(math.log2, 1.0 + snr)
         b, resets = belief_update(first, b, likelihood=likelihood)
-        yield a, snr, z, rates, resets, b
-
-
-def _collect(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
-             seqs: list, keep: tuple[str, ...]):
-    """Shared draws of the trials seeded by `seqs`, and the kept fields.
-
-    Returns (cells, draws, kept): the (n, h) cells and noise draws, n =
-    len(seqs), that every run shares, and an array per name in `keep`:
-    states (n, h), or a field that _slots yields, (rows, h) or (rows, h,
-    |S|) for beliefs, run r owning rows r*n, ..., r*n + n - 1. Actions
-    take the smallest integer type that holds them.
-    """
-    _check_shared_chain(runs)
-    first = runs[0][0]
-    rngs = [[np.random.default_rng(ss) for ss in seq.spawn(2)] for seq in seqs]
-    if isinstance(dynamics, FixedPathDynamics):
-        horizon = dynamics.n_slots
-        states = np.full((len(seqs), horizon), -1)
-        cells = np.tile(dynamics.cells, (len(seqs), 1))
-    else:
-        states = dynamics.states(np.array([path.random(horizon + 1) for path, _ in rngs]))
-        cells = first.states.cells()[states]
-    draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
-    kept = {"states": states} if "states" in keep else {}
-    del states, rngs                # held through the slots only if kept
-    rows = len(seqs) * len(runs)
-    dtypes = {"actions": np.min_scalar_type(max(len(m.actions) for m, _ in runs) - 1),
-              "snrs": float, "observations": int, "rates": float, "resets": bool,
-              "beliefs": float}                     # in the order _slots yields
-    kept.update({name: np.empty((rows, horizon, first.num_states) if name == "beliefs"
-                                else (rows, horizon), dtypes[name])
-                 for name in keep if name in dtypes})
-    fill = [(i, kept[name]) for i, name in enumerate(dtypes) if name in kept]
-    for t, slot in enumerate(_slots(runs, cells, draws)):
-        for i, buf in fill:
-            buf[:, t] = slot[i]
-    return cells, draws, kept
-
-
-def _lockstep(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
-              seqs: list, record_beliefs: bool = False,
-              config_hash: str = "") -> list[list[TrialTrace]]:
-    """Traces [run][trial] of the trials seeded by `seqs`, all runs in step."""
-    if not runs:
-        return []
-    fields = ("states", "actions", "snrs", "observations", "rates", "resets")
-    cells, draws, kept = _collect(runs, dynamics, horizon, seqs,
-                                  fields + ("beliefs",) * record_beliefs)
-    states, kept["actions"] = kept.pop("states"), kept["actions"].astype(int)
-    if record_beliefs:
-        prior = np.broadcast_to(initial_belief(runs[0][0].states),
-                                (len(kept["rates"]), 1, runs[0][0].num_states))
-        kept["beliefs"] = np.concatenate([prior, kept["beliefs"]], axis=1)
-    n = len(seqs)
-    seed_keys = [tuple(int(x) for x in np.atleast_1d(seq.entropy)) for seq in seqs]
-    return [[TrialTrace(states=states[i], cells=cells[i], noise_draws=draws[i],
-                        seed_key=seed_keys[i], config_hash=config_hash,
-                        **{name: buf[r * n + i] for name, buf in kept.items()})
-             for i in range(n)]
-            for r in range(len(runs))]
-
-
-def run_trial(model: PomdpModel, dynamics, agent: Agent, horizon: int,
-              seed, record_beliefs: bool = False,
-              config_hash: str = "") -> TrialTrace:
-    """Simulate one episode: the lockstep runner on a single trial."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return _lockstep([(model, agent)], dynamics, horizon, [seq], record_beliefs,
-                     config_hash)[0][0]
-
-
-def _trial_seeds(seed: int, num_trials: int) -> list:
-    """Trial t is seeded by SeedSequence((seed, t)), whatever the trial count."""
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
-    return [np.random.SeedSequence((seed, t)) for t in range(num_trials)]
-
-
-def simulate_runs(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
-                  num_trials: int, seed: int) -> list[list[TrialTrace]]:
-    """Trials 0, ..., num_trials - 1 of every run, stepped together: [run][trial].
-
-    Trial t is seeded by SeedSequence((seed, t)), whatever the trial count.
-    The runs' models must share T, the SNR bins and the states (ValueError
-    names the first run that does not).
-    """
-    return _lockstep(runs, dynamics, horizon, _trial_seeds(seed, num_trials))
-
-
-def simulate_trials(model: PomdpModel, dynamics, agent: Agent, horizon: int,
-                    num_trials: int, seed: int) -> list[TrialTrace]:
-    """Trials 0, ..., num_trials - 1 of one agent, in trial order."""
-    return simulate_runs([(model, agent)], dynamics, horizon, num_trials, seed)[0]
+        yield a, rates, resets
 
 
 @dataclass
 class SlotLog:
-    """What the metrics runner keeps of the trials of a list of runs.
+    """What the runner keeps of the trials of a list of runs.
 
     Run r owns rows r*n, ..., r*n + n - 1 of actions, rates and resets
     (n trials, h slots). cells and noise_draws, (n, h), are every run's.
@@ -327,7 +215,8 @@ class SlotLog:
     resets: np.ndarray
 
     def metrics(self, keep_slots: bool = False) -> list[Metrics]:
-        """aggregate() of each run's rows."""
+        """Each run's mean rate with its 95% interval, band utilization and
+        reset share; keep_slots adds the mean rate of each slot."""
         n, h = self.cells.shape
         return [_summarize(model, agent.label, h, self.rates[r * n:(r + 1) * n],
                            self.actions[r * n:(r + 1) * n],
@@ -337,19 +226,33 @@ class SlotLog:
 
 def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
                    num_trials: int, seed: int) -> SlotLog:
-    """The trials of simulate_runs, keeping each agent-slot's action, rate and reset."""
-    cells, draws, kept = _collect(runs, dynamics, horizon, _trial_seeds(seed, num_trials),
-                                  ("actions", "rates", "resets"))
-    return SlotLog(runs, cells, draws, **kept)
+    """Trials 0, ..., num_trials - 1 of every run, stepped together.
 
-
-def simulate_metrics(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
-                     num_trials: int, seed: int, keep_slots: bool = False) -> list[Metrics]:
-    """aggregate() of every run of simulate_runs, from simulate_slots' log."""
-    if runs:
-        return simulate_slots(runs, dynamics, horizon, num_trials, seed).metrics(keep_slots)
-    _trial_seeds(seed, num_trials)          # rejects num_trials < 1 all the same
-    return []
+    Trial t is seeded by SeedSequence((seed, t)), whatever the trial count;
+    its two spawned streams draw the path and the noise. A fixed path sets
+    the horizon to its slot count. The runs' models must share T, the SNR
+    bins and the states (ValueError names the first run that does not).
+    """
+    if num_trials < 1:
+        raise ValueError("num_trials must be >= 1")
+    _check_shared_chain(runs)
+    rngs = [[np.random.default_rng(ss) for ss in np.random.SeedSequence((seed, t)).spawn(2)]
+            for t in range(num_trials)]
+    if isinstance(dynamics, FixedPathDynamics):
+        horizon = dynamics.n_slots
+        cells = np.tile(dynamics.cells, (num_trials, 1))
+    else:
+        cells = runs[0][0].states.cells()[dynamics.states(
+            np.array([path.random(horizon + 1) for path, _ in rngs]))]
+    draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
+    del rngs
+    shape = (num_trials * len(runs), horizon)
+    log = SlotLog(runs, cells, draws, rates=np.empty(shape), resets=np.empty(shape, bool),
+                  actions=np.empty(shape, np.min_scalar_type(
+                      max(len(m.actions) for m, _ in runs) - 1)))
+    for t, (a, rates, resets) in enumerate(_slots(runs, cells, draws)):
+        log.actions[:, t], log.rates[:, t], log.resets[:, t] = a, rates, resets
+    return log
 
 
 def trial_means(rates: np.ndarray) -> list[float]:
@@ -378,15 +281,6 @@ def _summarize(model: PomdpModel, label: str, horizon: int, rates: np.ndarray,
                    slot_mean_rates=slot_means)
 
 
-def aggregate(model: PomdpModel, agent: Agent, horizon: int,
-              traces: list[TrialTrace], keep_slots: bool = False) -> Metrics:
-    """Mean rate with its 95% interval, band utilization and reset share."""
-    return _summarize(model, agent.label, horizon,
-                      np.array([tr.rates for tr in traces]),
-                      np.array([tr.actions for tr in traces]),
-                      np.array([tr.resets for tr in traces]), keep_slots)
-
-
 def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
                 horizon: int, seed: int, keep_slots: bool = False) -> list[Metrics]:
     """Paired Monte Carlo over agents on the runs' shared chain.
@@ -395,8 +289,12 @@ def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
     (single-frequency agents carry their restricted model); all runs step
     together, so trial t's path and noise are one draw for every agent.
     """
-    dynamics = MarkovDynamics(runs[0][0]) if runs else None
-    return simulate_metrics(runs, dynamics, horizon, num_trials, seed, keep_slots)
+    if runs:
+        return simulate_slots(runs, MarkovDynamics(runs[0][0]), horizon, num_trials,
+                              seed).metrics(keep_slots)
+    if num_trials < 1:
+        raise ValueError("num_trials must be >= 1")
+    return []
 
 
 def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
@@ -404,8 +302,8 @@ def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
                     seed: int) -> Metrics:
     """Constant-speed traversal; belief still evolves by the Markov model."""
     dyn = FixedPathDynamics(scene, speed_kmh, slot_s)
-    return simulate_metrics([(model, agent)], dyn, dyn.n_slots, num_trials, seed,
-                            keep_slots=True)[0]
+    return simulate_slots([(model, agent)], dyn, dyn.n_slots, num_trials,
+                          seed).metrics(keep_slots=True)[0]
 
 
 def perfect_info_rates(model: PomdpModel) -> dict[str, float]:

@@ -12,9 +12,11 @@ be held to it, bit for bit or within a stated tolerance: the quadrature
 expected rate, the per-(action, cell) model tables, the scalar belief
 update, the per-proposal belief expansion, the sequential dominance pruning,
 the backup kernel, the backup stage without evaluation sweeps and the
-per-trial episode loop. Those that decide (a vector, an action or an
-adoption) restate the package's tie rule in their own code: the lowest
-index whose score is within a relative tolerance of the maximum.
+per-trial episode loop, with the metrics of its traces; a recording agent
+shows the beliefs the simulator hands an agent. Those that decide (a
+vector, an action or an adoption) restate the package's tie rule in their
+own code: the lowest index whose score is within a relative tolerance of
+the maximum.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -570,6 +573,23 @@ class FixedActionAgent:
         return np.full(len(true_cells), self.action)
 
 
+class RecordingAgent:
+    """Wraps an agent and keeps a copy of every belief block handed to it.
+
+    beliefs[t] is the (n, |S|) block of slot t: the beliefs the agent acts
+    on, that is, the posteriors after slot t - 1 (the prior at t = 0).
+    """
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.label = agent.label
+        self.beliefs: list[np.ndarray] = []
+
+    def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
+        self.beliefs.append(beliefs.copy())
+        return self.agent.act(beliefs, true_cells)
+
+
 def reference_act(agent, b: np.ndarray, true_cell: int, tol: float) -> int:
     """One belief's action, as the per-trial agents decided it."""
     from specbeam.simulate import OracleAgent, PolicyAgent
@@ -584,16 +604,20 @@ def reference_act(agent, b: np.ndarray, true_cell: int, tol: float) -> int:
 
 
 def reference_run_trial(model, dynamics, agent, horizon: int, seed,
-                        record_beliefs: bool = False, config_hash: str = ""):
+                        record_beliefs: bool = False) -> SimpleNamespace:
     """The per-trial, per-slot simulator loop, kept as the bit-exact reference.
 
     Draws one path and one noise number per slot from streams spawned off
     the trial's seed, decides per belief, and updates the belief with
     reference_belief_update, resetting it to uniform on an impossible
     observation. Markov steps are scalar inverse-CDF searchsorted calls.
+
+    Returns a record of per-slot arrays: states (-1 on fixed paths), cells,
+    actions, noise_draws, snrs, rates, observations and resets, and with
+    record_beliefs the h + 1 beliefs from the prior to the last posterior.
     """
     from specbeam.pomdp import initial_belief
-    from specbeam.simulate import FixedPathDynamics, TrialTrace
+    from specbeam.simulate import FixedPathDynamics
 
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     path_ss, noise_ss = seq.spawn(2)
@@ -657,11 +681,43 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
         if beliefs is not None:
             beliefs[t + 1] = b
 
-    return TrialTrace(states=states, cells=cells, actions=actions,
-                      noise_draws=draws, snrs=snrs, rates=rates,
-                      observations=obs, resets=resets,
-                      seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
-                      config_hash=config_hash, beliefs=beliefs)
+    return SimpleNamespace(states=states, cells=cells, actions=actions,
+                           noise_draws=draws, snrs=snrs, rates=rates,
+                           observations=obs, resets=resets, beliefs=beliefs)
+
+
+def reference_metrics(model, label: str, traces: list, keep_slots: bool = False):
+    """Metrics of one agent's reference_run_trial records, from the definitions.
+
+    The mean rate is the math.fsum of the trial means over n, the 95%
+    half-width 1.959963984540054 times the ddof=1 deviation of the trial
+    means over sqrt(n) (infinite for one trial). Utilization and the reset
+    share count slots; the slot means add the trials' rate rows in trial
+    order and divide by n.
+    """
+    from specbeam.simulate import Metrics
+
+    n, h = len(traces), len(traces[0].rates)
+    means = np.array([float(tr.rates.mean()) if h else 0.0 for tr in traces])
+    half = 1.959963984540054 * float(means.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+    counts = [0] * len(model.bands)
+    for tr in traces:
+        for a in tr.actions:
+            counts[model.actions.band_idx[a]] += 1
+    slots = n * h
+    slot_means = None
+    if keep_slots and h:
+        slot_means = np.zeros(h)
+        for tr in traces:
+            slot_means += tr.rates
+        slot_means /= n
+    return Metrics(label=label, mean_rate_bps=math.fsum(means) / n, ci_halfwidth=half,
+                   confidence=0.95,
+                   utilization={band.label: counts[q] / slots if slots else 0.0
+                                for q, band in enumerate(model.bands)},
+                   num_trials=n, horizon=h,
+                   reset_fraction=sum(int(tr.resets.sum()) for tr in traces) / max(slots, 1),
+                   slot_mean_rates=slot_means)
 
 
 # ----------------------------------------------- belief-grid value iteration

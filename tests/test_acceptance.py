@@ -27,7 +27,7 @@ from specbeam.mobility import MobilityModel
 from specbeam.pbvi import solve
 from specbeam.pomdp import belief_update, build_model, initial_belief
 from specbeam.simulate import (MarkovDynamics, PolicyAgent, fixed_path_eval,
-                               perfect_info_rates, simulate_trials)
+                               perfect_info_rates, simulate_slots)
 
 CFG = ExperimentConfig.from_dict({})
 SOLVE_SEED = 0
@@ -67,13 +67,13 @@ def _policy(store, agent, p, collect=False):
 
 def _trial_stats(model, agent, seed=SIM_SEED):
     """Per-trial mean rates and channel utilization under common seeds."""
-    traces = simulate_trials(model, MarkovDynamics(model), agent, HORIZON,
-                             TRIALS, seed)
+    log = simulate_slots([(model, agent)], MarkovDynamics(model), HORIZON,
+                         TRIALS, seed)
     means = np.empty(TRIALS)
     counts = np.zeros(len(model.bands), dtype=np.int64)
-    for t, trace in enumerate(traces):
-        means[t] = trace.rates.mean()
-        counts += np.bincount(model.actions.band_idx[trace.actions],
+    for t, (rates, actions) in enumerate(zip(log.rates, log.actions)):
+        means[t] = rates.mean()
+        counts += np.bincount(model.actions.band_idx[actions],
                               minlength=len(model.bands))
     util = {band.label: float(c) / float(counts.sum())
             for band, c in zip(model.bands, counts)}
@@ -211,8 +211,8 @@ def test_c05_toy_instance_near_optimal():
                                   step=0.02, horizon=100)
     agent = PolicyAgent("sm", toy, policy)
     weights = toy.discount ** np.arange(100)
-    traces = simulate_trials(toy, MarkovDynamics(toy), agent, 100, 4000, 202)
-    returns = np.array([weights @ trace.rates for trace in traces])
+    log = simulate_slots([(toy, agent)], MarkovDynamics(toy), 100, 4000, 202)
+    returns = np.array([weights @ rates for rates in log.rates])
     mean = returns.mean()
     se = returns.std(ddof=1) / math.sqrt(len(returns))
     gap = (mean - v_grid) / v_grid

@@ -120,12 +120,12 @@ def test_snr_sample_distribution():
     SNR has cdf F(x) = exp(-G / (sigma^2 x)).
     """
     from specbeam.config import ExperimentConfig
-    from specbeam.simulate import MarkovDynamics, simulate_trials
+    from specbeam.simulate import MarkovDynamics, simulate_slots
 
     model = ExperimentConfig.from_dict({}).build_model(p=0.8)
-    traces = simulate_trials(model, MarkovDynamics(model), FixedActionAgent(0),
-                             200, 500, seed=5)
-    samples = np.concatenate([tr.noise_draws for tr in traces])
+    log = simulate_slots([(model, FixedActionAgent(0))], MarkovDynamics(model),
+                         200, 500, seed=5)
+    samples = log.noise_draws.ravel()
     n = samples.size
     assert n >= 100_000
     assert np.all(samples > 0)

@@ -1,4 +1,4 @@
-"""Episode loop, common random numbers, fixed paths, and aggregation."""
+"""Episode runner, common random numbers, fixed paths, and metrics."""
 
 import math
 import re
@@ -7,20 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import FixedActionAgent, dead_bin_model, reference_run_trial
-from specbeam import simulate
+from _oracles import (FixedActionAgent, RecordingAgent, dead_bin_model,
+                      reference_metrics, reference_run_trial)
 from specbeam.arrays import aligned_gain, expected_rate, gain
 from specbeam.config import ExperimentConfig
 from specbeam.pbvi import Policy, solve
 from specbeam.pomdp import initial_belief
 from specbeam.simulate import (FixedPathDynamics, MarkovDynamics, OracleAgent,
                                PolicyAgent, fixed_path_eval, monte_carlo,
-                               oracle_action, perfect_info_rates, run_trial,
-                               simulate_runs, simulate_trials)
+                               oracle_action, perfect_info_rates, simulate_slots)
 
 CFG = ExperimentConfig.from_dict({})
-TRACE_FIELDS = ("states", "cells", "actions", "noise_draws", "snrs", "rates",
-                "observations", "resets")
 
 
 @pytest.fixture(scope="module")
@@ -55,67 +52,63 @@ def test_oracle_single_channel_reduces_to_alignment(sub15):
 
 
 def test_oracle_trial_is_always_aligned(model):
-    trace = run_trial(model, MarkovDynamics(model), OracleAgent(model), 300,
-                      np.random.SeedSequence((9, 0)))
-    beam_cells = model.actions.beam_cell[trace.actions]
-    assert np.array_equal(beam_cells, trace.cells)
-    # aligned SNR is gain_aligned / (sigma^2 * e), recomputable from the trace
+    log = simulate_slots([(model, OracleAgent(model))], MarkovDynamics(model), 300, 1,
+                         seed=9)
+    actions, cells, draws = log.actions[0], log.cells[0], log.noise_draws[0]
+    beam_cells = model.actions.beam_cell[actions]
+    assert np.array_equal(beam_cells, cells)
+    # aligned SNR is gain_aligned / (sigma^2 * e), recomputable from the log
     for t in (0, 57, 299):
-        a = trace.actions[t]
+        a = actions[t]
         band = model.bands[model.actions.band_idx[a]]
-        g = aligned_gain(model.consts, band, model.road[trace.cells[t] - 1].r_m)
+        g = aligned_gain(model.consts, band, model.road[cells[t] - 1].r_m)
         sig = model.consts.noise_variance_w(band.bandwidth_hz)
-        assert trace.snrs[t] == pytest.approx(
-            g / (sig * trace.noise_draws[t]), rel=1e-12)
+        assert log.rates[0, t] == pytest.approx(
+            band.bandwidth_hz * math.log2(1.0 + g / (sig * draws[t])), rel=1e-12)
 
 
 def test_trace_rates_recomputable(model):
-    trace = run_trial(model, MarkovDynamics(model),
-                      FixedActionAgent(20), 128, np.random.SeedSequence((9, 1)))
+    log = simulate_slots([(model, FixedActionAgent(20))], MarkovDynamics(model), 128, 2,
+                         seed=9)
+    actions, cells, draws, rates = log.actions[1], log.cells[1], log.noise_draws[1], log.rates[1]
     for t in range(0, 128, 17):
-        a = trace.actions[t]
+        a = actions[t]
         band = model.bands[model.actions.band_idx[a]]
         sig = model.consts.noise_variance_w(band.bandwidth_hz)
-        cell = model.road[trace.cells[t] - 1]
+        cell = model.road[cells[t] - 1]
         g = gain(model.consts, band, cell.r_m, cell.theta, cell.phi,
                  model.actions.theta_hat[a], model.actions.phi_hat[a])
-        snr = g / (sig * trace.noise_draws[t])
-        assert trace.snrs[t] == pytest.approx(snr, rel=1e-12)
-        assert trace.rates[t] == pytest.approx(
+        snr = g / (sig * draws[t])
+        assert rates[t] == pytest.approx(
             band.bandwidth_hz * math.log2(1.0 + snr), rel=1e-12)
-    assert np.all(trace.rates >= 0)
+    assert np.all(rates >= 0)
 
 
 def test_trial_replay_is_bit_exact(model):
-    a = run_trial(model, MarkovDynamics(model), OracleAgent(model), 64,
-                  np.random.SeedSequence((77, 3)), record_beliefs=True)
-    b = run_trial(model, MarkovDynamics(model), OracleAgent(model), 64,
-                  np.random.SeedSequence((77, 3)), record_beliefs=True)
-    for field in ("states", "cells", "actions", "noise_draws", "snrs",
-                  "rates", "observations", "resets", "beliefs"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert a.seed_key == b.seed_key
+    agents = [RecordingAgent(OracleAgent(model)) for _ in range(2)]
+    a, b = (simulate_slots([(model, agent)], MarkovDynamics(model), 64, 4, seed=77)
+            for agent in agents)
+    for field in ("cells", "noise_draws", "actions", "rates", "resets"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+    assert np.array(agents[0].beliefs).tobytes() == np.array(agents[1].beliefs).tobytes()
 
 
 def test_common_random_numbers_across_agents(model, sub15):
-    """Same trial seed -> identical path and noise draws for every agent."""
-    seed = np.random.SeedSequence((5, 11))
-    tr_a = run_trial(model, MarkovDynamics(model), OracleAgent(model), 100, seed)
-    tr_b = run_trial(model, MarkovDynamics(model), FixedActionAgent(0), 100,
-                     np.random.SeedSequence((5, 11)))
-    tr_c = run_trial(sub15, MarkovDynamics(sub15), FixedActionAgent(3), 100,
-                     np.random.SeedSequence((5, 11)))
-    assert np.array_equal(tr_a.cells, tr_b.cells)
-    assert np.array_equal(tr_a.noise_draws, tr_b.noise_draws)
+    """Same seed -> identical paths and noise draws for every agent, call and model."""
+    a, b, c = (simulate_slots([(m, agent)], MarkovDynamics(m), 100, 12, seed=5)
+               for m, agent in ((model, OracleAgent(model)), (model, FixedActionAgent(0)),
+                                (sub15, FixedActionAgent(3))))
+    assert np.array_equal(a.cells, b.cells)
+    assert np.array_equal(a.noise_draws, b.noise_draws)
     # the restricted model shares the same chain, so paths coincide too
-    assert np.array_equal(tr_a.cells, tr_c.cells)
-    assert np.array_equal(tr_a.noise_draws, tr_c.noise_draws)
+    assert np.array_equal(a.cells, c.cells)
+    assert np.array_equal(a.noise_draws, c.noise_draws)
 
 
 def test_horizon_zero_and_empty_metrics(model):
-    trace = run_trial(model, MarkovDynamics(model), FixedActionAgent(0), 0,
-                      np.random.SeedSequence(0))
-    assert len(trace.rates) == 0
+    log = simulate_slots([(model, FixedActionAgent(0))], MarkovDynamics(model), 0, 1, seed=0)
+    assert log.rates.shape == log.cells.shape == (1, 0)
     with pytest.raises(ValueError):
         monte_carlo([(model, FixedActionAgent(0))], 0, 10, 0)
 
@@ -137,11 +130,9 @@ def test_fixed_path_kinematics():
 def test_fixed_path_trial_uses_given_cells(model):
     scene = CFG.scene()
     dyn = FixedPathDynamics(scene, 50.0, 0.25)
-    trace = run_trial(model, dyn, OracleAgent(model), 999,
-                      np.random.SeedSequence((3, 1)))
-    assert len(trace.rates) == dyn.n_slots          # horizon comes from the path
-    assert np.array_equal(trace.cells, dyn.cells)
-    assert np.all(trace.states == -1)
+    log = simulate_slots([(model, OracleAgent(model))], dyn, 999, 2, seed=3)
+    assert log.rates.shape == (2, dyn.n_slots)      # horizon comes from the path
+    assert np.array_equal(log.cells[1], dyn.cells)
 
 
 def test_monte_carlo_aggregates(model):
@@ -186,10 +177,11 @@ def test_policy_agent_runs_and_respects_band(sub15):
 def test_impossible_observation_resets_to_uniform(model):
     """A doctored observation tensor with a dead bin forces belief resets."""
     broken = dead_bin_model(model)
-    trace = run_trial(broken, MarkovDynamics(broken), FixedActionAgent(0), 16,
-                      np.random.SeedSequence(1), record_beliefs=True)
-    assert trace.resets.all()
-    assert np.allclose(trace.beliefs[1:], 1.0 / broken.num_states)
+    agent = RecordingAgent(FixedActionAgent(0))
+    log = simulate_slots([(broken, agent)], MarkovDynamics(broken), 16, 1, seed=1)
+    assert log.resets.all()
+    # the beliefs acted on in slots 1, ..., 15 are the posteriors of slots 0, ..., 14
+    assert np.allclose(np.array(agent.beliefs[1:]), 1.0 / broken.num_states)
 
 
 def test_fixed_path_eval_wraps_monte_carlo(model):
@@ -235,35 +227,33 @@ def agents_by_p():
     return out
 
 
-def assert_traces_equal(got, want):
-    for field in TRACE_FIELDS:
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
-    assert got.seed_key == want.seed_key
+def assert_runs_match_reference(runs, dyn, horizon, n, seed):
+    """One simulate_slots call over all runs against the per-trial reference loop.
 
-
-def assert_runs_match_reference(runs, dyn, horizon, n, seed, record_beliefs=False):
-    """One runner call over all runs against the per-trial reference loop.
-
-    Without recorded beliefs the call is the public simulate_runs, so its
-    trial seeds are checked too; simulate_runs records no beliefs.
+    Per run and trial: the shared cells and noise draws, the actions, rates
+    and reset flags, and the belief rows the runner handed the agent, which
+    are the reference's beliefs but its last posterior.
     """
-    if record_beliefs:
-        seqs = [np.random.SeedSequence((seed, t)) for t in range(n)]
-        got = simulate._lockstep(runs, dyn, horizon, seqs, record_beliefs=True)
-    else:
-        got = simulate_runs(runs, dyn, horizon, n, seed)
-    assert len(got) == len(runs)
-    for (model, agent), traces in zip(runs, got):
-        assert len(traces) == n
-        for t, trace in enumerate(traces):
+    recorders = [RecordingAgent(agent) for _, agent in runs]
+    log = simulate_slots([(m, rec) for (m, _), rec in zip(runs, recorders)], dyn,
+                         horizon, n, seed)
+    h = log.cells.shape[1]
+    assert log.rates.shape == (n * len(runs), h)
+    for r, ((model, agent), rec) in enumerate(zip(runs, recorders)):
+        assert len(rec.beliefs) == h
+        for t in range(n):
             want = reference_run_trial(model, dyn, agent, horizon,
                                        np.random.SeedSequence((seed, t)),
-                                       record_beliefs=record_beliefs)
-            assert_traces_equal(trace, want)
-            if record_beliefs:
-                assert np.array_equal(trace.beliefs, want.beliefs), (agent.label, t)
-    return got
+                                       record_beliefs=True)
+            row = r * n + t
+            assert np.array_equal(log.cells[t], want.cells), (agent.label, t)
+            assert log.noise_draws[t].tobytes() == want.noise_draws.tobytes()
+            assert np.array_equal(log.actions[row], want.actions), (agent.label, t)
+            assert log.rates[row].tobytes() == want.rates.tobytes(), (agent.label, t)
+            assert np.array_equal(log.resets[row], want.resets), (agent.label, t)
+            got = np.array([block[t] for block in rec.beliefs]).reshape(h, model.num_states)
+            assert got.tobytes() == want.beliefs[:-1].tobytes(), (agent.label, t)
+    return log, recorders
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
@@ -291,46 +281,31 @@ def test_lockstep_matches_reference_with_resets(model):
     alive = replace(broken, O=certain)
     runs = [(alive, FixedActionAgent(5)), (broken, OracleAgent(broken)),
             (broken, FixedActionAgent(5)), (alive, OracleAgent(alive))]
-    got = assert_runs_match_reference(runs, MarkovDynamics(broken), 16, 7, seed=2,
-                                      record_beliefs=True)
-    for (m, _), traces in zip(runs, got):
-        for trace in traces:
-            assert trace.resets.all() if m is broken else not trace.resets.any()
-            if m is broken:
-                assert np.all(trace.beliefs[1:] == 1.0 / m.num_states)
-    trace = simulate_trials(broken, MarkovDynamics(broken), FixedActionAgent(5),
-                            16, 3, seed=2)[1]
-    assert trace.resets.all()
+    log, recorders = assert_runs_match_reference(runs, MarkovDynamics(broken), 16, 7, seed=2)
+    for r, ((m, _), rec) in enumerate(zip(runs, recorders)):
+        resets = log.resets[r * 7:(r + 1) * 7]
+        assert resets.all() if m is broken else not resets.any()
+        if m is broken:
+            assert np.all(np.array(rec.beliefs[1:]) == 1.0 / m.num_states)
+    log = simulate_slots([(broken, FixedActionAgent(5))], MarkovDynamics(broken), 16, 3,
+                         seed=2)
+    assert log.resets[1].all()
 
 
 def test_lockstep_beliefs_match_reference(agents_by_p):
-    """Recorded beliefs: one trial via run_trial, and a block of trials."""
+    """Recorded beliefs: a single trial, and a block of trials."""
     model, agent = agents_by_p[0.35][0]
     dyn = MarkovDynamics(model)
-    seed = np.random.SeedSequence((8, 4))
-    got = run_trial(model, dyn, agent, 200, seed, record_beliefs=True,
-                    config_hash="abc")
-    want = reference_run_trial(model, dyn, agent, 200,
-                               np.random.SeedSequence((8, 4)), record_beliefs=True,
-                               config_hash="abc")
-    assert_traces_equal(got, want)
-    assert np.array_equal(got.beliefs, want.beliefs)
-    assert got.config_hash == "abc"
-    seqs = [np.random.SeedSequence((8, t)) for t in range(32)]
-    (block,) = simulate._lockstep([(model, agent)], dyn, 200, seqs, record_beliefs=True)
-    for t, trace in enumerate(block):
-        want = reference_run_trial(model, dyn, agent, 200,
-                                   np.random.SeedSequence((8, t)), record_beliefs=True)
-        assert np.array_equal(trace.beliefs, want.beliefs), t
+    assert_runs_match_reference([(model, agent)], dyn, 200, 1, seed=8)
+    assert_runs_match_reference([(model, agent)], dyn, 200, 32, seed=8)
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
 def test_lockstep_beliefs_of_every_run_match_reference(agents_by_p, p):
     runs = agents_by_p[p]
-    assert_runs_match_reference(runs, MarkovDynamics(runs[0][0]), 200, 7, seed=8,
-                                record_beliefs=True)
+    assert_runs_match_reference(runs, MarkovDynamics(runs[0][0]), 200, 7, seed=8)
     assert_runs_match_reference(runs, FixedPathDynamics(CFG.scene(), 50.0, 0.25),
-                                0, 3, seed=8, record_beliefs=True)
+                                0, 3, seed=8)
 
 
 def assert_metrics_equal(got, want):
@@ -342,19 +317,18 @@ def assert_metrics_equal(got, want):
 
 
 def test_monte_carlo_matches_per_run_simulation(agents_by_p):
-    """The merged runner aggregates exactly what one run at a time gives."""
+    """The merged runner gives exactly the metrics of one run at a time."""
     runs = agents_by_p[0.95]
     merged = monte_carlo(runs, 9, 40, seed=3, keep_slots=True)
-    for (model, agent), m in zip(runs, merged):
-        alone = simulate.aggregate(model, agent, 40, simulate_trials(
-            model, MarkovDynamics(model), agent, 40, 9, seed=3), keep_slots=True)
+    for run, m in zip(runs, merged):
+        (alone,) = monte_carlo([run], 9, 40, seed=3, keep_slots=True)
         assert_metrics_equal(m, alone)
     assert monte_carlo([], 9, 40, seed=3) == []
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
 def test_metrics_runner_matches_aggregated_traces(agents_by_p, model, p):
-    """simulate_metrics keeps no traces but aggregates the same numbers."""
+    """SlotLog.metrics equals the metrics computed from reference traces."""
     broken = dead_bin_model(model)
     cases = [(agents_by_p[p], MarkovDynamics(agents_by_p[p][0][0]), 60, 7),
              (agents_by_p[p], MarkovDynamics(agents_by_p[p][0][0]), 0, 3),
@@ -362,18 +336,22 @@ def test_metrics_runner_matches_aggregated_traces(agents_by_p, model, p):
              ([(broken, FixedActionAgent(5)), (broken, OracleAgent(broken))],
               MarkovDynamics(broken), 16, 4)]
     for runs, dyn, horizon, n in cases:
-        traces = simulate_runs(runs, dyn, horizon, n, seed=12)
+        log = simulate_slots(runs, dyn, horizon, n, seed=12)
+        traces = [[reference_run_trial(m, dyn, agent, horizon, np.random.SeedSequence((12, t)))
+                   for t in range(n)] for m, agent in runs]
         for keep_slots in (False, True):
-            got = simulate.simulate_metrics(runs, dyn, horizon, n, seed=12,
-                                            keep_slots=keep_slots)
+            got = log.metrics(keep_slots)
             assert len(got) == len(runs)
             for (m, agent), metrics, run_traces in zip(runs, got, traces):
-                h = len(run_traces[0].rates)
-                assert_metrics_equal(metrics, simulate.aggregate(m, agent, h, run_traces,
-                                                                 keep_slots=keep_slots))
-    assert simulate.simulate_metrics([], None, 5, 2, seed=0) == []
-    with pytest.raises(ValueError):
-        simulate.simulate_metrics([], None, 5, 0, seed=0)
+                assert_metrics_equal(metrics, reference_metrics(m, agent.label, run_traces,
+                                                                keep_slots))
+    assert monte_carlo([], 2, 5, seed=0) == []
+    for runs in ([], agents_by_p[p]):
+        with pytest.raises(ValueError, match="num_trials"):
+            monte_carlo(runs, 0, 5, seed=0)
+    with pytest.raises(ValueError, match="num_trials"):
+        simulate_slots(agents_by_p[p], FixedPathDynamics(CFG.scene(), 50.0, 0.25), 0, 0,
+                       seed=0)
 
 
 def test_runs_with_another_chain_are_rejected(agents_by_p, model):
@@ -389,10 +367,9 @@ def test_runs_with_another_chain_are_rejected(agents_by_p, model):
     ]
     for runs, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            simulate._lockstep(runs, MarkovDynamics(runs[0][0]), 5,
-                               [np.random.SeedSequence(0)])
+            simulate_slots(runs, MarkovDynamics(runs[0][0]), 5, 1, seed=0)
         with pytest.raises(ValueError, match=re.escape(message)):
             monte_carlo(runs, 2, 5, seed=0)
     with pytest.raises(ValueError, match="run 1"):
-        simulate_runs(fast[:1] + slow[:1], FixedPathDynamics(CFG.scene(), 50.0, 0.25),
-                      0, 2, seed=0)
+        simulate_slots(fast[:1] + slow[:1], FixedPathDynamics(CFG.scene(), 50.0, 0.25),
+                       0, 2, seed=0)

@@ -75,8 +75,8 @@ def main(argv=None) -> None:
         policy = pbvi.solve(model, initial_belief(model.states), num_stages=args.stages)
         log.report(f"solve sm p={p}, {args.stages} stages", gamma)
     agent = simulate.PolicyAgent("sm", model, policy)
-    simulate.simulate_trials(model, simulate.MarkovDynamics(model), agent,
-                             args.horizon, args.trials, seed=0)
+    simulate.simulate_slots([(model, agent)], simulate.MarkovDynamics(model),
+                            args.horizon, args.trials, seed=0)
     log.report(f"simulate sm p=0.95, {args.trials} x {args.horizon}", gamma)
 
 
