@@ -11,7 +11,7 @@ import types as _types
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
                      aligned_gain, dirichlet_ratio_abs, elements_for_band,
                      expected_rate, gain, make_band, normalized_angles,
-                     observation_probs, rate)
+                     observation_probs)
 from .config import ConfigError, ExperimentConfig, default_config_dict
 from .geometry import CellCoord, SceneConfig, build_road, cell_angles, containing_cell
 from .mobility import (MobilityModel, StateSpace, enumerate_states,

@@ -69,10 +69,6 @@ class BandConfig:
             raise ValueError("element counts must be >= 1")
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.f_hz
-
-    @property
     def num_elements(self) -> int:
         return self.n_y * self.n_z
 
@@ -162,13 +158,6 @@ def aligned_gain(consts: PropagationConstants, band: BandConfig, r_m: float) -> 
         raise ValueError("r_m must be positive")
     return (consts.k_const * consts.tx_power_w * band.num_elements
             / (r_m ** consts.path_loss_exp * band.f_hz ** 2))
-
-
-def rate(bandwidth_hz: float, snr: float) -> float:
-    """Shannon rate W * log2(1 + gamma) in bits/s."""
-    if snr < 0:
-        raise ValueError("snr must be non-negative")
-    return bandwidth_hz * math.log2(1.0 + snr)
 
 
 def _rate_integral(c: np.ndarray) -> np.ndarray:

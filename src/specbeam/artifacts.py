@@ -1,10 +1,11 @@
-"""Versioned JSON artifacts for solved policies and model fingerprints.
+"""Versioned JSON policy files, the one artifact format, and model digests.
 
-Artifacts embed the config hash they were produced under and a model
-digest (sha256 over the assembled tensors), so stale or mismatched files
-are rejected at load time instead of silently producing wrong numbers.
-JSON floats round-trip exactly (shortest-repr encoding), so a reloaded
-policy reproduces decisions bit-for-bit.
+save_policy and load_policy hold the whole format. A policy embeds the
+config hash it was produced under and a model digest (sha256 over the
+assembled tensors), so stale or mismatched files are rejected at load
+time. JSON floats round-trip exactly (shortest-repr encoding), so a
+reloaded policy reproduces decisions bit-for-bit; numpy values in metadata
+and manifests are written as their Python equivalents.
 """
 
 from __future__ import annotations
@@ -26,45 +27,9 @@ class ArtifactError(ValueError):
     """Unreadable, unversioned, or mismatched artifact."""
 
 
-def _jsonify(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
-def _dump(path: str, record: dict) -> str:
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(blob)
-        fh.write("\n")
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _load(path: str, expected_format: str) -> dict:
-    try:
-        with open(path) as fh:
-            record = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{path}: unreadable artifact ({exc})") from exc
-    if not isinstance(record, dict) or record.get("format") != expected_format:
-        raise ArtifactError(f"{path}: not a {expected_format} artifact")
-    if record.get("version") != FORMAT_VERSION:
-        raise ArtifactError(
-            f"{path}: unsupported {expected_format} version "
-            f"{record.get('version')!r} (expected {FORMAT_VERSION})")
-    return record
-
-
-def _expect(path: str, record: dict, key: str, want: str | None, what: str) -> None:
-    if want is not None and record[key] != want:
-        raise ArtifactError(f"{path}: {what} mismatch "
-                            f"({record[key][:12]}… vs expected {want[:12]}…)")
+def _plain(obj: Any) -> Any:
+    """json's fallback for numpy arrays and scalars: their Python values."""
+    return obj.tolist()
 
 
 def model_digest(model: PomdpModel) -> str:
@@ -98,17 +63,33 @@ def save_policy(path: str, policy: Policy, *, config_hash: str,
         "p": p,
         "alpha": policy.alpha.tolist(),
         "actions": policy.actions.tolist(),
-        "metadata": _jsonify(policy.metadata),
+        "metadata": policy.metadata,
     }
-    return _dump(path, record)
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":"), default=_plain)
+    with open(path, "w") as fh:
+        fh.write(blob + "\n")
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def load_policy(path: str, *, expect_config_hash: str | None = None,
                 expect_model_digest: str | None = None) -> tuple[Policy, dict]:
     """Load a policy artifact; returns (policy, header metadata)."""
-    record = _load(path, POLICY_FORMAT)
-    _expect(path, record, "config_hash", expect_config_hash, "config hash")
-    _expect(path, record, "model_digest", expect_model_digest, "model digest")
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path}: unreadable artifact ({exc})") from exc
+    if not isinstance(record, dict) or record.get("format") != POLICY_FORMAT:
+        raise ArtifactError(f"{path}: not a {POLICY_FORMAT} artifact")
+    if record.get("version") != FORMAT_VERSION:
+        raise ArtifactError(
+            f"{path}: unsupported {POLICY_FORMAT} version "
+            f"{record.get('version')!r} (expected {FORMAT_VERSION})")
+    for key, want in (("config_hash", expect_config_hash),
+                      ("model_digest", expect_model_digest)):
+        if want is not None and record[key] != want:
+            raise ArtifactError(f"{path}: {key.replace('_', ' ')} mismatch "
+                                f"({record[key][:12]}… vs expected {want[:12]}…)")
     policy = Policy(alpha=np.array(record["alpha"], dtype=float),
                     actions=np.array(record["actions"], dtype=int),
                     metadata=record["metadata"])
@@ -119,5 +100,5 @@ def load_policy(path: str, *, expect_config_hash: str | None = None,
 
 def save_manifest(path: str, fields: dict[str, Any]) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonify(fields), fh, indent=2, sort_keys=True)
+        json.dump(fields, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")

@@ -31,13 +31,9 @@ def _util_column(band_label: str) -> str:
     return f"util_{band_label.removesuffix('ghz')}"
 
 
-def sweep_columns(band_labels) -> tuple[str, ...]:
-    return ("agent", "p", "mean_rate_bps", "ci_halfwidth",
-            *map(_util_column, band_labels), "num_trials", "seed", "reset_fraction")
-
-
-def robust_columns(band_labels) -> tuple[str, ...]:
-    return ("agent", "p", "speed_kmh", "mean_rate_bps", "ci_halfwidth",
+def result_columns(band_labels, *point: str) -> tuple[str, ...]:
+    """Result CSV columns; point names the columns after p, speed_kmh for robustness."""
+    return ("agent", "p", *point, "mean_rate_bps", "ci_halfwidth",
             *map(_util_column, band_labels), "num_trials", "seed", "reset_fraction")
 
 
@@ -45,16 +41,13 @@ def policy_filename(agent: str, p: float) -> str:
     return f"{agent}_p{p:g}.policy.json"
 
 
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
+                             for c in columns])
 
 
 def _metric_row(m: Metrics, band_labels, agent: str, p: float, seed: int,
@@ -94,7 +87,6 @@ def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
     if missing:
         os.makedirs(policy_dir, exist_ok=True)
     runs = []
-    full_model = None
     for agent in cfg.agent_names():
         path = os.path.join(policy_dir, policy_filename(agent, p))
         if not os.path.exists(path):
@@ -107,12 +99,8 @@ def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
             policy, _ = artifacts.load_policy(
                 path, expect_config_hash=cfg_hash,
                 expect_model_digest=artifacts.model_digest(model))
-        if agent == "sm":
-            full_model = model
         runs.append((model, PolicyAgent(agent, model, policy)))
-    if full_model is None:
-        full_model = cfg.build_model(p=p)
-    runs.append((full_model, OracleAgent(full_model)))
+    runs.append((runs[0][0], OracleAgent(runs[0][0])))  # agent_names() starts with sm
     return runs
 
 
@@ -127,11 +115,11 @@ def cmd_solve(args) -> int:
     stages = policy.metadata["stages"]
     cfg_hash = cfg.content_hash()
     digest = artifacts.model_digest(model)
-    base = os.path.join(args.out, f"{args.agent}_p{p:g}")
+    path = os.path.join(args.out, policy_filename(args.agent, p))
     policy_hash = artifacts.save_policy(
-        base + ".policy.json", policy, config_hash=cfg_hash,
+        path, policy, config_hash=cfg_hash,
         model_digest_hex=digest, agent=args.agent, p=p)
-    artifacts.save_manifest(base + ".manifest.json", {
+    artifacts.save_manifest(path.removesuffix(".policy.json") + ".manifest.json", {
         "config_hash": cfg_hash,
         "model_digest": digest,
         "policy_sha256": policy_hash,
@@ -149,7 +137,7 @@ def cmd_solve(args) -> int:
           f"|V|={policy.alpha.shape[0]}, unconverged rounds: {unconverged}, "
           f"sweeps: {sum(st['sweeps'] for st in stages)} backup + "
           f"{sum(st['eval_sweeps'] for st in stages)} evaluation, "
-          f"{wall_s:.1f}s -> {base}.policy.json")
+          f"{wall_s:.1f}s -> {path}")
     return 0
 
 
@@ -164,7 +152,7 @@ def cmd_sweep_p(args) -> int:
         metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed)
         for (_, agent), m in zip(runs, metrics):
             rows.append(_metric_row(m, labels, agent.label, p, seed))
-    _write_csv(args.out, sweep_columns(labels), rows)
+    _write_csv(args.out, result_columns(labels), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -188,7 +176,7 @@ def cmd_robustness(args) -> int:
                 if trace_fh is not None:
                     _write_traces(trace_fh, log, p, speed)
                 del log                 # one point's slots in memory at a time
-    _write_csv(args.out, robust_columns(labels), rows)
+    _write_csv(args.out, result_columns(labels, "speed_kmh"), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -263,7 +251,7 @@ def _robustness_row(path: str, rows: list[dict], agent: str, p: float,
 def cmd_report(args) -> int:
     out = ["# Experiment report", ""]
     if args.sweep:
-        header, rows = _read_csv(args.sweep, sweep_columns(()))
+        header, rows = _read_csv(args.sweep, result_columns(()))
         utils = [c for c in header if c.startswith("util_")]
         ps = sorted({r["p"] for r in rows})
         out += ["## Random-path sweep", "",
@@ -292,7 +280,7 @@ def cmd_report(args) -> int:
             out.append(f"| {p:g} | " + " | ".join(f"{sm[c]:.3f}" for c in utils) + " |")
         out += ["", *_reset_lines(rows, ("p",))]
     if args.robustness:
-        _, rows = _read_csv(args.robustness, robust_columns(()))
+        _, rows = _read_csv(args.robustness, result_columns((), "speed_kmh"))
         out += ["## Fixed-path robustness (end-to-end drop, slowest to fastest)",
                 "", "| p | agent | rate@vmin (Gbit/s) | rate@vmax | drop % |",
                 "|---|---|---|---|---|"]

@@ -100,6 +100,14 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _n0_w_hz(dbm_hz: float) -> float:
+    """Noise density in W/Hz of one in dBm/Hz; inf where the float overflows."""
+    try:
+        return 10.0 ** (dbm_hz / 10.0) * 1e-3
+    except OverflowError:
+        return math.inf
+
+
 def validate_config(cfg: dict[str, Any]) -> None:
     """Raise ConfigError naming the first offending field path."""
     pos = lambda v: _is_num(v) and v > 0
@@ -138,6 +146,8 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require(cfg, "propagation.path_loss_exp", pos, "must be a positive number")
     _require(cfg, "propagation.tx_power_w", pos, "must be a positive number")
     _require(cfg, "propagation.noise_density_dbm_hz", _is_num, "must be a number")
+    _require(cfg, "propagation.noise_density_dbm_hz", lambda v: 0.0 < _n0_w_hz(v) < math.inf,
+             "N0 = 10^(v/10) * 1e-3 W/Hz must be a finite positive float")
     _require(cfg, "mobility.p",
              lambda v: _is_num(v) and 0.0 < v < 1.0, "must lie in (0, 1)")
     _require(cfg, "mobility.kappa1", prob, "must lie in [0, 1]")
@@ -147,8 +157,10 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require_int(cfg, "discretization.num_levels", 2)
     _require(cfg, "discretization.low_db", _is_num, "must be a number")
     _require(cfg, "discretization.high_db", _is_num, "must be a number")
-    if _get(cfg, "discretization.high_db") < _get(cfg, "discretization.low_db"):
-        raise ConfigError("discretization.high_db: must be >= discretization.low_db")
+    d = _get(cfg, "discretization")
+    if d["high_db"] < d["low_db"] or (d["num_levels"] > 2 and d["high_db"] == d["low_db"]):
+        raise ConfigError("discretization.high_db: must exceed discretization.low_db "
+                          "(or equal it when num_levels is 2)")
     _require(cfg, "solver.discount",
              lambda v: _is_num(v) and 0.0 < v < 1.0, "must lie in (0, 1)")
     _require_int(cfg, "solver.num_stages", 0)
@@ -175,10 +187,6 @@ def validate_config(cfg: dict[str, Any]) -> None:
         if math.floor(road_m / (v / 3.6 * _get(cfg, "simulation.slot_s"))) < 1:
             raise ConfigError(f"simulation.speed_grid_kmh.{i}: travels past the "
                               f"{road_m:g} m road in one slot (got {v!r})")
-
-
-def _canonical(cfg: dict[str, Any]) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,8 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(_canonical(self.raw).encode()).hexdigest()
+        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
     def dump(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -246,11 +255,10 @@ class ExperimentConfig:
 
     def constants(self) -> PropagationConstants:
         pr = self.raw["propagation"]
-        n0 = 10.0 ** (pr["noise_density_dbm_hz"] / 10.0) * 1e-3
         return PropagationConstants(k_const=pr["k_const"],
                                     path_loss_exp=pr["path_loss_exp"],
                                     tx_power_w=pr["tx_power_w"],
-                                    noise_density_w_hz=n0)
+                                    noise_density_w_hz=_n0_w_hz(pr["noise_density_dbm_hz"]))
 
     def mobility(self, p: float | None = None) -> MobilityModel:
         m = self.raw["mobility"]
@@ -304,10 +312,8 @@ class ExperimentConfig:
                                for lbl in self.band_labels())
 
     def band_label_for_agent(self, agent: str) -> str | None:
-        if agent == "sm":
-            return None
-        for lbl in self.band_labels():
-            if agent == f"sf{lbl.removesuffix('ghz')}":
-                return lbl
+        labels = dict(zip(self.agent_names(), (None, *self.band_labels())))
+        if agent in labels:
+            return labels[agent]
         raise ConfigError(f"unknown agent name {agent!r}; "
                           f"expected one of {', '.join(self.agent_names())}")

@@ -325,7 +325,7 @@ def expand_beliefs(model: PomdpModel, beliefs: np.ndarray,
     s2 = np.minimum((model.T.cumsum(axis=1)[s] <= u[:, 1:2]).sum(axis=1), top)
     z = np.minimum((model.O.cumsum(axis=2)[acts, s2] <= u[:, 2:]).sum(axis=1),
                    model.num_observations - 1)
-    cands, impossible = belief_update(model, beliefs[rows], acts, z)
+    cands, impossible = belief_update(model, beliefs[rows], model.O[acts, :, z])
     cands = cands.reshape(n0, n_a, n_s)
     impossible = impossible.reshape(n0, n_a)
     pts = np.empty((2 * n0, n_s))

@@ -5,17 +5,20 @@ beam steering pair and the operating band; observations are discretized SNR
 levels. The transition kernel is action-independent, the observation row of
 a state depends only on its current cell, and the expected reward of an
 action in a state is the mean Shannon rate of the resulting link.
+build_model therefore computes O and rbar per (action, cell), from the
+gain table, each action's bandwidth and noise variance, and indexes them
+by each state's cell.
 
 Belief updates condition the observation on the successor state:
 
     b'[s'] ∝ O(s', a, z) * sum_s T(s, s') * b[s]
 
-belief_update is the one implementation of this filter, batched over rows:
-the simulator runs it once per slot over all trials of every agent, and
-belief expansion once per round over all (belief, action) proposals. Each
-row's T^T b is a per-row product stacked by np.matmul; a batched B @ T
-rounds differently, and one ulp changes recorded beliefs and can flip a
-later expansion pick.
+belief_update is the one implementation of this filter, batched over rows
+whose likelihoods O[a, :, z] the caller gathers: the simulator runs it once
+per slot over all trials of every agent, and belief expansion once per
+round over all (belief, action) proposals. Each row's T^T b is a per-row
+product stacked by np.matmul; a batched B @ T rounds differently, and one
+ulp changes recorded beliefs and can flip a later expansion pick.
 """
 
 from __future__ import annotations
@@ -34,19 +37,17 @@ _NORMALIZER_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """Beam/band combinations. theta_hat, phi_hat, band_idx are parallel arrays.
+    """Beam/band combinations as parallel arrays.
 
-    Action (cell j, band q) points the beam at cell j's center; actions are
-    ordered cell-major then band.
+    Action (cell j, band q) points the beam at cell j's center, road[j - 1];
+    actions are ordered cell-major then band.
     """
 
-    theta_hat: np.ndarray
-    phi_hat: np.ndarray
     band_idx: np.ndarray
     beam_cell: np.ndarray  # cell each beam points at (1-based)
 
     def __len__(self) -> int:
-        return self.theta_hat.size
+        return self.band_idx.size
 
 
 def enumerate_actions(road: tuple[CellCoord, ...],
@@ -54,16 +55,8 @@ def enumerate_actions(road: tuple[CellCoord, ...],
     """All (beam, band) actions for the given road."""
     if not bands:
         raise ValueError("at least one band is required")
-    th, ph, bi, bc = [], [], [], []
-    for cell in road:
-        for q in range(len(bands)):
-            th.append(cell.theta)
-            ph.append(cell.phi)
-            bi.append(q)
-            bc.append(cell.index)
-    return ActionSpace(theta_hat=np.array(th), phi_hat=np.array(ph),
-                       band_idx=np.array(bi, dtype=int),
-                       beam_cell=np.array(bc, dtype=int))
+    return ActionSpace(band_idx=np.tile(np.arange(len(bands)), len(road)),
+                       beam_cell=np.repeat([cell.index for cell in road], len(bands)))
 
 
 def snr_thresholds(num_levels: int, low_db: float, high_db: float) -> np.ndarray:
@@ -93,33 +86,16 @@ def gain_table(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
     out = np.empty((len(actions), len(road)))
     for a in range(len(actions)):
         band = bands[actions.band_idx[a]]
-        th, ph = actions.theta_hat[a], actions.phi_hat[a]
+        beam = road[actions.beam_cell[a] - 1]
         for c, cell in enumerate(road):
-            out[a, c] = gain(consts, band, cell.r_m, cell.theta, cell.phi, th, ph)
+            out[a, c] = gain(consts, band, cell.r_m, cell.theta, cell.phi,
+                             beam.theta, beam.phi)
     return out
 
 
 def band_gains(table: np.ndarray, num_bands: int, q: int) -> np.ndarray:
     """The rows of an all-band gain_table that the model of band q alone uses."""
     return np.ascontiguousarray(table[q::num_bands])
-
-
-def build_observation_tensor(gains: np.ndarray, bands: tuple[BandConfig, ...],
-                             consts: PropagationConstants, states: StateSpace,
-                             actions: ActionSpace, thresholds: np.ndarray) -> np.ndarray:
-    """O[a, s, z]: SNR-bin probabilities; rows depend on s only via its cell."""
-    bw = np.array([b.bandwidth_hz for b in bands])[actions.band_idx, None]
-    per_cell = observation_probs(gains, consts.noise_variance_w(bw), thresholds)
-    return per_cell[:, states.cells() - 1, :]
-
-
-def build_reward_vectors(gains: np.ndarray, bands: tuple[BandConfig, ...],
-                         consts: PropagationConstants, states: StateSpace,
-                         actions: ActionSpace) -> np.ndarray:
-    """rbar[a, s]: expected rate of action a with the user at s's cell."""
-    bw = np.array([b.bandwidth_hz for b in bands])[actions.band_idx, None]
-    per_cell = expected_rate(bw, gains, consts.noise_variance_w(bw))
-    return per_cell[:, states.cells() - 1]
 
 
 @dataclass(frozen=True)
@@ -170,12 +146,15 @@ def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
     thr = snr_thresholds(num_levels, low_db, high_db)
     if gains is None:
         gains = gain_table(road, bands, consts)
+    bw = np.array([b.bandwidth_hz for b in bands])[actions.band_idx, None]
+    sigma_sq = consts.noise_variance_w(bw)
+    cell = states.cells() - 1
     return PomdpModel(
         states=states,
         actions=actions,
         T=transition_matrix(mobility, states),
-        O=build_observation_tensor(gains, bands, consts, states, actions, thr),
-        rbar=build_reward_vectors(gains, bands, consts, states, actions),
+        O=observation_probs(gains, sigma_sq, thr)[:, cell, :],
+        rbar=expected_rate(bw, gains, sigma_sq)[:, cell],
         gains=gains,
         thresholds=thr,
         discount=discount,
@@ -197,20 +176,17 @@ def initial_belief(states: StateSpace) -> np.ndarray:
     return b
 
 
-def belief_update(model: PomdpModel, beliefs: np.ndarray, a: np.ndarray | None = None,
-                  z: np.ndarray | None = None, likelihood: np.ndarray | None = None
+def belief_update(model: PomdpModel, beliefs: np.ndarray, likelihood: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Posteriors of beliefs (n, |S|) after actions a (n,) and observations z (n,).
+    """Posteriors of beliefs (n, |S|) given likelihood rows (n, |S|).
 
-    `likelihood` (n, |S|) may replace a and z with rows already gathered
-    as O[a, :, z], possibly from other models that share model.T: the
-    simulator updates the rows of every agent in one call.
+    Row i of the likelihood is O[a_i, :, z_i] of row i's action and
+    observation, gathered by the caller, possibly from other models that
+    share model.T: the simulator updates the rows of every agent in one call.
 
     Returns (posteriors (n, |S|), impossible (n,)): rows whose observation
     has probability <= 1e-300 under the belief are uniform and flagged.
     """
-    if likelihood is None:
-        likelihood = model.O[a, :, z]
     post = likelihood * np.matmul(model.T.T, beliefs[:, :, None])[..., 0]
     norm = post.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

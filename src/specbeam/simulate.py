@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import aligned_gain, expected_rate
 from .geometry import SceneConfig, containing_cell
 from .pbvi import Policy, first_near_max, tie_tolerance
 from .pomdp import PomdpModel, belief_update, initial_belief
@@ -195,7 +196,7 @@ def _slots(runs: list[tuple[PomdpModel, Agent]], cells: np.ndarray, draws: np.nd
             likelihood[block] = model.O[act, :, z]
             a[block], snr[block], width[block] = act, run_snr, bw[act]
         rates = width * _elementwise(math.log2, 1.0 + snr)
-        b, resets = belief_update(first, b, likelihood=likelihood)
+        b, resets = belief_update(first, b, likelihood)
         yield a, rates, resets
 
 
@@ -308,8 +309,6 @@ def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
 
 def perfect_info_rates(model: PomdpModel) -> dict[str, float]:
     """Per-channel mean over cells of the aligned expected rate, bits/s."""
-    from .arrays import aligned_gain, expected_rate
-
     bw = np.array([band.bandwidth_hz for band in model.bands])[:, None]
     aligned = np.array([[aligned_gain(model.consts, band, cell.r_m) for cell in model.road]
                         for band in model.bands])

@@ -170,8 +170,7 @@ def test_c03_belief_update_simplex_and_support(store):
                         model.num_observations - 1)
         dead = lik[np.arange(len(rows)), zs] <= 0.0
         zs[dead] = lik[dead].argmax(axis=1)   # boundary tie: take a live bin
-        posts, impossible = belief_update(model, beliefs[rows],
-                                          np.full(len(rows), a), zs)
+        posts, impossible = belief_update(model, beliefs[rows], model.O[a, :, zs])
         impossible_total += int(impossible.sum())
         masks = model.O[a, :, zs] * preds[rows]
         bad = ((np.abs(posts.sum(axis=1) - 1.0) > 1e-12) | (posts < 0).any(axis=1)

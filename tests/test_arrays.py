@@ -8,8 +8,7 @@ import pytest
 from specbeam.arrays import (ApertureSpec, PropagationConstants,
                              _rate_integral, aligned_gain, dirichlet_ratio_abs,
                              elements_for_band, expected_rate, gain,
-                             make_band, normalized_angles, observation_probs,
-                             rate)
+                             make_band, normalized_angles, observation_probs)
 from _oracles import (FixedActionAgent, double_sum_response, mc_expected_rate,
                       quad_rate_integral)
 
@@ -29,7 +28,6 @@ def test_make_band_spacing_and_labels():
     assert band.n_y == band.n_z == 10
     assert band.num_elements == 100
     assert band.label == "39ghz"
-    assert band.wavelength_m == pytest.approx(299792458.0 / 39e9, rel=1e-15)
 
 
 def test_direct_response_aligned_and_single_element():
@@ -137,14 +135,6 @@ def test_snr_sample_distribution():
     ks = np.abs(cdf - np.arange(1, n + 1) / n).max()
     print(f"KS statistic at n={n}: {ks:.5f}")
     assert ks < 1.63 / math.sqrt(n)  # 1% critical value
-
-
-def test_rate_values():
-    assert rate(100e6, 0.0) == 0.0
-    assert rate(100e6, 1.0) == pytest.approx(1.0e8, rel=1e-15)
-    assert rate(90e6, 3.0) == pytest.approx(1.8e8, rel=1e-15)
-    with pytest.raises(ValueError):
-        rate(100e6, -0.5)
 
 
 def test_rate_integral_matches_quadrature():

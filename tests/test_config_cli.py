@@ -59,6 +59,16 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"solver": {"cross_product_actions": False}})
 
 
+# configs that passed validation and then failed in snr_thresholds, in
+# ExperimentConfig.constants (OverflowError) or in PropagationConstants
+UNRUNNABLE = [
+    ({"discretization": {"num_levels": 25, "low_db": 10, "high_db": 10}},
+     "discretization.high_db"),
+    ({"propagation": {"noise_density_dbm_hz": 4000}}, "propagation.noise_density_dbm_hz"),
+    ({"propagation": {"noise_density_dbm_hz": -4000}}, "propagation.noise_density_dbm_hz"),
+]
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="mobility.p"):
         ExperimentConfig.from_dict({"mobility": {"p": 1.5}})
@@ -85,6 +95,29 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"solver": {"seed": True}})
     with pytest.raises(ConfigError, match=r"^mobility\.window: must be 1 or 2"):
         ExperimentConfig.from_dict({"mobility": {"window": True}})
+    for bad, path in UNRUNNABLE:
+        with pytest.raises(ConfigError, match="^" + path.replace(".", r"\.") + ": "):
+            ExperimentConfig.from_dict(bad)
+    # the edge cases that stay valid: two levels on a degenerate dB range,
+    # and a noise density near either end of the float range
+    ExperimentConfig.from_dict({"discretization": {"num_levels": 2, "low_db": 10, "high_db": 10}})
+    for dbm_hz in (3000.0, -3000.0):
+        assert 0.0 < ExperimentConfig.from_dict(
+            {"propagation": {"noise_density_dbm_hz": dbm_hz}}).constants().noise_density_w_hz
+
+
+@pytest.mark.parametrize("bad, path", UNRUNNABLE)
+def test_cli_rejects_unrunnable_config_with_its_path(tmp_path, capsys, bad, path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(bad))
+    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(path + ": ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_colliding_band_labels():
@@ -188,6 +221,31 @@ def test_artifact_rejections(tmp_path, tiny_solved):
     (tmp_path / "junk.json").write_text("[]")
     with pytest.raises(artifacts.ArtifactError):
         artifacts.load_policy(str(tmp_path / "junk.json"))
+
+
+def test_artifact_json_writes_numpy_values_as_plain_ones(tmp_path, tiny_solved):
+    """Numpy scalars, arrays and tuples in metadata give the plain values' bytes."""
+    import dataclasses
+
+    cfg, model, policy = tiny_solved
+    as_numpy = {"i": np.int64(7), "f": np.float64(0.1), "g": np.float32(0.25),
+                "flag": np.bool_(True), "arr": np.array([[1.5, 2.0]]),
+                "ints": np.arange(3), "tup": (np.int64(1), 2.5),
+                "nested": [{"x": np.float64(1e-300)}, (np.bool_(False),)]}
+    plain = {"i": 7, "f": 0.1, "g": 0.25, "flag": True, "arr": [[1.5, 2.0]],
+             "ints": [0, 1, 2], "tup": [1, 2.5], "nested": [{"x": 1e-300}, [False]]}
+    written = []
+    for meta in (as_numpy, plain):
+        d = tmp_path / str(len(written))
+        d.mkdir()
+        artifacts.save_policy(str(d / "pol.json"), dataclasses.replace(policy, metadata=meta),
+                              config_hash=cfg.content_hash(), model_digest_hex="0" * 64,
+                              agent="sm", p=0.6)
+        artifacts.save_manifest(str(d / "man.json"), {"solver": meta, "p": np.float64(0.6)})
+        written.append([(d / name).read_bytes() for name in ("pol.json", "man.json")])
+    assert written[0] == written[1]
+    loaded, _ = artifacts.load_policy(str(tmp_path / "0" / "pol.json"))
+    assert loaded.metadata == plain
 
 
 def test_model_digest_tracks_content(tiny_solved):

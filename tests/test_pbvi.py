@@ -52,8 +52,7 @@ def _tiny_model(rbar_rows: np.ndarray, discount: float = 0.9) -> PomdpModel:
     from specbeam.pomdp import ActionSpace
 
     n_a = len(rbar_rows)
-    actions = ActionSpace(theta_hat=np.zeros(n_a), phi_hat=np.zeros(n_a),
-                          band_idx=np.zeros(n_a, dtype=int),
+    actions = ActionSpace(band_idx=np.zeros(n_a, dtype=int),
                           beam_cell=np.ones(n_a, dtype=int))
     return PomdpModel(
         states=states, actions=actions,

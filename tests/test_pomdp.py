@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specbeam import pomdp
-from specbeam.arrays import PropagationConstants, expected_rate, make_band
+from specbeam.arrays import PropagationConstants, expected_rate, gain, make_band
 from specbeam.config import ExperimentConfig
 from specbeam.geometry import SceneConfig, build_road
 from specbeam.mobility import MobilityModel
@@ -49,9 +49,16 @@ def test_action_enumeration_cell_major(model):
     for a in range(36):
         assert acts.beam_cell[a] == a // 3 + 1
         assert acts.band_idx[a] == a % 3
-        cell = model.road[acts.beam_cell[a] - 1]
-        assert acts.theta_hat[a] == cell.theta
-        assert acts.phi_hat[a] == cell.phi
+    # each gain row is the gain of its action's band and beam, bit for bit,
+    # in the full model and in a one-band model sliced from the same table
+    for m in (model, CFG.build_model(p=0.8, band_label="39ghz")):
+        for a in range(m.num_actions):
+            band = m.bands[m.actions.band_idx[a]]
+            beam = m.road[m.actions.beam_cell[a] - 1]
+            for c, cell in enumerate(m.road):
+                want = gain(m.consts, band, cell.r_m, cell.theta, cell.phi,
+                            beam.theta, beam.phi)
+                assert m.gains[a, c] == want, (a, c)
 
 
 def test_snr_thresholds_grid():
@@ -156,7 +163,7 @@ def test_initial_belief(model, toy):
 
 def _update(model, b, a, z):
     """belief_update on a batch of one: (posterior, impossible flag)."""
-    post, impossible = belief_update(model, b[None, :], np.array([a]), np.array([z]))
+    post, impossible = belief_update(model, b[None, :], model.O[[a], :, [z]])
     return post[0], bool(impossible[0])
 
 
@@ -165,7 +172,7 @@ def test_belief_update_matches_direct_bayes(toy):
     b = rng.dirichlet(np.ones(3), size=100)
     a = rng.integers(3, size=100)
     z = rng.integers(6, size=100)
-    got, impossible = belief_update(toy, b, a, z)
+    got, impossible = belief_update(toy, b, toy.O[a, :, z])
     for i in range(100):
         post = toy.O[a[i], :, z[i]] * (toy.T.T @ b[i])
         if post.sum() == 0:
@@ -183,7 +190,7 @@ def test_belief_update_rows_match_scalar_reference(model):
     b[::2] = np.eye(model.num_states)[rng.integers(model.num_states, size=n // 2)]
     a = rng.integers(model.num_actions, size=n)
     z = rng.integers(model.num_observations, size=n)
-    got, impossible = belief_update(model, b, a, z)
+    got, impossible = belief_update(model, b, model.O[a, :, z])
     assert impossible.any() and not impossible.all()
     for i in range(n):
         pred = model.O[a[i], :, z[i]] * (model.T.T @ b[i])
@@ -194,13 +201,13 @@ def test_belief_update_rows_match_scalar_reference(model):
             want = reference_belief_update(model, b[i], int(a[i]), int(z[i]))
             assert got[i].tobytes() == want.tobytes()
     dead = dead_bin_model(model)
-    got, impossible = belief_update(dead, b, a, np.zeros(n, dtype=int))
+    got, impossible = belief_update(dead, b, dead.O[a, :, 0])
     assert impossible.all()
     assert np.array_equal(got, np.full_like(got, 1 / model.num_states))
 
 
 def test_belief_update_takes_gathered_likelihoods(model):
-    """Rows gathered by the caller, from models sharing T, update bit for bit."""
+    """Rows gathered from models sharing T update bit for bit in one call."""
     sub = CFG.build_model(p=0.8, band_label="39ghz")
     rng = np.random.default_rng(21)
     n = 60
@@ -208,12 +215,15 @@ def test_belief_update_takes_gathered_likelihoods(model):
     a = rng.integers(sub.num_actions, size=2 * n)
     z = rng.integers(model.num_observations, size=2 * n)
     lik = np.concatenate([model.O[a[:n], :, z[:n]], sub.O[a[n:], :, z[n:]]])
-    got, impossible = belief_update(model, b, likelihood=lik)
-    want_full = belief_update(model, b[:n], a[:n], z[:n])
-    want_sub = belief_update(sub, b[n:], a[n:], z[n:])
-    for rows, (post, imp) in ((slice(0, n), want_full), (slice(n, 2 * n), want_sub)):
-        assert got[rows].tobytes() == post.tobytes()
-        assert np.array_equal(impossible[rows], imp)
+    got, impossible = belief_update(model, b, lik)
+    for i in range(2 * n):
+        m = model if i < n else sub
+        pred = m.O[a[i], :, z[i]] * (m.T.T @ b[i])
+        assert impossible[i] == (pred.sum() <= 1e-300)
+        want = (np.full(model.num_states, 1 / model.num_states) if impossible[i]
+                else reference_belief_update(m, b[i], int(a[i]), int(z[i])))
+        assert got[i].tobytes() == want.tobytes()
+    assert not impossible.all()
 
 
 def test_belief_update_hand_example(toy):
@@ -268,8 +278,7 @@ def test_observation_likelihoods_normalize(model):
         pz = model.O[a].T @ (model.T.T @ b)
         assert pz.shape == (25,)
         assert abs(pz.sum() - 1.0) < 1e-12
-        posts, impossible = belief_update(model, np.tile(b, (25, 1)),
-                                          np.full(25, a), zs)
+        posts, impossible = belief_update(model, np.tile(b, (25, 1)), model.O[a, :, zs])
         assert np.array_equal(impossible, pz <= 1e-300)
         mixed = (pz[~impossible, None] * posts[~impossible]).sum(axis=0)
         assert np.abs(mixed - model.T.T @ b).max() < 1e-12

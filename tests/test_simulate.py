@@ -75,9 +75,8 @@ def test_trace_rates_recomputable(model):
         a = actions[t]
         band = model.bands[model.actions.band_idx[a]]
         sig = model.consts.noise_variance_w(band.bandwidth_hz)
-        cell = model.road[cells[t] - 1]
-        g = gain(model.consts, band, cell.r_m, cell.theta, cell.phi,
-                 model.actions.theta_hat[a], model.actions.phi_hat[a])
+        cell, beam = model.road[cells[t] - 1], model.road[model.actions.beam_cell[a] - 1]
+        g = gain(model.consts, band, cell.r_m, cell.theta, cell.phi, beam.theta, beam.phi)
         snr = g / (sig * draws[t])
         assert rates[t] == pytest.approx(
             band.bandwidth_hz * math.log2(1.0 + snr), rel=1e-12)
