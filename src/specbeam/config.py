@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Any
 
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
-                     SPEED_OF_LIGHT, band_label, make_band)
+                     SPEED_OF_LIGHT, aligned_gain, band_label, make_band)
 from .geometry import SceneConfig, build_road
 from .mobility import MobilityModel
 from .pomdp import PomdpModel, band_gains, build_model, gain_table
@@ -187,6 +187,22 @@ def validate_config(cfg: dict[str, Any]) -> None:
         if math.floor(road_m / (v / 3.6 * _get(cfg, "simulation.slot_s"))) < 1:
             raise ConfigError(f"simulation.speed_grid_kmh.{i}: travels past the "
                               f"{road_m:g} m road in one slot (got {v!r})")
+    # The largest gain of a band is its aligned gain, the prefactor
+    # K P_T / (r^eta f^2 N) of every gain times N^2; over N0 W it is the
+    # largest SNR that the model and the oracle agent compute.
+    probe = ExperimentConfig(raw=cfg)
+    consts, road = probe.constants(), build_road(probe.scene())
+    for i, band in enumerate(probe.bands()):
+        for cell in road:
+            try:
+                snr = (aligned_gain(consts, band, cell.r_m)
+                       / consts.noise_variance_w(band.bandwidth_hz))
+            except (OverflowError, ZeroDivisionError):
+                snr = math.inf
+            if not math.isfinite(snr):
+                raise ConfigError(
+                    f"bands.{i}: the aligned gain K*P_T*N / (r^eta * f^2) over N0*W "
+                    f"at cell {cell.index} (r = {cell.r_m:g} m) is not a finite float")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ simulator pays them.
 
 Every vector, action and adoption decision takes the lowest index whose
 score is within tie_tolerance of the maximum (first_near_max), so ties
-resolve alike however BLAS rounds, whatever the chunk size or thread
+resolve alike however BLAS rounds, whatever the product shapes or thread
 count. A sweep keeps, per belief, the fresh backup only where the rule
 prefers it to the retained vector, so values never decrease. A retained
 vector's value is computed once, when adopted, and carried verbatim; a
@@ -35,10 +35,11 @@ decrease.
 Because observation rows depend on a state only through its current cell,
 the score b . proj[v, a, z] contracts over the handful of cells rather
 than the full state space, and the projection tensor itself is never
-formed. A sweep scores a small chunk of beliefs against every vector at
-once, reduces the scores with a max over vectors, picks each belief's
-action from those maxima, and picks among vectors only on the chosen
-action's observation columns.
+formed. A sweep projects every belief on every vector per cell in one
+product, then scores one belief at a time on the live (action,
+observation) columns, those some cell can produce, keeping only the max
+over vectors. From those maxima it picks every belief's action at once,
+and it rescores only the chosen action's columns to pick among vectors.
 
 With discount 0.99 a backup sweep closes only about 1% of the remaining
 value gap, so between backup (improvement) sweeps the stage runs cheap
@@ -52,10 +53,10 @@ recomputes every planned belief's node from the retained vectors,
 
     node_k = T (rbar[a_k] + discount * sum_z O[a_k, :, z] * node[succ[k, z]]),
 
-at a cost of N * (|S| * M_z + |S|^2), against the N * V * C * |A| * M_z
-score product of a backup sweep. Each node is the value of a finite
-plan whose leaves are retained vectors, and those are values of plans
-too, so every node is still a lower bound. A belief adopts its node under
+at a cost of N * (|S| * M_z + |S|^2), against the N * V * C * L score
+product of a backup sweep over its L <= |A| * M_z live columns. Each node
+is the value of a finite plan whose leaves are retained vectors, and
+those are values of plans too, so every node is still a lower bound. A belief adopts its node under
 the same rule, so per-belief values stay monotone.
 """
 
@@ -92,9 +93,12 @@ def tie_tolerance(model: PomdpModel) -> float:
     A term of it passes through at most k roundings (C cells, M_z
     observations): |S| in tb, one product with alpha, |S| - 1 additions in
     a cell, one product with OZ, C - 1 and M_z - 1 additions, the discount
-    and the reward sum's addition; a max rounds nothing. The computed sum
-    is then within gamma_k = k u / (1 - k u), u = 2^-53, of the exact one,
-    relatively, in any order (Higham 2002, Lemmas 3.1, 3.3). With x the
+    and the reward sum's addition. A max rounds nothing, nor do the
+    products with a one-hot cell indicator and the additions of exact
+    zeros (other cells' states, observations no cell can produce) that
+    _backup_block's products carry. The computed sum is then within
+    gamma_k = k u / (1 - k u), u = 2^-53, of the exact one, relatively, in
+    any order (Higham 2002, Lemmas 3.1, 3.3). With x the
     exact maximum, every computed score, and so the computed maximum and
     the band's floor, lies within about x gamma_k of its exact value: a
     candidate within 2 gamma_k of x is in the band and one more than
@@ -135,53 +139,64 @@ def default_epsilon(model: PomdpModel) -> float:
     return 1e-3 * float(np.abs(model.rbar).max())
 
 
-def _cell_tensors(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
-    """(E, OZ): state->cell one-hot (|S|, C) and per-cell rows (C, |A|*M_z)."""
+def _cell_tensors(model: PomdpModel
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(E, OZ, OZ_live, live_at): the state->cell one-hot (|S|, C), the
+    per-cell rows (C, |A|*M_z), OZ's nonzero columns (C, L) and, per column
+    of OZ, its index among them, or L where the column is zero."""
     cells = model.states.cells()
     labels = np.unique(cells)
     e = (cells[:, None] == labels[None, :]).astype(float)
     reps = np.array([int(np.flatnonzero(cells == c)[0]) for c in labels])
     oz = model.O[:, reps, :].transpose(1, 0, 2).reshape(len(labels), -1)
-    return e, oz
-
-
-# Beliefs per chunk of the score product: small chunks keep the score block
-# in cache (default model: 1 and 2 beat 4-32 at 64 and 256 beliefs).
-_BELIEF_CHUNK = 2
+    live = oz.any(axis=0)
+    live_at = np.where(live, np.cumsum(live) - 1, live.sum())
+    return e, oz, oz[:, live], live_at
 
 
 def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
-                  e: np.ndarray, oz: np.ndarray, tol: float
+                  cells: tuple[np.ndarray, ...], tol: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Back up each row of `tb`: vectors (N,S), actions (N,) and picks (N,Z).
 
     `tb` carries the one-step predicted beliefs (beliefs @ T), which is all
-    the backup needs: scores b . proj[v, a, z] are computed as H @ OZ with
-    H[v, n, c] = sum_{s' in cell c} alpha[v, s'] tb[n, s']. picks[n, z] is
-    the row of `alpha_mat` chosen for observation z under the chosen
-    action. Actions and picks are first_near_max decisions at `tol`.
+    the backup needs, and `cells` is _cell_tensors(model). The projection
+    Ht[n, c, v] = sum_{s' in cell c} tb[n, s'] alpha[v, s'] is formed once,
+    and b_n . proj[v, a, z] = (Ht[n]^T @ OZ)[v, (a, z)]. Each belief's live
+    columns are scored and maximized over vectors; a dead column scores 0
+    for every vector and enters its action's total as a 0, in its place.
+    picks[n, z] is the row of `alpha_mat` chosen for observation z under
+    the chosen action, rescored on that action's columns in blocks no
+    larger than one belief's scores. Actions and picks are first_near_max
+    decisions at `tol`, each made once for all rows.
     """
-    n_v, n_s = alpha_mat.shape
+    e, oz, oz_live, live_at = cells
+    n_b, n_s = tb.shape
+    n_c, n_l = oz_live.shape
     n_a, _, n_z = model.O.shape
     disc = model.discount
-    acts = np.empty(len(tb), dtype=int)
-    best_v = np.empty((len(tb), n_z), dtype=int)            # of the chosen action
-    for lo in range(0, len(tb), _BELIEF_CHUNK):
-        tbc = tb[lo:lo + _BELIEF_CHUNK]
-        n = len(tbc)
-        w = alpha_mat[:, None, :] * tbc[None, :, :]
-        scores = ((w.reshape(n_v * n, n_s) @ e) @ oz).reshape(n_v, n, n_a, n_z)
-        totals = tbc @ model.rbar.T + disc * scores.max(axis=0).sum(axis=2)
-        a = first_near_max(totals, tol, axis=1)             # (n,)
-        acts[lo:lo + n] = a
-        best_v[lo:lo + n] = first_near_max(scores[:, np.arange(n), a, :], tol, axis=0)
-    g = alpha_mat[best_v]                                   # (N, Z, S)
+    ht = ((tb[:, None, :] * e.T).reshape(n_b * n_c, n_s) @ alpha_mat.T
+          ).reshape(n_b, n_c, -1)                           # (N, C, V)
+    best = np.zeros((n_b, n_l + 1))         # its last column stands for the dead ones
+    for k in range(n_b):
+        (ht[k].T @ oz_live).max(axis=0, out=best[k, :n_l])
+    maxima = best.take(live_at, axis=1).reshape(n_b, n_a, n_z)
+    totals = tb @ model.rbar.T + disc * maxima.sum(axis=2)
+    del best, maxima                    # free their memory before the picks
+    acts = first_near_max(totals, tol, axis=1)              # (N,)
+    oz_acts = oz.reshape(n_c, n_a, n_z).take(acts, axis=1)  # (C, N, Z)
+    picks = np.empty((n_b, n_z), dtype=int)
+    step = max(1, n_l // n_z)          # (step, V, Z) scores fit in one (V, L) block
+    for lo in range(0, n_b, step):
+        scores = np.matmul(ht[lo:lo + step].transpose(0, 2, 1),
+                           oz_acts[:, lo:lo + step].transpose(1, 0, 2))  # (n, V, Z)
+        picks[lo:lo + step] = first_near_max(scores, tol, axis=1)
+    del ht                              # and ht's before the (N, Z, S) gathers
+    g = alpha_mat.take(picks, axis=0)
     phi = (model.O[acts] * g.transpose(0, 2, 1)).sum(axis=2)
     pre = model.rbar[acts] + disc * phi
-    out_vec = np.empty((len(tb), n_s))
-    for k in range(len(tb)):            # pre @ T.T would round differently
-        out_vec[k] = model.T @ pre[k]
-    return out_vec, acts, best_v
+    # T @ pre[k] for every k; pre @ T.T would round differently
+    return np.matmul(model.T, pre[:, :, None])[:, :, 0], acts, picks
 
 
 def _dedup_rows(mat: np.ndarray) -> np.ndarray:
@@ -252,7 +267,7 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
     optionally the per-sweep value history (one row per improvement sweep,
     taken after its evaluation sweeps).
     """
-    e, oz = _cell_tensors(model)
+    cells = _cell_tensors(model)
     tol = tie_tolerance(model)
     tb = beliefs @ model.T
     n_b = len(beliefs)
@@ -270,7 +285,7 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
     converged = False
     sweeps = eval_sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        new_vecs, new_acts, picks = _backup_block(model, tb, alphas_mat, e, oz, tol)
+        new_vecs, new_acts, picks = _backup_block(model, tb, alphas_mat, cells, tol)
         new_vals = np.einsum("ns,ns->n", beliefs, new_vecs)
         take = _beats(new_vals, tracked, tol)
         anchors = np.where(take[:, None], new_vecs, anchors)

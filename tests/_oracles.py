@@ -373,9 +373,8 @@ def backup_at(model, b: np.ndarray, alpha_mat: np.ndarray) -> tuple[np.ndarray, 
     """(vector, action) of the solver's backup kernel at the single belief b."""
     from specbeam.pbvi import _backup_block, _cell_tensors
 
-    e, oz = _cell_tensors(model)
-    vecs, acts, _ = _backup_block(model, (b @ model.T)[None, :], alpha_mat, e, oz,
-                                  tie_tolerance(model))
+    vecs, acts, _ = _backup_block(model, (b @ model.T)[None, :], alpha_mat,
+                                  _cell_tensors(model), tie_tolerance(model))
     return vecs[0], int(acts[0])
 
 
@@ -493,7 +492,7 @@ def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
                 keep.append(i)
         return mat[keep], actions[keep]
 
-    e, oz = _cell_tensors(model)
+    cells = _cell_tensors(model)
     tol = tie_tolerance(model)
     tb = beliefs @ model.T
     eval0 = beliefs @ alphas_mat.T                              # (N, V)
@@ -506,7 +505,7 @@ def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        new_vecs, new_acts, _ = _backup_block(model, tb, alphas_mat, e, oz, tol)
+        new_vecs, new_acts, _ = _backup_block(model, tb, alphas_mat, cells, tol)
         new_vals = np.einsum("ns,ns->n", beliefs, new_vecs)
         take = adopts(new_vals, tracked, tol)
         anchors = np.where(take[:, None], new_vecs, anchors)

@@ -13,7 +13,8 @@ from _oracles import FixedActionAgent, dead_bin_model, reference_run_trial
 from specbeam import artifacts
 from specbeam.cli import (ROBUSTNESS_P, _load_agents, _metric_row, build_parser, main,
                           policy_filename)
-from specbeam.config import ConfigError, ExperimentConfig, default_config_dict
+from specbeam.config import (ConfigError, ExperimentConfig, default_config_dict,
+                             validate_config)
 from specbeam.pbvi import solve
 from specbeam.pomdp import initial_belief
 from specbeam.simulate import FixedPathDynamics, monte_carlo
@@ -66,6 +67,12 @@ UNRUNNABLE = [
      "discretization.high_db"),
     ({"propagation": {"noise_density_dbm_hz": 4000}}, "propagation.noise_density_dbm_hz"),
     ({"propagation": {"noise_density_dbm_hz": -4000}}, "propagation.noise_density_dbm_hz"),
+    # and configs whose gains or SNRs overflow: every gain inf, an OverflowError
+    # in r^eta, and finite gains whose SNR overflows
+    ({"propagation": {"k_const": 1e308, "tx_power_w": 1e308}}, "bands.0"),
+    ({"propagation": {"path_loss_exp": 400}}, "bands.0"),
+    ({"bands": [{"f_hz": 1.0e3, "bandwidth_hz": 1.0}], "propagation": {"k_const": 1e300}},
+     "bands.0"),
 ]
 
 
@@ -118,6 +125,22 @@ def test_cli_rejects_unrunnable_config_with_its_path(tmp_path, capsys, bad, path
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(path + ": ")
     assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_overflowing_gain():
+    """k_const and tx_power_w pass one at a time, but the gains they form do not."""
+    raw = default_config_dict()
+    raw["propagation"].update(k_const=1e308, tx_power_w=1e308)
+    probe = ExperimentConfig(raw=raw)       # built unvalidated: what solve would see
+    assert np.isinf(probe.build_model().gains).all()
+    with pytest.raises(ConfigError, match=r"^bands\.0: the aligned gain .* at cell 1 "):
+        validate_config(raw)
+    # the band named is the first that overflows
+    raw = default_config_dict()
+    raw["bands"][2]["bandwidth_hz"] = 1e-300
+    raw["propagation"]["noise_density_dbm_hz"] = -3000.0    # N0 W underflows to 0
+    with pytest.raises(ConfigError, match=r"^bands\.2: "):
+        validate_config(raw)
 
 
 def test_config_rejects_colliding_band_labels():

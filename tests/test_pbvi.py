@@ -14,8 +14,8 @@ from specbeam.config import ExperimentConfig
 from specbeam.mobility import MobilityModel, StateSpace
 from specbeam.pbvi import (Policy, backup_stage, default_epsilon,
                            expand_beliefs, first_near_max, initial_bound,
-                           solve, tie_tolerance, _BELIEF_CHUNK, _backup_block,
-                           _cell_tensors, _dedup_rows, _prune_dominated)
+                           solve, tie_tolerance, _backup_block, _cell_tensors,
+                           _dedup_rows, _prune_dominated)
 from specbeam.pomdp import PomdpModel, initial_belief
 from specbeam.simulate import PolicyAgent
 import _oracles
@@ -134,26 +134,60 @@ def _point_heavy_beliefs(model, n, rng):
     return pts
 
 
+def _reference_kernel(model, tb, alpha_mat, cells, tol):
+    """_oracles.reference_backup_block behind the solver kernel's signature."""
+    e, oz = cells[:2]
+    return reference_backup_block(model, tb, alpha_mat, e, oz, tol)
+
+
+def _assert_kernels_agree(model, tb, alpha_mat):
+    cells = _cell_tensors(model)
+    tol = tie_tolerance(model)
+    got = _backup_block(model, tb, alpha_mat, cells, tol)
+    want = _reference_kernel(model, tb, alpha_mat, cells, tol)
+    for name, g, w in zip(("vectors", "actions", "picks"), got, want):
+        assert np.array_equal(g, w), (name, len(tb), len(alpha_mat))
+    return got
+
+
 @pytest.mark.parametrize("band", [None, "39ghz"])
 @pytest.mark.parametrize("num_random", [3, 200])
 def test_backup_block_matches_reference_kernel(band, num_random):
-    """The max-reduce kernel returns the all-vector kernel's exact bits."""
+    """The live-column kernel returns the all-column kernel's exact bits."""
     sub = CFG.build_model(p=0.6, band_label=band)
-    e, oz = _cell_tensors(sub)
-    tol = tie_tolerance(sub)
-    assert not oz.any(axis=0).all()     # some (a, z) columns are zero everywhere
+    assert not _cell_tensors(sub)[1].any(axis=0).all()     # some (a, z) columns are dead
     rng = np.random.default_rng(21)
-    for n in (1, _BELIEF_CHUNK - 1, _BELIEF_CHUNK + 1, 70):
+    for n in (1, 2, 3, 70):
         point = _point_heavy_beliefs(sub, n, rng) @ sub.T
         dense = rng.dirichlet(np.ones(sub.num_states), size=n)
         for tb in (point, dense):
-            alpha_mat = _tied_alphas(sub, tb, rng, num_random)
-            got_vec, got_act, got_pick = _backup_block(sub, tb, alpha_mat, e, oz, tol)
-            want_vec, want_act, want_pick = reference_backup_block(
-                sub, tb, alpha_mat, e, oz, tol)
-            assert np.array_equal(got_act, want_act), n
-            assert np.array_equal(got_pick, want_pick), n
-            assert np.array_equal(got_vec, want_vec), n
+            _assert_kernels_agree(sub, tb, _tied_alphas(sub, tb, rng, num_random))
+
+
+@pytest.mark.parametrize("band", [None, "39ghz"])
+def test_backup_block_matches_reference_kernel_at_full_size(band):
+    """The default solve's last round: 256 beliefs against over 200 tied vectors."""
+    sub = CFG.build_model(p=0.6, band_label=band)
+    rng = np.random.default_rng(22)
+    tb = np.vstack([_point_heavy_beliefs(sub, 128, rng),
+                    rng.dirichlet(np.ones(sub.num_states), size=128)]) @ sub.T
+    alpha_mat = _tied_alphas(sub, tb, rng, 200)
+    assert len(tb) == 256 and len(alpha_mat) >= 200
+    _assert_kernels_agree(sub, tb, alpha_mat)
+
+
+def test_backup_block_picks_row_0_on_dead_columns():
+    """Where the chosen action's observation z is impossible in every cell,
+    every vector scores 0 and the rule picks row 0, as the reference does."""
+    sub = CFG.build_model(p=0.6)
+    dead = ~_cell_tensors(sub)[1].any(axis=0).reshape(sub.num_actions, -1)
+    rng = np.random.default_rng(23)
+    tb = rng.dirichlet(np.ones(sub.num_states), size=40)
+    _, acts, picks = _assert_kernels_agree(sub, tb, _tied_alphas(sub, tb, rng, 20))
+    on_dead = dead[acts]                                    # (N, Z)
+    assert on_dead.sum() >= 40                              # the case occurs, often
+    assert (picks[on_dead] == 0).all()
+    assert (picks[~on_dead] != 0).all()                     # row 0 never wins a live one
 
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
@@ -219,13 +253,18 @@ def test_mdp_upper_bound_oracle_on_tiny_model():
     assert bound[0] == pytest.approx(70.0, rel=1e-8)
 
 
-@pytest.mark.parametrize("p", [0.95, 0.35])
-def test_solve_bytes_match_reference_kernel(p, monkeypatch):
-    """Whole solves with either kernel give the same policy bytes and log."""
-    full = CFG.build_model(p=p)
+@pytest.mark.parametrize("band, p", [(None, 0.35), (None, 0.95), ("39ghz", 0.95)],
+                         ids=["0.35", "0.95", "39ghz-0.95"])
+def test_solve_bytes_match_reference_kernel(band, p, monkeypatch):
+    """Whole solves with either kernel give the same policy bytes and log.
+
+    The reference scores all columns in 32-belief chunks, so this also
+    holds the policy to any product shape: its rounding stays in the band.
+    """
+    full = CFG.build_model(p=p, band_label=band)
     b0 = initial_belief(full.states)
     got = solve(full, b0, num_stages=2)
-    monkeypatch.setattr(pbvi, "_backup_block", reference_backup_block)
+    monkeypatch.setattr(pbvi, "_backup_block", _reference_kernel)
     want = solve(full, b0, num_stages=2)
     assert got.alpha.tobytes() == want.alpha.tobytes()
     assert np.array_equal(got.actions, want.actions)
@@ -259,20 +298,6 @@ def test_tie_rule_matches_oracle():
     kept = fresh * (1.0 - rng.choice([-1e-12, 0.0, 0.5e-12, 2e-12], size=60))
     assert np.array_equal(pbvi._beats(fresh, kept, tol), _oracles.adopts(fresh, kept, tol))
     assert 0 < pbvi._beats(fresh, kept, tol).sum() < (kept < fresh).sum()
-
-
-@pytest.mark.parametrize("band, p", [(None, 0.35), (None, 0.95), ("39ghz", 0.95)])
-def test_solve_bytes_do_not_depend_on_chunk(band, p, monkeypatch):
-    """The chunk of the score product shapes BLAS rounding, not the policy."""
-    sub = CFG.build_model(p=p, band_label=band)
-    b0 = initial_belief(sub.states)
-    want = solve(sub, b0, num_stages=2)
-    for chunk in (1, 16, 32, 64):
-        monkeypatch.setattr(pbvi, "_BELIEF_CHUNK", chunk)
-        got = solve(sub, b0, num_stages=2)
-        assert got.alpha.tobytes() == want.alpha.tobytes(), chunk
-        assert np.array_equal(got.actions, want.actions), chunk
-        assert got.metadata["stages"] == want.metadata["stages"], chunk
 
 
 _SOLVE_HASHES = """

@@ -8,14 +8,18 @@ of the band's floor (relative to max(|top|, 2^-969)). This script records
 every decision of the default 4-stage sm solves at p = 0.35 and p = 0.95
 and of one 500-trial, 200-slot simulation of the p = 0.95 policy, and
 prints, per kind of decision, how many are that close and the smallest
-margin seen, in units of gamma_k.
+margin seen, in units of gamma_k. A decision's kind is read from the
+call that makes it: the calling function and the name of the scores it
+hands the rule, so a kernel may lay its scores along any axis.
 
-    PYTHONPATH=src:tests python tests/tie_edges.py [--stages 4] [--trials 500]
+    PYTHONPATH=src:tests python tests/tie_edges.py [--stages 4] [--trials 500] [--horizon 200]
 """
 
 from __future__ import annotations
 
 import argparse
+import linecache
+import re
 import sys
 from collections import defaultdict
 
@@ -27,8 +31,17 @@ from specbeam.config import ExperimentConfig
 from specbeam.pomdp import initial_belief
 
 
-_KINDS = {("_backup_block", 1): "backup action", ("_backup_block", 0): "backup vector",
-          ("backup_stage", 1): "stage-start vector", ("act", 1): "policy action"}
+_KINDS = {("_backup_block", "totals"): "backup action",
+          ("_backup_block", "scores"): "backup vector",
+          ("backup_stage", "eval0"): "stage-start vector",
+          ("act", "values"): "policy action"}
+
+
+def _kind(frame) -> str:
+    """The kind of the rule call on `frame`'s current line."""
+    line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+    scores = re.search(r"first_near_max\((\w+)", line).group(1)
+    return _KINDS[frame.f_code.co_name, scores]
 
 
 class EdgeLog:
@@ -40,7 +53,7 @@ class EdgeLog:
         self._beats = pbvi._beats
 
     def rule(self, scores, tol, axis=-1):
-        kind = _KINDS[sys._getframe(1).f_code.co_name, axis]
+        kind = _kind(sys._getframe(1))
         self.margins[kind].append(edge_margins(scores, tol, axis).ravel())
         return self._rule(scores, tol, axis)
 
