@@ -1,6 +1,7 @@
 """Backup correctness, monotone values, expansion, and policy extraction."""
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -253,22 +254,43 @@ def test_mdp_upper_bound_oracle_on_tiny_model():
     assert bound[0] == pytest.approx(70.0, rel=1e-8)
 
 
-@pytest.mark.parametrize("band, p", [(None, 0.35), (None, 0.95), ("39ghz", 0.95)],
-                         ids=["0.35", "0.95", "39ghz-0.95"])
-def test_solve_bytes_match_reference_kernel(band, p, monkeypatch):
-    """Whole solves with either kernel give the same policy bytes and log.
+_SOLVE_CASES = [(None, 0.35), (None, 0.95), ("39ghz", 0.95)]
 
-    The reference scores all columns in 32-belief chunks, so this also
-    holds the policy to any product shape: its rounding stays in the band.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _live_solve(band, p):
+    """The 2-stage solve with the live-column kernel, shared by the tests below."""
     full = CFG.build_model(p=p, band_label=band)
-    b0 = initial_belief(full.states)
-    got = solve(full, b0, num_stages=2)
-    monkeypatch.setattr(pbvi, "_backup_block", _reference_kernel)
-    want = solve(full, b0, num_stages=2)
+    return full, solve(full, initial_belief(full.states), num_stages=2)
+
+
+def _assert_solve_matches_reference(band, p, monkeypatch):
+    full, got = _live_solve(band, p)
+    with monkeypatch.context() as mp:
+        mp.setattr(pbvi, "_backup_block", _reference_kernel)
+        want = solve(full, initial_belief(full.states), num_stages=2)
     assert got.alpha.tobytes() == want.alpha.tobytes()
     assert np.array_equal(got.actions, want.actions)
     assert got.metadata["stages"] == want.metadata["stages"]
+
+
+@pytest.mark.parametrize("band, p", _SOLVE_CASES, ids=["0.35", "0.95", "39ghz-0.95"])
+def test_solve_bytes_match_reference_kernel(band, p, monkeypatch):
+    """Whole solves with either kernel give the same policy bytes and log."""
+    _assert_solve_matches_reference(band, p, monkeypatch)
+
+
+@pytest.mark.parametrize("band, p", _SOLVE_CASES)
+def test_solve_bytes_do_not_depend_on_chunk(band, p, monkeypatch):
+    """The chunk of the score product shapes BLAS rounding, not the policy.
+
+    The live kernel's products have other shapes than the reference's;
+    solves still match the reference scored in chunks of 1, 16 and 64
+    beliefs, as they match it at its own 32.
+    """
+    for chunk in (1, 16, 64):
+        monkeypatch.setattr(_oracles, "REFERENCE_CHUNK", chunk)
+        _assert_solve_matches_reference(band, p, monkeypatch)
 
 
 def test_tie_rule_matches_oracle():
