@@ -137,6 +137,7 @@ def cmd_solve(args) -> int:
           f"|V|={policy.alpha.shape[0]}, unconverged rounds: {unconverged}, "
           f"sweeps: {sum(st['sweeps'] for st in stages)} backup + "
           f"{sum(st['eval_sweeps'] for st in stages)} evaluation, "
+          f"exact evaluation solves: {sum(st['eval_solves'] for st in stages)}, "
           f"{wall_s:.1f}s -> {path}")
     return 0
 

@@ -478,7 +478,8 @@ def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
     belief and an exact-duplicate filter. It differs from the earlier code
     only in taking two of the kernel's three outputs, in filtering
     duplicates here, in deciding by this module's tie rule, and in
-    reporting `eval_sweeps: 0` so that solve's stage log has the same keys.
+    reporting `eval_sweeps: 0` and `eval_solves: 0` so that solve's stage
+    log has the same keys.
     """
     from specbeam.pbvi import _backup_block, _cell_tensors, _prune_dominated
 
@@ -519,7 +520,7 @@ def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
             converged = True
             break
     alphas_mat, alpha_actions = _prune_dominated(alphas_mat, alpha_actions)
-    info = {"sweeps": sweeps, "eval_sweeps": 0, "converged": converged}
+    info = {"sweeps": sweeps, "eval_sweeps": 0, "eval_solves": 0, "converged": converged}
     if collect_history:
         info["value_history"] = np.stack(history)
     return alphas_mat, alpha_actions, tracked, info

@@ -334,7 +334,7 @@ def test_cli_solve_manifest_keeps_stage_log(tmp_path, capsys):
     (stage,) = manifest["solver"]["stages"]
     assert stage == {"round": 1, "num_beliefs": manifest["num_beliefs"],
                      "num_alphas": stage["num_alphas"], "sweeps": 1,
-                     "eval_sweeps": 0, "converged": False,
+                     "eval_sweeps": 0, "eval_solves": 0, "converged": False,
                      "wall_s": stage["wall_s"]}
     policy = json.load(open(tmp_path / "out" / "sm_p0.6.policy.json"))
     del stage["wall_s"]             # the policy file keeps no wall time

@@ -193,7 +193,7 @@ def test_backup_block_picks_row_0_on_dead_columns():
 
 @pytest.mark.parametrize("p", [0.95, 0.35])
 def test_solve_improvement_path_matches_reference_stage(p, monkeypatch):
-    """With evaluation adopting nothing, solves match the stage without it.
+    """With both evaluation paths adopting nothing, solves match the stage without them.
 
     The plan bookkeeping and the duplicate filter then leave the improvement sweeps' policy bytes and stage log as the
     earlier stage code gives them.
@@ -202,6 +202,7 @@ def test_solve_improvement_path_matches_reference_stage(p, monkeypatch):
     b0 = initial_belief(full.states)
     with monkeypatch.context() as patch:
         patch.setattr(pbvi, "_evaluate_plans", lambda *args: 0)
+        patch.setattr(pbvi, "_solve_plans", lambda *args: 0)
         got = solve(full, b0, num_stages=2)
     with monkeypatch.context() as patch:
         patch.setattr(pbvi, "backup_stage", reference_backup_stage)
@@ -328,15 +329,17 @@ from specbeam.config import ExperimentConfig
 from specbeam.pbvi import solve
 from specbeam.pomdp import initial_belief
 cfg = ExperimentConfig.from_dict({})
-for band in (None, "39ghz"):
-    model = cfg.build_model(p=0.95, band_label=band)
-    pol = solve(model, initial_belief(model.states), num_stages=3)
+for band, p, stages in ((None, 0.95, 3), ("39ghz", 0.95, 3), (None, 0.35, 1)):
+    model = cfg.build_model(p=p, band_label=band)
+    pol = solve(model, initial_belief(model.states), num_stages=stages)
     print(hashlib.sha256(pol.alpha.tobytes() + pol.actions.tobytes()).hexdigest())
 """
 
 
 def test_solve_bytes_do_not_depend_on_blas_threads():
-    """3-stage sm and sf39 at p=0.95 under one and two OpenBLAS threads.
+    """3-stage sm and sf39 at p=0.95, and 1-stage sm at p=0.35, under one
+    and two OpenBLAS threads. The 1-stage solve plans at most 4 beliefs, so
+    the block solves of _solve_plans do all of its evaluation.
 
     OpenBLAS reads its thread count when numpy loads, so each count gets
     its own interpreter.
@@ -350,7 +353,7 @@ def test_solve_bytes_do_not_depend_on_blas_threads():
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         hashes.append(proc.stdout.split())
-    assert len(hashes[0]) == 2
+    assert len(hashes[0]) == 3
     assert hashes[0] == hashes[1]
 
 
@@ -527,6 +530,107 @@ def test_evaluate_plans_stop_rule_on_geometric_sum():
     assert run(0, 30.0) == (1, 30.0, 30.0)
     # a node below the tracked value is not adopted
     assert run(0, 31.0) == (1, 30.0, 31.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_calls():
+    """Every _solve_plans call of a 1-stage default solve at p=0.95: the
+    model and, per call, copies of its array arguments and its solve count."""
+    full = CFG.build_model(p=0.95)
+    calls = []
+
+    def spy(model, beliefs, anchors, tracked, planned, plan_acts, succ, tol):
+        args = tuple(x.copy() for x in (beliefs, anchors, tracked, planned, plan_acts, succ))
+        calls.append((args, exact(model, beliefs, anchors, tracked, planned,
+                                  plan_acts, succ, tol)))
+        return calls[-1][1]
+
+    exact = pbvi._solve_plans
+    pbvi._solve_plans = spy
+    try:
+        policy = solve(full, initial_belief(full.states), num_stages=1)
+    finally:
+        pbvi._solve_plans = exact
+    assert sum(st["eval_solves"] for st in policy.metadata["stages"]) == \
+        sum(n for _, n in calls)
+    return full, calls
+
+
+def _plan_set(size):
+    """The first plan set of `size` beliefs whose rows all adopted in one block solve."""
+    full, calls = _exact_calls()
+    for args, _ in calls:
+        beliefs, anchors, tracked, planned, plan_acts, succ = (x.copy() for x in args)
+        if planned.sum() != size:
+            continue
+        before = tracked.copy()
+        pbvi._solve_plans(full, beliefs, anchors, tracked, planned, plan_acts, succ,
+                          tie_tolerance(full))
+        if (tracked > before)[planned].all():
+            return full, *(x.copy() for x in args)
+    raise AssertionError(f"no {size}-belief plan set adopted in one solve")
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_solve_plans_match_iterated_limit(size):
+    """Block solves give the limit of the evaluation sweeps.
+
+    The planned beliefs start from the initial bound, which every sweep
+    then lifts pointwise, so with epsilon 0 the sweeps adopt until the gains
+    fall inside the tie band. The sweeps' nodes and the block solve's,
+    where every row adopts, agree to a relative 1e-9.
+    """
+    full, beliefs, anchors, tracked, planned, plan_acts, succ = _plan_set(size)
+    tol = tie_tolerance(full)
+    rows = np.flatnonzero(planned)
+    anchors[rows] = initial_bound(full)
+    tracked[rows] = -np.inf
+    swept, swept_vals = anchors.copy(), tracked.copy()
+    sweeps = pbvi._evaluate_plans(full, beliefs, swept, swept_vals, planned, plan_acts,
+                                  succ, 0.0, tol, 20_000)
+    assert sweeps < 20_000
+    assert pbvi._solve_plans(full, beliefs, anchors, tracked, planned, plan_acts,
+                             succ, tol) == 1
+    print(f"{size} beliefs: {sweeps} sweeps, largest relative difference "
+          f"{np.abs(swept - anchors).max() / np.abs(anchors).max():.2e}")
+    assert np.allclose(anchors, swept, rtol=1e-9, atol=0.0)
+    assert np.array_equal(tracked[rows], np.einsum("ks,ks->k", beliefs[rows], anchors[rows]))
+
+
+def test_solve_plans_on_geometric_sum():
+    """One state, a plan that repeats reward 7 at discount 0.9: the node is 70."""
+    tiny = _tiny_model(np.array([[3.0], [7.0]]), discount=0.9)
+    anchors, tracked = np.array([[30.0]]), np.array([30.0])
+    assert pbvi._solve_plans(tiny, np.array([[1.0]]), anchors, tracked, np.array([True]),
+                             np.array([1]), np.zeros((1, 2), dtype=int),
+                             tie_tolerance(tiny)) == 1
+    assert anchors[0, 0] == pytest.approx(70.0, rel=1e-12)
+    assert tracked[0] == anchors[0, 0]
+
+
+def test_solve_plans_fix_a_row_that_does_not_beat():
+    """A row whose node falls below its retained value keeps its anchor and
+    value; the other rows are solved again with it fixed at that anchor."""
+    full, beliefs, anchors, tracked, planned, plan_acts, succ = _plan_set(4)
+    tol = tie_tolerance(full)
+    rows = np.flatnonzero(planned)
+    first_vals = tracked.copy()
+    pbvi._solve_plans(full, beliefs, anchors.copy(), first_vals, planned, plan_acts,
+                      succ, tol)
+    stuck = rows[1]
+    tracked[stuck] = first_vals[stuck] * (1.0 + 1e-6)       # out of its node's reach
+    got, got_vals = anchors.copy(), tracked.copy()
+    assert pbvi._solve_plans(full, beliefs, got, got_vals, planned, plan_acts,
+                             succ, tol) == 2
+    assert np.array_equal(got[stuck], anchors[stuck]) and got_vals[stuck] == tracked[stuck]
+    rest = planned.copy()
+    rest[stuck] = False
+    want, want_vals = anchors.copy(), tracked.copy()
+    assert pbvi._solve_plans(full, beliefs, want, want_vals, rest, plan_acts,
+                             succ, tol) == 1
+    assert got.tobytes() == want.tobytes() and got_vals.tobytes() == want_vals.tobytes()
+    assert not np.array_equal(got[rows], anchors[rows])
+    assert (got_vals >= tracked).all()
 
 
 def test_plans_follow_the_backup_picks(model, monkeypatch):
