@@ -17,13 +17,11 @@ import sys
 import time
 
 from . import artifacts, pbvi
-from .config import ConfigError, ExperimentConfig
+from .config import ROBUSTNESS_P, ConfigError, ExperimentConfig
 from .pomdp import initial_belief
 from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
                        SlotLog, monte_carlo, perfect_info_rates, simulate_slots,
                        trial_means)
-
-ROBUSTNESS_P = (0.35, 0.95)
 
 
 def _util_column(band_label: str) -> str:
@@ -61,8 +59,10 @@ def _metric_row(m: Metrics, band_labels, agent: str, p: float, seed: int,
     return row
 
 
-def _solve_one(cfg: ExperimentConfig, agent: str, p: float, seed: int):
-    """Build the agent's (possibly band-restricted) model and solve it."""
+def _solve_and_save(cfg: ExperimentConfig, agent: str, p: float, seed: int, out_dir: str):
+    """Build the agent's (possibly band-restricted) model, solve it, and write
+    its policy and manifest into out_dir; returns (model, policy, path, wall_s)."""
+    t0 = time.perf_counter()
     model = cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
     sol = cfg.raw["solver"]
     policy = pbvi.solve(model, initial_belief(model.states),
@@ -70,7 +70,27 @@ def _solve_one(cfg: ExperimentConfig, agent: str, p: float, seed: int):
                         expansions_per_stage=sol["expansions_per_stage"],
                         epsilon=sol["epsilon"], max_sweeps=sol["max_sweeps"],
                         seed=seed, metric=sol["metric"])
-    return model, policy
+    wall_s = time.perf_counter() - t0
+    cfg_hash = cfg.content_hash()
+    digest = artifacts.model_digest(model)
+    path = os.path.join(out_dir, policy_filename(agent, p))
+    policy_hash = artifacts.save_policy(
+        path, policy, config_hash=cfg_hash, model_digest_hex=digest, agent=agent, p=p)
+    artifacts.save_manifest(path.removesuffix(".policy.json") + ".manifest.json", {
+        "config_hash": cfg_hash,
+        "model_digest": digest,
+        "policy_sha256": policy_hash,
+        "agent": agent,
+        "p": p,
+        "seed": seed,
+        "wall_s": wall_s,
+        "num_beliefs": policy.metadata["num_beliefs"],
+        "num_alphas": int(policy.alpha.shape[0]),
+        "solver": {**policy.metadata, "stages": [
+            {**st, "wall_s": w} for st, w in zip(policy.metadata["stages"],
+                                                 policy.stage_wall_s)]},
+    })
+    return model, policy, path, wall_s
 
 
 def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
@@ -90,10 +110,7 @@ def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
     for agent in cfg.agent_names():
         path = os.path.join(policy_dir, policy_filename(agent, p))
         if not os.path.exists(path):
-            model, policy = _solve_one(cfg, agent, p, seed)
-            artifacts.save_policy(path, policy, config_hash=cfg_hash,
-                                  model_digest_hex=artifacts.model_digest(model),
-                                  agent=agent, p=p)
+            model, policy = _solve_and_save(cfg, agent, p, seed, policy_dir)[:2]
         else:
             model = cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
             policy, _ = artifacts.load_policy(
@@ -109,29 +126,8 @@ def cmd_solve(args) -> int:
     p = args.p if args.p is not None else cfg.raw["mobility"]["p"]
     seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    model, policy = _solve_one(cfg, args.agent, p, seed)
-    wall_s = time.perf_counter() - t0
+    _, policy, path, wall_s = _solve_and_save(cfg, args.agent, p, seed, args.out)
     stages = policy.metadata["stages"]
-    cfg_hash = cfg.content_hash()
-    digest = artifacts.model_digest(model)
-    path = os.path.join(args.out, policy_filename(args.agent, p))
-    policy_hash = artifacts.save_policy(
-        path, policy, config_hash=cfg_hash,
-        model_digest_hex=digest, agent=args.agent, p=p)
-    artifacts.save_manifest(path.removesuffix(".policy.json") + ".manifest.json", {
-        "config_hash": cfg_hash,
-        "model_digest": digest,
-        "policy_sha256": policy_hash,
-        "agent": args.agent,
-        "p": p,
-        "seed": seed,
-        "wall_s": wall_s,
-        "num_beliefs": policy.metadata["num_beliefs"],
-        "num_alphas": int(policy.alpha.shape[0]),
-        "solver": {**policy.metadata, "stages": [
-            {**st, "wall_s": w} for st, w in zip(stages, policy.stage_wall_s)]},
-    })
     unconverged = sum(not st["converged"] for st in stages)
     print(f"solved {args.agent} at p={p:g}: |B|={policy.metadata['num_beliefs']}, "
           f"|V|={policy.alpha.shape[0]}, unconverged rounds: {unconverged}, "

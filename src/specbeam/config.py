@@ -21,8 +21,10 @@ from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
 from .geometry import SceneConfig, build_road
 from .mobility import MobilityModel
 from .pomdp import PomdpModel, band_gains, build_model, gain_table
+from .simulate import fixed_path_slots
 
 _K_FREE_SPACE = (SPEED_OF_LIGHT / (4.0 * math.pi)) ** 2
+ROBUSTNESS_P = (0.35, 0.95)     # the mobility p of the fixed-path study
 
 
 def default_config_dict() -> dict[str, Any]:
@@ -180,11 +182,19 @@ def validate_config(cfg: dict[str, Any]) -> None:
         for i, v in enumerate(grid):
             if not (_is_num(v) and (0.0 < v < 1.0 if key == "p_grid" else v > 0)):
                 raise ConfigError(f"simulation.{key}.{i}: out of range (got {v!r})")
+    # policy files are named by p in %g format (cli.policy_filename)
+    first_with_p_name = {f"{v:g}": (f"robustness p={v!r}", v) for v in ROBUSTNESS_P}
+    p_grid = _get(cfg, "simulation.p_grid")
+    for path, v in [("mobility.p", _get(cfg, "mobility.p")),
+                    *((f"simulation.p_grid.{i}", v) for i, v in enumerate(p_grid))]:
+        first, u = first_with_p_name.setdefault(f"{v:g}", (path, v))
+        if u != v:
+            raise ConfigError(f"{path}: has the policy file name p{v:g} of {first} "
+                              f"(got {v!r})")
     _require(cfg, "simulation.slot_s", pos, "must be a positive number")
     road_m = _get(cfg, "scene.road_y_max_m") - _get(cfg, "scene.road_y_min_m")
     for i, v in enumerate(_get(cfg, "simulation.speed_grid_kmh")):
-        # the fixed-path slot count of simulate.FixedPathDynamics
-        if math.floor(road_m / (v / 3.6 * _get(cfg, "simulation.slot_s"))) < 1:
+        if fixed_path_slots(road_m, v, _get(cfg, "simulation.slot_s")) < 1:
             raise ConfigError(f"simulation.speed_grid_kmh.{i}: travels past the "
                               f"{road_m:g} m road in one slot (got {v!r})")
     # The largest gain of a band is its aligned gain, the prefactor
@@ -249,20 +259,13 @@ class ExperimentConfig:
             json.dump(self.raw, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    # --- builders -------------------------------------------------------
+    # --- builders (scene, aperture, mobility: the section keys are the fields)
 
     def scene(self) -> SceneConfig:
-        s = self.raw["scene"]
-        return SceneConfig(bs_height_m=s["bs_height_m"],
-                           road_offset_m=s["road_offset_m"],
-                           road_y_min_m=s["road_y_min_m"],
-                           road_y_max_m=s["road_y_max_m"],
-                           ue_height_m=s["ue_height_m"],
-                           num_cells=s["num_cells"])
+        return SceneConfig(**self.raw["scene"])
 
     def aperture(self) -> ApertureSpec:
-        a = self.raw["aperture"]
-        return ApertureSpec(a_y_m=a["a_y_m"], a_z_m=a["a_z_m"])
+        return ApertureSpec(**self.raw["aperture"])
 
     def bands(self) -> tuple[BandConfig, ...]:
         ap = self.aperture()
@@ -278,9 +281,7 @@ class ExperimentConfig:
 
     def mobility(self, p: float | None = None) -> MobilityModel:
         m = self.raw["mobility"]
-        return MobilityModel(p=m["p"] if p is None else p,
-                             kappa1=m["kappa1"], kappa2=m["kappa2"],
-                             window=m["window"])
+        return MobilityModel(**(m if p is None else {**m, "p": p}))
 
     def band_labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.bands())

@@ -87,7 +87,7 @@ from typing import Any
 
 import numpy as np
 
-from .pomdp import PomdpModel, belief_update
+from .pomdp import PomdpModel, belief_update, inverse_cdf
 
 _EXACT_PLANS = 4        # at most this many planned beliefs: _solve_plans
 
@@ -408,18 +408,14 @@ def expand_beliefs(model: PomdpModel, beliefs: np.ndarray,
         raise ValueError(f"unknown metric {metric!r}")
     n0, n_s = beliefs.shape
     n_a = model.num_actions
-    top = n_s - 1
     # belief i's stream yields (u_s, u_s', u_z) for actions 0, 1, ... in turn
     u = np.concatenate([np.random.default_rng(ss).random((n_a, 3))
                         for ss in seed_seq.spawn(n0)])
     rows = np.repeat(np.arange(n0), n_a)
     acts = np.tile(np.arange(n_a), n0)
-    # inverse-CDF steps: on a non-decreasing cumsum row, the count of
-    # entries <= u equals searchsorted(row, u, side="right")
-    s = np.minimum((beliefs.cumsum(axis=1)[rows] <= u[:, :1]).sum(axis=1), top)
-    s2 = np.minimum((model.T.cumsum(axis=1)[s] <= u[:, 1:2]).sum(axis=1), top)
-    z = np.minimum((model.O.cumsum(axis=2)[acts, s2] <= u[:, 2:]).sum(axis=1),
-                   model.num_observations - 1)
+    s = inverse_cdf(beliefs.cumsum(axis=1)[rows], u[:, 0])
+    s2 = inverse_cdf(model.T.cumsum(axis=1)[s], u[:, 1])
+    z = inverse_cdf(model.O.cumsum(axis=2)[acts, s2], u[:, 2])
     cands, impossible = belief_update(model, beliefs[rows], model.O[acts, :, z])
     cands = cands.reshape(n0, n_a, n_s)
     impossible = impossible.reshape(n0, n_a)

@@ -176,6 +176,13 @@ def initial_belief(states: StateSpace) -> np.ndarray:
     return b
 
 
+def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: the index of u (n,) in each non-decreasing cumsum row
+    of cum (n, k) or (k,), count(cum <= u) = searchsorted(row, u, "right"),
+    capped at k - 1 against a last entry rounded below 1."""
+    return np.minimum((cum <= u[:, None]).sum(axis=-1), cum.shape[-1] - 1)
+
+
 def belief_update(model: PomdpModel, beliefs: np.ndarray, likelihood: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors of beliefs (n, |S|) given likelihood rows (n, |S|).

@@ -27,9 +27,13 @@ row block, which the rounding of the score product does not flip at ties.
 
 The runner keeps each agent-slot's action, rate and reset flag, about 10
 bytes, next to the shared cells and noise draws; SNRs, observations and
-beliefs last one slot. SlotLog.metrics gives the rows of monte_carlo,
-fixed_path_eval and the CLI's CSVs, and the CLI's trace log is written
-from the same log.
+beliefs last one slot. SlotLog.metrics gives each run's mean rate with its
+95% interval, band utilization and reset share: the rows of monte_carlo,
+fixed_path_eval and the CLI's CSVs. The CLI's trace log is written from the
+same log.
+
+A fixed path's slot count is fixed_path_slots, which config validation
+checks as well.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 from .arrays import aligned_gain, expected_rate
 from .geometry import SceneConfig, containing_cell
 from .pbvi import Policy, first_near_max, tie_tolerance
-from .pomdp import PomdpModel, belief_update, initial_belief
+from .pomdp import PomdpModel, belief_update, initial_belief, inverse_cdf
 
 _Z95 = 1.959963984540054
 
@@ -73,8 +77,9 @@ class PolicyAgent(Agent):
 class OracleAgent(Agent):
     """Perfect information: aligned beam, best channel for the cell's range."""
 
-    def __init__(self, model: PomdpModel, label: str = "oracle"):
-        self.label = label
+    label = "oracle"
+
+    def __init__(self, model: PomdpModel):
         self.model = model
         self._by_cell = np.array(
             [oracle_action(model, cell) for cell in range(1, len(model.road) + 1)])
@@ -96,43 +101,39 @@ class MarkovDynamics:
     """Ground-truth window dynamics drawn from the model's own chain."""
 
     def __init__(self, model: PomdpModel):
-        self.model = model
         self._b0_cum = initial_belief(model.states).cumsum()
         self._t_cum = model.T.cumsum(axis=1)
 
     def states(self, u: np.ndarray) -> np.ndarray:
-        """(n, h) states of n paths; u (n, h + 1) uniforms, column 0 the start.
-
-        Inverse-CDF steps: on a non-decreasing cumsum row, the count of
-        entries <= u equals searchsorted(row, u, side="right").
-        """
-        top = self.model.num_states - 1
-        state = np.minimum(np.searchsorted(self._b0_cum, u[:, 0], side="right"), top)
+        """(n, h) states of n paths; u (n, h + 1) uniforms, column 0 the start."""
+        state = inverse_cdf(self._b0_cum, u[:, 0])
         out = np.empty((u.shape[0], u.shape[1] - 1), dtype=int)
         for t in range(out.shape[1]):
-            state = np.minimum((self._t_cum[state] <= u[:, t + 1, None]).sum(axis=1), top)
+            state = inverse_cdf(self._t_cum[state], u[:, t + 1])
             out[:, t] = state
         return out
+
+
+def fixed_path_slots(road_m: float, speed_kmh: float, slot_s: float) -> int:
+    """Slots of a constant-speed traversal of a road_m road: floor(road_m / (v*slot_s))."""
+    if speed_kmh <= 0 or slot_s <= 0:
+        raise ValueError("speed and slot length must be positive")
+    return int(math.floor(road_m / (speed_kmh / 3.6 * slot_s)))
 
 
 class FixedPathDynamics:
     """Constant-speed traversal from y_min to y_max; consumes no randomness.
 
     The cell at slot t (t = 1, ..., n_slots) contains y_min + v*slot_s*t,
-    mirroring the move-then-transmit protocol of the Markov runs. The slot
-    count floor(road_length / (v*slot_s)) keeps every transmission on the
-    road.
+    mirroring the move-then-transmit protocol of the Markov runs, and
+    clamped to y_max: the last step may round past the road end.
     """
 
     def __init__(self, scene: SceneConfig, speed_kmh: float, slot_s: float):
-        if speed_kmh <= 0 or slot_s <= 0:
-            raise ValueError("speed and slot length must be positive")
-        self.scene = scene
-        self.speed_mps = speed_kmh / 3.6
-        self.slot_s = slot_s
-        self.n_slots = int(math.floor(scene.road_length_m / (self.speed_mps * slot_s)))
+        self.n_slots = fixed_path_slots(scene.road_length_m, speed_kmh, slot_s)
+        step = speed_kmh / 3.6 * slot_s
         self.cells = np.array([
-            containing_cell(scene, scene.road_y_min_m + self.speed_mps * slot_s * t)
+            containing_cell(scene, min(scene.road_y_min_m + step * t, scene.road_y_max_m))
             for t in range(1, self.n_slots + 1)], dtype=int)
 
 
@@ -143,12 +144,9 @@ class Metrics:
     label: str
     mean_rate_bps: float
     ci_halfwidth: float
-    confidence: float
     utilization: dict[str, float]
     num_trials: int
-    horizon: int
     reset_fraction: float
-    slot_mean_rates: np.ndarray | None = None
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -171,35 +169,6 @@ def _check_shared_chain(runs: list[tuple[PomdpModel, Agent]]) -> None:
                     f"of SNR bins and one state space")
 
 
-def _slots(runs: list[tuple[PomdpModel, Agent]], cells: np.ndarray, draws: np.ndarray):
-    """Per slot, the actions, rates and reset flags of all rows."""
-    first = runs[0][0]
-    n, horizon = cells.shape
-    blocks = [slice(r * n, (r + 1) * n) for r in range(len(runs))]
-    sigmas, widths = [], []
-    for model, _ in runs:
-        width = np.array([b.bandwidth_hz for b in model.bands])
-        sigma = np.array([model.consts.noise_variance_w(w) for w in width])
-        sigmas.append(sigma[model.actions.band_idx])
-        widths.append(width[model.actions.band_idx])
-    rows = n * len(runs)
-    likelihood = np.empty((rows, first.num_states))
-    b = np.tile(initial_belief(first.states), (rows, 1))
-    for t in range(horizon):
-        cell, e = cells[:, t], draws[:, t]
-        c = cell - 1
-        a, snr, width = np.empty(rows, dtype=int), np.empty(rows), np.empty(rows)
-        for (model, agent), block, sigma, bw in zip(runs, blocks, sigmas, widths):
-            act = agent.act(b[block], cell)
-            run_snr = model.gains[act, c] / (sigma[act] * e)
-            z = first.thresholds.searchsorted(run_snr, side="right")
-            likelihood[block] = model.O[act, :, z]
-            a[block], snr[block], width[block] = act, run_snr, bw[act]
-        rates = width * _elementwise(math.log2, 1.0 + snr)
-        b, resets = belief_update(first, b, likelihood)
-        yield a, rates, resets
-
-
 @dataclass
 class SlotLog:
     """What the runner keeps of the trials of a list of runs.
@@ -215,14 +184,25 @@ class SlotLog:
     rates: np.ndarray           # bits/s
     resets: np.ndarray
 
-    def metrics(self, keep_slots: bool = False) -> list[Metrics]:
+    def metrics(self) -> list[Metrics]:
         """Each run's mean rate with its 95% interval, band utilization and
-        reset share; keep_slots adds the mean rate of each slot."""
-        n, h = self.cells.shape
-        return [_summarize(model, agent.label, h, self.rates[r * n:(r + 1) * n],
-                           self.actions[r * n:(r + 1) * n],
-                           self.resets[r * n:(r + 1) * n], keep_slots)
-                for r, (model, agent) in enumerate(self.runs)]
+        reset share."""
+        n = len(self.cells)
+        out = []
+        for r, (model, agent) in enumerate(self.runs):
+            rows = slice(r * n, (r + 1) * n)
+            means = np.array(trial_means(self.rates[rows]))
+            counts = np.bincount(model.actions.band_idx[self.actions[rows]].ravel(),
+                                 minlength=len(model.bands))
+            total = int(counts.sum())
+            out.append(Metrics(
+                label=agent.label, mean_rate_bps=math.fsum(means) / n,
+                ci_halfwidth=(_Z95 * float(means.std(ddof=1)) / math.sqrt(n)
+                              if n > 1 else math.inf),
+                utilization={band.label: float(counts[q]) / total if total else 0.0
+                             for q, band in enumerate(model.bands)},
+                num_trials=n, reset_fraction=int(self.resets[rows].sum()) / max(total, 1)))
+        return out
 
 
 def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
@@ -237,22 +217,43 @@ def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     _check_shared_chain(runs)
+    first = runs[0][0]
     rngs = [[np.random.default_rng(ss) for ss in np.random.SeedSequence((seed, t)).spawn(2)]
             for t in range(num_trials)]
     if isinstance(dynamics, FixedPathDynamics):
         horizon = dynamics.n_slots
         cells = np.tile(dynamics.cells, (num_trials, 1))
     else:
-        cells = runs[0][0].states.cells()[dynamics.states(
+        cells = first.states.cells()[dynamics.states(
             np.array([path.random(horizon + 1) for path, _ in rngs]))]
     draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
     del rngs
-    shape = (num_trials * len(runs), horizon)
-    log = SlotLog(runs, cells, draws, rates=np.empty(shape), resets=np.empty(shape, bool),
-                  actions=np.empty(shape, np.min_scalar_type(
+    rows = num_trials * len(runs)
+    log = SlotLog(runs, cells, draws, rates=np.empty((rows, horizon)),
+                  resets=np.empty((rows, horizon), bool),
+                  actions=np.empty((rows, horizon), np.min_scalar_type(
                       max(len(m.actions) for m, _ in runs) - 1)))
-    for t, (a, rates, resets) in enumerate(_slots(runs, cells, draws)):
-        log.actions[:, t], log.rates[:, t], log.resets[:, t] = a, rates, resets
+    blocks = [slice(r * num_trials, (r + 1) * num_trials) for r in range(len(runs))]
+    sigmas, widths = [], []
+    for model, _ in runs:
+        width = np.array([b.bandwidth_hz for b in model.bands])
+        sigma = np.array([model.consts.noise_variance_w(w) for w in width])
+        sigmas.append(sigma[model.actions.band_idx])
+        widths.append(width[model.actions.band_idx])
+    likelihood = np.empty((rows, first.num_states))
+    b = np.tile(initial_belief(first.states), (rows, 1))
+    for t in range(horizon):
+        cell, e = cells[:, t], draws[:, t]
+        c = cell - 1
+        snr, width = np.empty(rows), np.empty(rows)
+        for (model, agent), block, sigma, bw in zip(runs, blocks, sigmas, widths):
+            act = agent.act(b[block], cell)
+            run_snr = model.gains[act, c] / (sigma[act] * e)
+            z = first.thresholds.searchsorted(run_snr, side="right")
+            likelihood[block] = model.O[act, :, z]
+            log.actions[block, t], snr[block], width[block] = act, run_snr, bw[act]
+        log.rates[:, t] = width * _elementwise(math.log2, 1.0 + snr)
+        b, log.resets[:, t] = belief_update(first, b, likelihood)
     return log
 
 
@@ -261,29 +262,8 @@ def trial_means(rates: np.ndarray) -> list[float]:
     return [float(row.mean()) if len(row) else 0.0 for row in rates]
 
 
-def _summarize(model: PomdpModel, label: str, horizon: int, rates: np.ndarray,
-               actions: np.ndarray, resets: np.ndarray, keep_slots: bool) -> Metrics:
-    """Metrics of (trials, slots) rates, actions and reset flags."""
-    n = len(rates)
-    means = np.array(trial_means(rates))
-    counts = np.bincount(model.actions.band_idx[actions].ravel(),
-                         minlength=len(model.bands))
-    mean = math.fsum(means) / n
-    sd = float(means.std(ddof=1)) if n > 1 else 0.0
-    half = _Z95 * sd / math.sqrt(n) if n > 1 else float("inf")
-    total_slots = int(counts.sum())
-    util = {band.label: (float(counts[q]) / total_slots if total_slots else 0.0)
-            for q, band in enumerate(model.bands)}
-    slot_means = rates.sum(axis=0) / n if keep_slots and horizon else None
-    return Metrics(label=label, mean_rate_bps=mean, ci_halfwidth=half,
-                   confidence=0.95, utilization=util, num_trials=n,
-                   horizon=horizon,
-                   reset_fraction=int(resets.sum()) / max(total_slots, 1),
-                   slot_mean_rates=slot_means)
-
-
 def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
-                horizon: int, seed: int, keep_slots: bool = False) -> list[Metrics]:
+                horizon: int, seed: int) -> list[Metrics]:
     """Paired Monte Carlo over agents on the runs' shared chain.
 
     `runs` pairs each agent with the model whose action space it uses
@@ -292,7 +272,7 @@ def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,
     """
     if runs:
         return simulate_slots(runs, MarkovDynamics(runs[0][0]), horizon, num_trials,
-                              seed).metrics(keep_slots)
+                              seed).metrics()
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     return []
@@ -304,7 +284,7 @@ def fixed_path_eval(model: PomdpModel, scene: SceneConfig, agent: Agent,
     """Constant-speed traversal; belief still evolves by the Markov model."""
     dyn = FixedPathDynamics(scene, speed_kmh, slot_s)
     return simulate_slots([(model, agent)], dyn, dyn.n_slots, num_trials,
-                          seed).metrics(keep_slots=True)[0]
+                          seed).metrics()[0]
 
 
 def perfect_info_rates(model: PomdpModel) -> dict[str, float]:

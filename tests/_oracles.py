@@ -686,14 +686,13 @@ def reference_run_trial(model, dynamics, agent, horizon: int, seed,
                            observations=obs, resets=resets, beliefs=beliefs)
 
 
-def reference_metrics(model, label: str, traces: list, keep_slots: bool = False):
+def reference_metrics(model, label: str, traces: list):
     """Metrics of one agent's reference_run_trial records, from the definitions.
 
     The mean rate is the math.fsum of the trial means over n, the 95%
     half-width 1.959963984540054 times the ddof=1 deviation of the trial
     means over sqrt(n) (infinite for one trial). Utilization and the reset
-    share count slots; the slot means add the trials' rate rows in trial
-    order and divide by n.
+    share count slots.
     """
     from specbeam.simulate import Metrics
 
@@ -705,19 +704,11 @@ def reference_metrics(model, label: str, traces: list, keep_slots: bool = False)
         for a in tr.actions:
             counts[model.actions.band_idx[a]] += 1
     slots = n * h
-    slot_means = None
-    if keep_slots and h:
-        slot_means = np.zeros(h)
-        for tr in traces:
-            slot_means += tr.rates
-        slot_means /= n
     return Metrics(label=label, mean_rate_bps=math.fsum(means) / n, ci_halfwidth=half,
-                   confidence=0.95,
                    utilization={band.label: counts[q] / slots if slots else 0.0
                                 for q, band in enumerate(model.bands)},
-                   num_trials=n, horizon=h,
-                   reset_fraction=sum(int(tr.resets.sum()) for tr in traces) / max(slots, 1),
-                   slot_mean_rates=slot_means)
+                   num_trials=n,
+                   reset_fraction=sum(int(tr.resets.sum()) for tr in traces) / max(slots, 1))
 
 
 # ----------------------------------------------- belief-grid value iteration

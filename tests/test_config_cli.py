@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracles import FixedActionAgent, dead_bin_model, reference_run_trial
-from specbeam import artifacts
+from specbeam import artifacts, cli, config
 from specbeam.cli import (ROBUSTNESS_P, _load_agents, _metric_row, build_parser, main,
                           policy_filename)
 from specbeam.config import (ConfigError, ExperimentConfig, default_config_dict,
@@ -61,7 +62,8 @@ def test_config_rejects_unknown_keys():
 
 
 # configs that passed validation and then failed in snr_thresholds, in
-# ExperimentConfig.constants (OverflowError) or in PropagationConstants
+# ExperimentConfig.constants (OverflowError), in PropagationConstants or,
+# for two p values with one policy file name, at loading a policy
 UNRUNNABLE = [
     ({"discretization": {"num_levels": 25, "low_db": 10, "high_db": 10}},
      "discretization.high_db"),
@@ -73,6 +75,7 @@ UNRUNNABLE = [
     ({"propagation": {"path_loss_exp": 400}}, "bands.0"),
     ({"bands": [{"f_hz": 1.0e3, "bandwidth_hz": 1.0}], "propagation": {"k_const": 1e300}},
      "bands.0"),
+    ({"simulation": {"p_grid": [0.4000001, 0.4000002]}}, "simulation.p_grid.1"),
 ]
 
 
@@ -171,6 +174,21 @@ def test_config_rejects_speed_without_slots():
         ExperimentConfig.from_dict({"simulation": {"speed_grid_kmh": [90.0, 3500.0]}})
     cfg = ExperimentConfig.from_dict({"simulation": {"speed_grid_kmh": [3400.0]}})
     assert FixedPathDynamics(cfg.scene(), 3400.0, 0.25).n_slots == 1
+
+
+def test_config_rejects_colliding_policy_names():
+    """Policy files are named by p in %g format; two p values may not share a name."""
+    cases = [({"simulation": {"p_grid": [0.4000001, 0.4000002]}},
+              "simulation.p_grid.1: has the policy file name p0.4 of simulation.p_grid.0 "),
+             ({"mobility": {"p": 0.3500001}},
+              "mobility.p: has the policy file name p0.35 of robustness p=0.35 "),
+             ({"mobility": {"p": 0.6}, "simulation": {"p_grid": [0.5, 0.6000001]}},
+              "simulation.p_grid.1: has the policy file name p0.6 of mobility.p ")]
+    for bad, message in cases:
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            ExperimentConfig.from_dict(bad)
+    ExperimentConfig.from_dict({"mobility": {"p": 0.35}, "simulation": {"p_grid": [0.35, 0.35]}})
+    assert cli.ROBUSTNESS_P is config.ROBUSTNESS_P
 
 
 def test_config_file_round_trip(tmp_path):
@@ -339,6 +357,31 @@ def test_cli_solve_manifest_keeps_stage_log(tmp_path, capsys):
     policy = json.load(open(tmp_path / "out" / "sm_p0.6.policy.json"))
     del stage["wall_s"]             # the policy file keeps no wall time
     assert policy["metadata"]["stages"] == [stage]
+
+
+def test_cli_solve_missing_writes_what_solve_writes(tmp_path, capsys):
+    """sweep-p --solve-missing writes each policy with solve's bytes and manifest."""
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict(TINY).dump(cfg_path)
+    swept, solved = tmp_path / "swept", tmp_path / "solved"
+    assert main(["sweep-p", "--config", cfg_path, "--out", str(tmp_path / "sweep.csv"),
+                 "--policies", str(swept), "--solve-missing"]) == 0
+    agents = ExperimentConfig.from_dict(TINY).agent_names()
+    for agent in agents:
+        assert main(["solve", "--config", cfg_path, "--out", str(solved),
+                     "--agent", agent, "--p", "0.6"]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(swept)) == sorted(os.listdir(solved))
+    for agent in agents:
+        name = policy_filename(agent, 0.6)
+        assert (swept / name).read_bytes() == (solved / name).read_bytes()
+        manifests = [json.load(open(d / name.replace(".policy.", ".manifest.")))
+                     for d in (swept, solved)]
+        for m in manifests:         # wall times aside, the manifests are equal
+            del m["wall_s"]
+            for st in m["solver"]["stages"]:
+                del st["wall_s"]
+        assert manifests[0] == manifests[1]
 
 
 def test_cli_util_columns_follow_configured_bands(tmp_path, capsys):
@@ -621,6 +664,34 @@ def test_cli_report_names_missing_robustness_speed(cli_dir, capsys):
     path, _ = _csv_variant(cli_dir, "one_fast.csv", "robust.csv", extra=[faster(sm)])
     message = _report_error(["--robustness", path], capsys)
     assert message == f"{path}: p=0.35: no 'oracle' row at speed_kmh=90"
+
+
+# configs at the edges of validation; each must run every command end to end
+RUNNABLE = {
+    "window-1": {"mobility": {"p": 0.6, "window": 1}},
+    "one-band": {"bands": [{"f_hz": 28.0e9, "bandwidth_hz": 100.0e6}]},
+    "degenerate-db": {"discretization": {"num_levels": 2, "low_db": 10, "high_db": 10}},
+    "empty-grids": {"simulation": {"p_grid": [], "speed_grid_kmh": []}},
+    "zero-stages": {"solver": {"num_stages": 0}},
+    "one-trial": {"simulation": {"num_trials": 1}},
+    "12.8kmh": {"simulation": {"speed_grid_kmh": [12.8]}},
+}
+
+
+@pytest.mark.parametrize("edit", RUNNABLE.values(), ids=RUNNABLE.keys())
+def test_cli_runs_edge_configs_end_to_end(tmp_path, capsys, edit):
+    raw = {k: v if isinstance(v, list) else {**TINY.get(k, {}), **v} for k, v in edit.items()}
+    cfg, pol = str(tmp_path / "exp.json"), str(tmp_path / "policies")
+    ExperimentConfig.from_dict({**TINY, **raw}).dump(cfg)
+    out = {name: str(tmp_path / name) for name in ("sweep.csv", "robust.csv", "report.md")}
+    for argv in (["solve", "--config", cfg, "--out", pol],
+                 ["sweep-p", "--config", cfg, "--out", out["sweep.csv"],
+                  "--policies", pol, "--solve-missing"],
+                 ["robustness", "--config", cfg, "--out", out["robust.csv"],
+                  "--policies", pol, "--solve-missing", "--traces", str(tmp_path / "t.jsonl")],
+                 ["report", "--config", cfg, "--sweep", out["sweep.csv"],
+                  "--robustness", out["robust.csv"], "--out", out["report.md"]]):
+        assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_console_entry_point_smoke():
