@@ -47,8 +47,9 @@ class ApertureSpec:
     a_z_m: float
 
     def __post_init__(self) -> None:
-        if self.a_y_m <= 0 or self.a_z_m <= 0:
-            raise ValueError("aperture sides must be positive")
+        for name in ("a_y_m", "a_z_m"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name}: must be a positive number (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,12 @@ class BandConfig:
     n_z: int
 
     def __post_init__(self) -> None:
-        if self.f_hz <= 0:
-            raise ValueError("f_hz must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if self.n_y < 1 or self.n_z < 1:
-            raise ValueError("element counts must be >= 1")
+        for name in ("f_hz", "bandwidth_hz"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name}: must be a positive number (got {value!r})")
+        for name in ("n_y", "n_z"):
+            if not (value := getattr(self, name)) >= 1:
+                raise ValueError(f"{name}: must be >= 1 (got {value!r})")
 
     @property
     def num_elements(self) -> int:
@@ -92,10 +93,9 @@ class PropagationConstants:
     noise_density_w_hz: float = 10.0 ** (-17.4) * 1e-3  # -174 dBm/Hz
 
     def __post_init__(self) -> None:
-        if min(self.k_const, self.tx_power_w, self.noise_density_w_hz) <= 0:
-            raise ValueError("propagation constants must be positive")
-        if self.path_loss_exp <= 0:
-            raise ValueError("path_loss_exp must be positive")
+        for name in ("k_const", "path_loss_exp", "tx_power_w", "noise_density_w_hz"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name}: must be a positive number (got {value!r})")
 
     def noise_variance_w(self, bandwidth_hz: float) -> float:
         """sigma^2 = N0 * W for a band of the given width."""
@@ -107,8 +107,8 @@ def elements_for_band(aperture: ApertureSpec, f_hz: float) -> tuple[int, int]:
 
     N = floor(2 * A / lambda) + 1 on each axis.
     """
-    if f_hz <= 0:
-        raise ValueError("f_hz must be positive")
+    if not f_hz > 0:
+        raise ValueError(f"f_hz: must be a positive number (got {f_hz!r})")
     lam = SPEED_OF_LIGHT / f_hz
     return (int(math.floor(2.0 * aperture.a_y_m / lam)) + 1,
             int(math.floor(2.0 * aperture.a_z_m / lam)) + 1)

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import artifacts, pbvi
-from .config import ROBUSTNESS_P, ConfigError, ExperimentConfig
+from .config import ROBUSTNESS_P, ConfigError, ExperimentConfig, check_policy_names
 from .pomdp import initial_belief
 from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
                        SlotLog, monte_carlo, perfect_info_rates, simulate_slots,
@@ -124,6 +124,7 @@ def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
 def cmd_solve(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     p = args.p if args.p is not None else cfg.raw["mobility"]["p"]
+    check_policy_names(cfg.raw, [("--p", p)])
     seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
     os.makedirs(args.out, exist_ok=True)
     _, policy, path, wall_s = _solve_and_save(cfg, args.agent, p, seed, args.out)

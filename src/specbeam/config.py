@@ -9,35 +9,28 @@ identical files hash identically regardless of key order or whitespace.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from .arrays import (ApertureSpec, BandConfig, PropagationConstants,
-                     SPEED_OF_LIGHT, aligned_gain, band_label, make_band)
+from .arrays import (ApertureSpec, BandConfig, PropagationConstants, aligned_gain,
+                     make_band)
 from .geometry import SceneConfig, build_road
 from .mobility import MobilityModel
-from .pomdp import PomdpModel, band_gains, build_model, gain_table
+from .pomdp import PomdpModel, band_gains, build_model, gain_table, snr_thresholds
 from .simulate import fixed_path_slots
 
-_K_FREE_SPACE = (SPEED_OF_LIGHT / (4.0 * math.pi)) ** 2
 ROBUSTNESS_P = (0.35, 0.95)     # the mobility p of the fixed-path study
 
 
 def default_config_dict() -> dict[str, Any]:
     """Mid-band urban-road scenario: three channels, 12 cells, 0.25 s slots."""
+    consts = PropagationConstants()
     return {
-        "scene": {
-            "bs_height_m": 10.0,
-            "road_offset_m": 10.0,
-            "road_y_min_m": -120.0,
-            "road_y_max_m": 120.0,
-            "ue_height_m": 1.5,
-            "num_cells": 12,
-        },
+        "scene": dataclasses.asdict(SceneConfig()),
         "aperture": {"a_y_m": 0.038, "a_z_m": 0.038},
         "bands": [
             {"f_hz": 15.0e9, "bandwidth_hz": 90.0e6},
@@ -45,12 +38,12 @@ def default_config_dict() -> dict[str, Any]:
             {"f_hz": 60.0e9, "bandwidth_hz": 100.0e6},
         ],
         "propagation": {
-            "k_const": _K_FREE_SPACE,
-            "path_loss_exp": 2.0,
-            "tx_power_w": 1.0,
+            "k_const": consts.k_const,
+            "path_loss_exp": consts.path_loss_exp,
+            "tx_power_w": consts.tx_power_w,
             "noise_density_dbm_hz": -174.0,
         },
-        "mobility": {"p": 0.95, "kappa1": 0.95, "kappa2": 0.95, "window": 2},
+        "mobility": dataclasses.asdict(MobilityModel(p=0.95)),
         "discretization": {"num_levels": 25, "low_db": -50.0, "high_db": 80.0},
         "solver": {
             "discount": 0.99,
@@ -110,22 +103,40 @@ def _n0_w_hz(dbm_hz: float) -> float:
         return math.inf
 
 
+def _build(path: str, make):
+    """make(), its ValueError "<field>: ..." re-raised as ConfigError("<path>.<field>: ...")."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+
+
+def check_policy_names(cfg: dict[str, Any], extra=()) -> None:
+    """Raise ConfigError if two distinct p values share a policy file name, f"{p:g}"
+    (cli.policy_filename). Checks the robustness pair, mobility.p, simulation.p_grid,
+    then the (name, p) pairs of extra, and names the later of the two."""
+    first_with_p_name = {f"{v:g}": (f"robustness p={v!r}", v) for v in ROBUSTNESS_P}
+    for path, v in [("mobility.p", cfg["mobility"]["p"]),
+                    *((f"simulation.p_grid.{i}", v)
+                      for i, v in enumerate(cfg["simulation"]["p_grid"])), *extra]:
+        first, u = first_with_p_name.setdefault(f"{v:g}", (path, v))
+        if u != v:
+            raise ConfigError(f"{path}: has the policy file name p{v:g} of {first} "
+                              f"(got {v!r})")
+
+
 def validate_config(cfg: dict[str, Any]) -> None:
-    """Raise ConfigError naming the first offending field path."""
-    pos = lambda v: _is_num(v) and v > 0
-    prob = lambda v: _is_num(v) and 0.0 <= v <= 1.0
-    _require(cfg, "scene.bs_height_m", pos, "must be a positive number")
-    _require(cfg, "scene.road_offset_m", pos, "must be a positive number")
-    _require(cfg, "scene.road_y_min_m", _is_num, "must be a number")
-    _require(cfg, "scene.road_y_max_m", _is_num, "must be a number")
-    if _get(cfg, "scene.road_y_max_m") <= _get(cfg, "scene.road_y_min_m"):
-        raise ConfigError("scene.road_y_max_m: must exceed scene.road_y_min_m")
-    _require(cfg, "scene.ue_height_m", pos, "must be a positive number")
-    _require_int(cfg, "scene.num_cells", 2)
-    if _get(cfg, "scene.ue_height_m") >= _get(cfg, "scene.bs_height_m"):
-        raise ConfigError("scene.ue_height_m: must be below scene.bs_height_m")
-    _require(cfg, "aperture.a_y_m", pos, "must be a positive number")
-    _require(cfg, "aperture.a_z_m", pos, "must be a positive number")
+    """Raise ConfigError naming the first offending field path. A section that
+    a model object takes is checked by building it: its constructor states the
+    section's range rules, and names the field in its ValueError."""
+    # every field is present, and each float field holds a finite JSON number
+    for section, fields in default_config_dict().items():
+        for key, default in fields.items() if isinstance(fields, dict) else ():
+            _require(cfg, f"{section}.{key}",
+                     lambda v: _is_num(v) or not isinstance(default, float), "must be a number")
+    probe = ExperimentConfig(raw=cfg)
+    scene = _build("scene", probe.scene)
+    aperture = _build("aperture", probe.aperture)
     bands = _get(cfg, "bands")
     if not isinstance(bands, list) or not bands:
         raise ConfigError("bands: must be a non-empty list")
@@ -136,39 +147,25 @@ def validate_config(cfg: dict[str, Any]) -> None:
         unknown = sorted(set(bands[i]) - {"f_hz", "bandwidth_hz"})
         if unknown:
             raise ConfigError(f"bands.{i}.{unknown[0]}: unknown field")
-        _require(cfg, f"bands.{i}.f_hz", pos, "must be a positive number")
-        _require(cfg, f"bands.{i}.bandwidth_hz", pos, "must be a positive number")
+        for key in ("f_hz", "bandwidth_hz"):
+            _require(cfg, f"bands.{i}.{key}", _is_num, "must be a number")
+        label = _build(f"bands.{i}", lambda: make_band(aperture, **bands[i])).label
         # labels name the single-band agents, their policy files and util_* columns
-        label = band_label(bands[i]["f_hz"])
         j = first_with_label.setdefault(label, i)
         if j != i:
             raise ConfigError(f"bands.{i}.f_hz: has the label {label!r} of bands.{j}.f_hz "
                               f"(got {bands[i]['f_hz']!r})")
-    _require(cfg, "propagation.k_const", pos, "must be a positive number")
-    _require(cfg, "propagation.path_loss_exp", pos, "must be a positive number")
-    _require(cfg, "propagation.tx_power_w", pos, "must be a positive number")
-    _require(cfg, "propagation.noise_density_dbm_hz", _is_num, "must be a number")
     _require(cfg, "propagation.noise_density_dbm_hz", lambda v: 0.0 < _n0_w_hz(v) < math.inf,
              "N0 = 10^(v/10) * 1e-3 W/Hz must be a finite positive float")
-    _require(cfg, "mobility.p",
-             lambda v: _is_num(v) and 0.0 < v < 1.0, "must lie in (0, 1)")
-    _require(cfg, "mobility.kappa1", prob, "must lie in [0, 1]")
-    _require(cfg, "mobility.kappa2", prob, "must lie in [0, 1]")
-    _require(cfg, "mobility.window",
-             lambda v: v in (1, 2) and not isinstance(v, bool), "must be 1 or 2")
-    _require_int(cfg, "discretization.num_levels", 2)
-    _require(cfg, "discretization.low_db", _is_num, "must be a number")
-    _require(cfg, "discretization.high_db", _is_num, "must be a number")
-    d = _get(cfg, "discretization")
-    if d["high_db"] < d["low_db"] or (d["num_levels"] > 2 and d["high_db"] == d["low_db"]):
-        raise ConfigError("discretization.high_db: must exceed discretization.low_db "
-                          "(or equal it when num_levels is 2)")
+    consts = _build("propagation", probe.constants)
+    _build("mobility", probe.mobility)
+    _build("discretization", lambda: snr_thresholds(**cfg["discretization"]))
     _require(cfg, "solver.discount",
              lambda v: _is_num(v) and 0.0 < v < 1.0, "must lie in (0, 1)")
     _require_int(cfg, "solver.num_stages", 0)
     _require_int(cfg, "solver.expansions_per_stage", 1)
     eps = _get(cfg, "solver.epsilon")
-    if eps is not None and not pos(eps):
+    if eps is not None and not (_is_num(eps) and eps > 0):
         raise ConfigError(f"solver.epsilon: must be null or positive (got {eps!r})")
     _require_int(cfg, "solver.max_sweeps", 1)
     _require_int(cfg, "solver.seed", 0, "must be a nonnegative integer")
@@ -182,26 +179,16 @@ def validate_config(cfg: dict[str, Any]) -> None:
         for i, v in enumerate(grid):
             if not (_is_num(v) and (0.0 < v < 1.0 if key == "p_grid" else v > 0)):
                 raise ConfigError(f"simulation.{key}.{i}: out of range (got {v!r})")
-    # policy files are named by p in %g format (cli.policy_filename)
-    first_with_p_name = {f"{v:g}": (f"robustness p={v!r}", v) for v in ROBUSTNESS_P}
-    p_grid = _get(cfg, "simulation.p_grid")
-    for path, v in [("mobility.p", _get(cfg, "mobility.p")),
-                    *((f"simulation.p_grid.{i}", v) for i, v in enumerate(p_grid))]:
-        first, u = first_with_p_name.setdefault(f"{v:g}", (path, v))
-        if u != v:
-            raise ConfigError(f"{path}: has the policy file name p{v:g} of {first} "
-                              f"(got {v!r})")
-    _require(cfg, "simulation.slot_s", pos, "must be a positive number")
-    road_m = _get(cfg, "scene.road_y_max_m") - _get(cfg, "scene.road_y_min_m")
+    check_policy_names(cfg)
+    _require(cfg, "simulation.slot_s", lambda v: v > 0, "must be a positive number")
     for i, v in enumerate(_get(cfg, "simulation.speed_grid_kmh")):
-        if fixed_path_slots(road_m, v, _get(cfg, "simulation.slot_s")) < 1:
+        if fixed_path_slots(scene.road_length_m, v, _get(cfg, "simulation.slot_s")) < 1:
             raise ConfigError(f"simulation.speed_grid_kmh.{i}: travels past the "
-                              f"{road_m:g} m road in one slot (got {v!r})")
+                              f"{scene.road_length_m:g} m road in one slot (got {v!r})")
     # The largest gain of a band is its aligned gain, the prefactor
     # K P_T / (r^eta f^2 N) of every gain times N^2; over N0 W it is the
     # largest SNR that the model and the oracle agent compute.
-    probe = ExperimentConfig(raw=cfg)
-    consts, road = probe.constants(), build_road(probe.scene())
+    road = build_road(scene)
     for i, band in enumerate(probe.bands()):
         for cell in road:
             try:
@@ -215,7 +202,7 @@ def validate_config(cfg: dict[str, Any]) -> None:
                     f"at cell {cell.index} (r = {cell.r_m:g} m) is not a finite float")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated configuration with builders for every model object."""
 
@@ -259,7 +246,7 @@ class ExperimentConfig:
             json.dump(self.raw, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    # --- builders (scene, aperture, mobility: the section keys are the fields)
+    # --- builders: the section keys are the fields, but for N0 in dBm/Hz
 
     def scene(self) -> SceneConfig:
         return SceneConfig(**self.raw["scene"])
@@ -269,15 +256,12 @@ class ExperimentConfig:
 
     def bands(self) -> tuple[BandConfig, ...]:
         ap = self.aperture()
-        return tuple(make_band(ap, b["f_hz"], b["bandwidth_hz"])
-                     for b in self.raw["bands"])
+        return tuple(make_band(ap, **b) for b in self.raw["bands"])
 
     def constants(self) -> PropagationConstants:
-        pr = self.raw["propagation"]
-        return PropagationConstants(k_const=pr["k_const"],
-                                    path_loss_exp=pr["path_loss_exp"],
-                                    tx_power_w=pr["tx_power_w"],
-                                    noise_density_w_hz=_n0_w_hz(pr["noise_density_dbm_hz"]))
+        pr = dict(self.raw["propagation"])
+        n0 = _n0_w_hz(pr.pop("noise_density_dbm_hz"))
+        return PropagationConstants(**pr, noise_density_w_hz=n0)
 
     def mobility(self, p: float | None = None) -> MobilityModel:
         m = self.raw["mobility"]

@@ -25,14 +25,16 @@ class SceneConfig:
     num_cells: int = 12
 
     def __post_init__(self) -> None:
-        if self.num_cells < 2:
-            raise ValueError(f"num_cells must be >= 2, got {self.num_cells}")
-        if not self.road_y_max_m > self.road_y_min_m:
-            raise ValueError("road_y_max_m must exceed road_y_min_m")
-        if self.road_offset_m <= 0:
-            raise ValueError("road_offset_m must be positive")
-        if self.bs_height_m <= self.ue_height_m:
-            raise ValueError("bs_height_m must exceed ue_height_m")
+        for name in ("bs_height_m", "road_offset_m", "ue_height_m"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name}: must be a positive number (got {value!r})")
+        if not self.ue_height_m < self.bs_height_m:
+            raise ValueError(f"ue_height_m: must be below bs_height_m (got {self.ue_height_m!r})")
+        if not 0 < self.road_length_m < math.inf:
+            raise ValueError(f"road_y_max_m: must exceed road_y_min_m by a finite float "
+                             f"(got {self.road_y_max_m!r})")
+        if type(self.num_cells) is not int or self.num_cells < 2:
+            raise ValueError(f"num_cells: must be an integer >= 2 (got {self.num_cells!r})")
 
     @property
     def road_length_m(self) -> float:

@@ -33,13 +33,12 @@ class MobilityModel:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if not 0.0 <= self.kappa1 <= 1.0:
-            raise ValueError(f"kappa1 must lie in [0, 1], got {self.kappa1}")
-        if not 0.0 <= self.kappa2 <= 1.0:
-            raise ValueError(f"kappa2 must lie in [0, 1], got {self.kappa2}")
-        if self.window not in (1, 2):
-            raise ValueError(f"window must be 1 or 2, got {self.window}")
+            raise ValueError(f"p: must lie in (0, 1) (got {self.p!r})")
+        for name in ("kappa1", "kappa2"):
+            if not 0.0 <= (value := getattr(self, name)) <= 1.0:
+                raise ValueError(f"{name}: must lie in [0, 1] (got {value!r})")
+        if isinstance(self.window, bool) or self.window not in (1, 2):
+            raise ValueError(f"window: must be 1 or 2 (got {self.window!r})")
 
 
 @dataclass(frozen=True)

@@ -63,16 +63,18 @@ def snr_thresholds(num_levels: int, low_db: float, high_db: float) -> np.ndarray
     """num_levels - 1 linear-scale bin edges, equally spaced in dB.
 
     The edges span [low_db, high_db] inclusive; bins are [0, t_1), ...,
-    [t_{M-1}, inf).
+    [t_{M-1}, inf), and observation_probs needs finite, positive, increasing edges.
     """
-    if num_levels < 2:
-        raise ValueError("num_levels must be >= 2")
-    if high_db < low_db:
-        raise ValueError("high_db must be >= low_db")
-    if num_levels > 2 and high_db == low_db:
-        raise ValueError("a degenerate dB range supports only num_levels == 2")
-    edges_db = np.linspace(low_db, high_db, num_levels - 1)
-    return 10.0 ** (edges_db / 10.0)
+    if type(num_levels) is not int or num_levels < 2:
+        raise ValueError(f"num_levels: must be an integer >= 2 (got {num_levels!r})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        thr = 10.0 ** (np.linspace(low_db, high_db, num_levels - 1) / 10.0)
+    if not (high_db >= low_db and 0 < thr[0] and thr[-1] < np.inf and (np.diff(thr) > 0).all()):
+        raise ValueError(f"{'high_db' if 0 < thr[0] < np.inf else 'low_db'}: the "
+                         f"num_levels - 1 edges 10^(dB/10) from low_db up to high_db must "
+                         f"be finite, positive and strictly increasing floats (got "
+                         f"{num_levels!r} levels, {low_db!r} to {high_db!r} dB)")
+    return thr
 
 
 def gain_table(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],

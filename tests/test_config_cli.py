@@ -14,10 +14,14 @@ from _oracles import FixedActionAgent, dead_bin_model, reference_run_trial
 from specbeam import artifacts, cli, config
 from specbeam.cli import (ROBUSTNESS_P, _load_agents, _metric_row, build_parser, main,
                           policy_filename)
+from specbeam.arrays import (ApertureSpec, BandConfig, PropagationConstants,
+                             elements_for_band)
 from specbeam.config import (ConfigError, ExperimentConfig, default_config_dict,
                              validate_config)
+from specbeam.geometry import SceneConfig
+from specbeam.mobility import MobilityModel
 from specbeam.pbvi import solve
-from specbeam.pomdp import initial_belief
+from specbeam.pomdp import initial_belief, snr_thresholds
 from specbeam.simulate import FixedPathDynamics, monte_carlo
 
 TINY = {
@@ -76,6 +80,18 @@ UNRUNNABLE = [
     ({"bands": [{"f_hz": 1.0e3, "bandwidth_hz": 1.0}], "propagation": {"k_const": 1e300}},
      "bands.0"),
     ({"simulation": {"p_grid": [0.4000001, 0.4000002]}}, "simulation.p_grid.1"),
+    # a road whose length overflows, on which validation itself raised OverflowError;
+    # SNR edges that underflow to 0 or round to one value, which observation_probs
+    # rejected naming no field; and edges that overflow to inf or NaN, with which
+    # the model was built and numpy warned
+    ({"scene": {"road_y_min_m": -1e308, "road_y_max_m": 1e308}}, "scene.road_y_max_m"),
+    ({"discretization": {"num_levels": 3, "low_db": -5000, "high_db": -4000}},
+     "discretization.low_db"),
+    ({"discretization": {"num_levels": 3, "low_db": 0.0, "high_db": 1e-300}},
+     "discretization.high_db"),
+    ({"discretization": {"num_levels": 3, "low_db": 4000, "high_db": 5000}},
+     "discretization.low_db"),
+    ({"discretization": {"low_db": -1e308, "high_db": 1e308}}, "discretization.low_db"),
 ]
 
 
@@ -114,6 +130,21 @@ def test_config_rejects_bad_values():
     for dbm_hz in (3000.0, -3000.0):
         assert 0.0 < ExperimentConfig.from_dict(
             {"propagation": {"noise_density_dbm_hz": dbm_hz}}).constants().noise_density_w_hz
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SceneConfig(ue_height_m=-1.0), "ue_height_m"),
+    (lambda: ApertureSpec(a_y_m=0.038, a_z_m=0.0), "a_z_m"),
+    (lambda: BandConfig(f_hz=15e9, bandwidth_hz=-1.0, n_y=4, n_z=4), "bandwidth_hz"),
+    (lambda: elements_for_band(ApertureSpec(a_y_m=0.038, a_z_m=0.038), 0.0), "f_hz"),
+    (lambda: PropagationConstants(tx_power_w=0.0), "tx_power_w"),
+    (lambda: MobilityModel(p=0.5, window=True), "window"),
+    (lambda: snr_thresholds(3, 4000.0, 5000.0), "low_db"),
+], ids=["scene", "aperture", "band", "elements", "propagation", "mobility", "thresholds"])
+def test_constructors_name_the_bad_field(make, field):
+    """validate_config prefixes these messages with the section's dotted path."""
+    with pytest.raises(ValueError, match=f"^{field}: .* \\(got .*\\)$"):
+        make()
 
 
 @pytest.mark.parametrize("bad, path", UNRUNNABLE)
@@ -189,6 +220,25 @@ def test_config_rejects_colliding_policy_names():
             ExperimentConfig.from_dict(bad)
     ExperimentConfig.from_dict({"mobility": {"p": 0.35}, "simulation": {"p_grid": [0.35, 0.35]}})
     assert cli.ROBUSTNESS_P is config.ROBUSTNESS_P
+
+
+def test_cli_solve_rejects_p_with_a_taken_policy_name(tmp_path, capsys):
+    """solve --p may not write the policy file of another configured p, which
+    the next sweep-p would reject with a model digest mismatch."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**TINY, "simulation": {**TINY["simulation"],
+                                                           "p_grid": [0.4]}}))
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--p"]
+    for p, taken in (("0.4000001", "p0.4 of simulation.p_grid.0"),
+                     ("0.3500001", "p0.35 of robustness p=0.35"),
+                     ("0.6000001", "p0.6 of mobility.p")):
+        assert main([*argv, p]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message":
+                       f"--p: has the policy file name {taken} (got {float(p)!r})"}
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "0.4"]) == 0
+    assert (tmp_path / "out" / policy_filename("sm", 0.4)).exists()
 
 
 def test_config_file_round_trip(tmp_path):
