@@ -229,5 +229,6 @@ def observation_probs(g: float | np.ndarray, sigma_sq: float | np.ndarray,
         raise ValueError("sigma_sq must be positive")
     if np.any(g < 0):
         raise ValueError("gain must be non-negative")
-    cdf = np.exp(-np.divide(g, sigma_sq)[..., None] / thr)
+    with np.errstate(over="ignore"):    # g/s^2 over a tiny edge: exp(-inf) = 0 is the limit
+        cdf = np.exp(-np.divide(g, sigma_sq)[..., None] / thr)
     return np.diff(cdf, prepend=0.0, append=1.0)

@@ -124,6 +124,10 @@ def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
 def cmd_solve(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     p = args.p if args.p is not None else cfg.raw["mobility"]["p"]
+    try:
+        cfg.mobility(p)
+    except ValueError as exc:           # "p: ..." from MobilityModel
+        raise ConfigError(f"--{exc}") from exc
     check_policy_names(cfg.raw, [("--p", p)])
     seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
     os.makedirs(args.out, exist_ok=True)

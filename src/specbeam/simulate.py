@@ -13,24 +13,26 @@ streams, spawned from SeedSequence((seed, t)), are drawn once, so its path
 and noise draws are one array shared by every run, not equal copies.
 
 The beliefs of all runs are the rows of one matrix, a block of trials per
-run, and all trials advance one slot at a time. Each agent acts on its own
-block, each run gathers its likelihood rows O[a, :, z] from its own model,
-and one pomdp.belief_update call per slot updates every row. Paths and
-noise do not depend on actions, so they are drawn before the loop
-(Generator.random(h) equals h single draws; fixed paths draw nothing).
-Every slot is bit-identical to a per-trial, per-agent loop:
-pomdp.belief_update stacks per-row matrix-vector products with np.matmul
-(a batched B @ T rounds the beliefs differently), the logs are
-math.log1p/math.log2, which differ from the numpy ufuncs in the last bit,
-and actions are pbvi.first_near_max decisions on each agent's unchanged
-row block, which the rounding of the score product does not flip at ties.
+run, and all trials advance one slot at a time. Per slot, one PolicyBank
+rule call decides every PolicyAgent row (a bank per agent if the padded
+scores would outgrow the beliefs), other agents act on their own blocks,
+gains, noise and likelihood rows O[a, :, z] come from the runs' stacked
+tables, and one pomdp.belief_update call updates every row; rates are
+formed from the stored SNRs after the loop. Paths and noise do not depend
+on actions, so they are drawn before the loop (Generator.random(h) equals
+h single draws; fixed paths draw nothing). Every slot is bit-identical to
+a per-trial, per-agent loop: pomdp.belief_update stacks per-row
+matrix-vector products with np.matmul (a batched B @ T rounds the beliefs
+differently), the logs are math.log1p/math.log2, which differ from the
+numpy ufuncs in the last bit, and each decision is the rule's arithmetic
+on the scores an agent forms alone from its unchanged row block.
 
 The runner keeps each agent-slot's action, rate and reset flag, about 10
-bytes, next to the shared cells and noise draws; SNRs, observations and
-beliefs last one slot. SlotLog.metrics gives each run's mean rate with its
-95% interval, band utilization and reset share: the rows of monte_carlo,
-fixed_path_eval and the CLI's CSVs. The CLI's trace log is written from the
-same log.
+bytes, next to the shared cells (one row on a fixed path) and noise draws;
+observations and beliefs last one slot. SlotLog.metrics gives each run's
+mean rate with its 95% interval, band utilization and reset share: the
+rows of monte_carlo, fixed_path_eval and the CLI's CSVs. The CLI's trace
+log is written from the same log.
 
 A fixed path's slot count is fixed_path_slots, which config validation
 checks as well.
@@ -70,8 +72,32 @@ class PolicyAgent(Agent):
         self.tol = tie_tolerance(model)
 
     def act(self, beliefs: np.ndarray, true_cells: np.ndarray) -> np.ndarray:
-        values = beliefs @ self.policy.alpha.T
-        return self.policy.actions[first_near_max(values, self.tol, axis=1)]
+        return PolicyBank([self], [slice(0, len(beliefs))]).act(beliefs)
+
+
+class PolicyBank:
+    """PolicyAgents deciding together, each for its block of n belief rows.
+
+    Agent i's scores, the product b_i @ alpha_i.T it forms alone, fill rows
+    i*n, ..., i*n + n - 1 of one matrix padded with -inf to the longest
+    alpha set; one first_near_max call, each row with its agent's
+    tolerance, picks every row's vector, so each decision is the agent's own."""
+
+    def __init__(self, agents: list[PolicyAgent], blocks: list[slice]):
+        self.alphas, self.blocks = [a.policy.alpha for a in agents], blocks
+        self.rows = np.r_[tuple(blocks)]
+        self.n, sizes = len(self.rows) // len(agents), [len(a.policy.actions) for a in agents]
+        self.tol = np.repeat([a.tol for a in agents], self.n)[:, None]
+        self.first = np.repeat(np.cumsum([0] + sizes[:-1]), self.n)
+        self.actions, self.width = np.concatenate([a.policy.actions for a in agents]), max(sizes)
+
+    def act(self, beliefs: np.ndarray) -> np.ndarray:
+        """Actions of the belief rows self.rows, in that order."""
+        scores, n = np.empty((len(self.rows), self.width)), self.n
+        for i, (alpha, block) in enumerate(zip(self.alphas, self.blocks)):
+            np.matmul(beliefs[block], alpha.T, out=scores[i * n:(i + 1) * n, :len(alpha)])
+            scores[i * n:(i + 1) * n, len(alpha):] = -np.inf
+        return self.actions[self.first + first_near_max(scores, self.tol, axis=1)]
 
 
 class OracleAgent(Agent):
@@ -222,38 +248,47 @@ def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
             for t in range(num_trials)]
     if isinstance(dynamics, FixedPathDynamics):
         horizon = dynamics.n_slots
-        cells = np.tile(dynamics.cells, (num_trials, 1))
+        cells = np.broadcast_to(dynamics.cells, (num_trials, horizon))  # a view: one path
     else:
         cells = first.states.cells()[dynamics.states(
             np.array([path.random(horizon + 1) for path, _ in rngs]))]
     draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
     del rngs
-    rows = num_trials * len(runs)
+    rows, n = num_trials * len(runs), num_trials
     log = SlotLog(runs, cells, draws, rates=np.empty((rows, horizon)),
                   resets=np.empty((rows, horizon), bool),
                   actions=np.empty((rows, horizon), np.min_scalar_type(
                       max(len(m.actions) for m, _ in runs) - 1)))
-    blocks = [slice(r * num_trials, (r + 1) * num_trials) for r in range(len(runs))]
-    sigmas, widths = [], []
-    for model, _ in runs:
-        width = np.array([b.bandwidth_hz for b in model.bands])
-        sigma = np.array([model.consts.noise_variance_w(w) for w in width])
-        sigmas.append(sigma[model.actions.band_idx])
-        widths.append(width[model.actions.band_idx])
-    likelihood = np.empty((rows, first.num_states))
+    # the distinct models' tables stacked; row i's actions index them from base[i]
+    models = list({id(m): m for m, _ in runs}.values())
+    start = dict(zip(map(id, models), np.cumsum([0] + [len(m.actions) for m in models[:-1]])))
+    base = np.repeat([start[id(m)] for m, _ in runs], n)
+    gains, obs = np.vstack([m.gains for m in models]), np.concatenate([m.O for m in models])
+    bw = [np.array([band.bandwidth_hz for band in m.bands])[m.actions.band_idx] for m in models]
+    width, sigma = np.concatenate(bw), np.concatenate(
+        [m.consts.noise_variance_w(w) for m, w in zip(models, bw)])
+    blocks = [slice(r * n, (r + 1) * n) for r in range(len(runs))]
+    banked = [r for r, (_, agent) in enumerate(runs) if isinstance(agent, PolicyAgent)]
+    others = [r for r in range(len(runs)) if r not in banked]
     b = np.tile(initial_belief(first.states), (rows, 1))
+    # one bank, unless its padded scores outgrow the beliefs: the update's peak stays the peak
+    widest = max((len(runs[r][1].policy.actions) for r in banked), default=0)
+    groups = [banked] if len(banked) * n * widest <= b.size else [[r] for r in banked]
+    banks = [PolicyBank([runs[r][1] for r in g], [blocks[r] for r in g]) for g in groups if g]
     for t in range(horizon):
         cell, e = cells[:, t], draws[:, t]
-        c = cell - 1
-        snr, width = np.empty(rows), np.empty(rows)
-        for (model, agent), block, sigma, bw in zip(runs, blocks, sigmas, widths):
-            act = agent.act(b[block], cell)
-            run_snr = model.gains[act, c] / (sigma[act] * e)
-            z = first.thresholds.searchsorted(run_snr, side="right")
-            likelihood[block] = model.O[act, :, z]
-            log.actions[block, t], snr[block], width[block] = act, run_snr, bw[act]
-        log.rates[:, t] = width * _elementwise(math.log2, 1.0 + snr)
-        b, log.resets[:, t] = belief_update(first, b, likelihood)
+        for bank in banks:
+            log.actions[bank.rows, t] = bank.act(b)
+        for r in others:
+            log.actions[blocks[r], t] = runs[r][1].act(b[blocks[r]], cell)
+        a = (log.actions[:, t] + base).reshape(len(runs), n)
+        log.rates[:, t] = snr = (gains[a, cell - 1] / (sigma[a] * e)).ravel()
+        z = first.thresholds.searchsorted(snr, side="right")
+        b, log.resets[:, t] = belief_update(first, b, obs[a.ravel(), :, z])
+    step = max(1, rows // max(horizon, 1))     # rates from the SNRs, a slot's cells a block
+    for blk in (slice(lo, lo + step) for lo in range(0, rows, step)):
+        log.rates[blk] = (width[log.actions[blk] + base[blk, None]]
+                          * _elementwise(math.log2, 1.0 + log.rates[blk]))
     return log
 
 

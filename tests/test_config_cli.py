@@ -241,6 +241,29 @@ def test_cli_solve_rejects_p_with_a_taken_policy_name(tmp_path, capsys):
     assert (tmp_path / "out" / policy_filename("sm", 0.4)).exists()
 
 
+def test_cli_solve_rejects_p_out_of_range_under_its_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(TINY))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--p", "1.5"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": "--p: must lie in (0, 1) (got 1.5)"}
+    assert not out.exists()
+
+
+def test_config_with_a_tiny_lowest_snr_edge_builds_and_solves():
+    """G/s^2 over the lowest edge (10^-308) overflows to inf; its bin
+    probability is the limit exp(-inf) = 0, without an overflow warning."""
+    cfg = ExperimentConfig.from_dict(
+        {**TINY, "discretization": {"num_levels": 7, "low_db": -3080, "high_db": 80}})
+    model = cfg.build_model()
+    assert np.isfinite(model.O).all()
+    assert np.allclose(model.O.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    policy = solve(model, initial_belief(model.states), num_stages=1,
+                   expansions_per_stage=1, max_sweeps=60, seed=0)
+    assert np.isfinite(policy.alpha).all()
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig.from_dict(TINY)
     path = tmp_path / "exp.json"
@@ -725,6 +748,7 @@ RUNNABLE = {
     "zero-stages": {"solver": {"num_stages": 0}},
     "one-trial": {"simulation": {"num_trials": 1}},
     "12.8kmh": {"simulation": {"speed_grid_kmh": [12.8]}},
+    "tiny-low-edge": {"discretization": {"num_levels": 7, "low_db": -3080, "high_db": 80}},
 }
 
 

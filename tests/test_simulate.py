@@ -11,7 +11,8 @@ from _oracles import (FixedActionAgent, RecordingAgent, dead_bin_model,
                       reference_metrics, reference_run_trial)
 from specbeam.arrays import aligned_gain, expected_rate, gain
 from specbeam.config import ExperimentConfig
-from specbeam.pbvi import Policy, solve
+from specbeam import simulate
+from specbeam.pbvi import Policy, first_near_max, solve
 from specbeam.pomdp import initial_belief
 from specbeam.geometry import containing_cell
 from specbeam.simulate import (FixedPathDynamics, MarkovDynamics, OracleAgent,
@@ -282,6 +283,44 @@ def test_lockstep_matches_reference_on_fixed_paths(agents_by_p, p):
     for speed in (10.0, 50.0, 130.0):
         assert_runs_match_reference(agents_by_p[p], FixedPathDynamics(scene, speed, 0.25),
                                     0, 7, seed=17)
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+@pytest.mark.parametrize("wide", [False, True])
+def test_banked_policy_agents_match_reference(agents_by_p, p, wide, monkeypatch):
+    """Bare PolicyAgents, decided together by one rule call per slot, with
+    scores padded to the longest alpha set: sm (4 vectors), sf39 without its
+    last vector (3), and sm-ties (8) with every vector doubled. The oracle
+    and a blind agent sit between them, so the policy rows are not
+    contiguous. A wide policy (sm's vectors 30 times) makes the padded
+    scores, 4 policies x 120 columns per trial, outgrow the beliefs, 6 runs
+    x 46 states: then each agent decides alone, one rule call per policy
+    run and slot."""
+    sm, (m39, sf39), ties, oracle, blind = agents_by_p[p]
+    short = Policy(alpha=sf39.policy.alpha[:-1], actions=sf39.policy.actions[:-1])
+    runs = [sm, oracle, (m39, PolicyAgent("sf39", m39, short)), blind, ties]
+    if wide:
+        copies = Policy(alpha=np.tile(sm[1].policy.alpha, (30, 1)),
+                        actions=np.concatenate([np.roll(sm[1].policy.actions, k)
+                                                for k in range(30)]))
+        runs.append((sm[0], PolicyAgent("sm-wide", sm[0], copies)))
+    assert len({len(agent.policy.actions) for _, agent in runs[::2]}) == 3
+    calls = []
+    monkeypatch.setattr(simulate, "first_near_max",
+                        lambda *a, **k: calls.append(1) or first_near_max(*a, **k))
+    for dyn, horizon, n in ((MarkovDynamics(sm[0]), 200, 7),
+                            (FixedPathDynamics(CFG.scene(), 50.0, 0.25), 0, 3)):
+        calls.clear()
+        log = simulate_slots(runs, dyn, horizon, n, seed=5)
+        assert len(calls) == log.cells.shape[1] * (4 if wide else 1)
+        for r, (model, agent) in enumerate(runs):
+            for t in range(n):
+                want = reference_run_trial(model, dyn, agent, horizon,
+                                           np.random.SeedSequence((5, t)))
+                row = r * n + t
+                assert np.array_equal(log.actions[row], want.actions), (agent.label, t)
+                assert log.rates[row].tobytes() == want.rates.tobytes(), (agent.label, t)
+                assert np.array_equal(log.resets[row], want.resets), (agent.label, t)
 
 
 def test_lockstep_matches_reference_with_resets(model):

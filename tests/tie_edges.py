@@ -5,12 +5,17 @@ score is within tol = 4 gamma_k of the maximum (pbvi.first_near_max,
 pbvi.tie_tolerance). A decision can change with the rounding of its
 scores only when a candidate at or before the pick lies within 2 gamma_k
 of the band's floor (relative to max(|top|, 2^-969)). This script records
-every decision of the default 4-stage sm solves at p = 0.35 and p = 0.95
-and of one 500-trial, 200-slot simulation of the p = 0.95 policy, and
-prints, per kind of decision, how many are that close and the smallest
-margin seen, in units of gamma_k. A decision's kind is read from the
-call that makes it: the calling function and the name of the scores it
-hands the rule, so a kernel may lay its scores along any axis.
+every decision of the default 4-stage sm solves at p = 0.35 and p = 0.95,
+of the single-band solves at p = 0.95, and of one 500-trial, 200-slot
+simulation of all p = 0.95 planners (sm, sf15, sf39, sf60 and the oracle,
+whose channel choices are counted there too), and prints, per kind of
+decision, how many are that close and the smallest margin seen, in units
+of gamma_k. A decision's kind is read from the call that makes it: the
+calling function and the name of the scores it hands the rule, so a
+kernel may lay its scores along any axis. The policy actions of a slot
+are one rule call over all planners' rows, each row with its own
+tolerance, or one per planner where their padded scores would outgrow
+the beliefs (the 4-stage policies).
 
     PYTHONPATH=src:tests python tests/tie_edges.py [--stages 4] [--trials 500] [--horizon 200]
 """
@@ -34,7 +39,8 @@ from specbeam.pomdp import initial_belief
 _KINDS = {("_backup_block", "totals"): "backup action",
           ("_backup_block", "scores"): "backup vector",
           ("backup_stage", "eval0"): "stage-start vector",
-          ("act", "values"): "policy action"}
+          ("act", "scores"): "policy action",
+          ("oracle_action", "aligned"): "oracle channel"}
 
 
 def _kind(frame) -> str:
@@ -53,6 +59,7 @@ class EdgeLog:
         self._beats = pbvi._beats
 
     def rule(self, scores, tol, axis=-1):
+        """The rule; tol is a float or per-decision tolerances (the kept-dims max's shape)."""
         kind = _kind(sys._getframe(1))
         self.margins[kind].append(edge_margins(scores, tol, axis).ravel())
         return self._rule(scores, tol, axis)
@@ -83,14 +90,19 @@ def main(argv=None) -> None:
     pbvi.first_near_max = simulate.first_near_max = log.rule
     pbvi._beats = log.beats
     for p in (0.35, 0.95):
-        model = cfg.build_model(p=p)
-        gamma = pbvi.tie_tolerance(model) / 4.0
-        policy = pbvi.solve(model, initial_belief(model.states), num_stages=args.stages)
-        log.report(f"solve sm p={p}, {args.stages} stages", gamma)
-    agent = simulate.PolicyAgent("sm", model, policy)
-    simulate.simulate_slots([(model, agent)], simulate.MarkovDynamics(model),
+        runs = []
+        for agent in cfg.agent_names() if p == 0.95 else ("sm",):
+            model = cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
+            gamma = pbvi.tie_tolerance(model) / 4.0
+            policy = pbvi.solve(model, initial_belief(model.states), num_stages=args.stages)
+            log.report(f"solve {agent} p={p}, {args.stages} stages", gamma)
+            runs.append((model, simulate.PolicyAgent(agent, model, policy)))
+    # the planners share the chain, the SNR bins and the states, so gamma_k too
+    runs.append((runs[0][0], simulate.OracleAgent(runs[0][0])))
+    simulate.simulate_slots(runs, simulate.MarkovDynamics(runs[0][0]),
                             args.horizon, args.trials, seed=0)
-    log.report(f"simulate sm p=0.95, {args.trials} x {args.horizon}", gamma)
+    log.report(f"simulate {', '.join(a.label for _, a in runs)} p=0.95, "
+               f"{args.trials} x {args.horizon}", gamma)
 
 
 if __name__ == "__main__":
