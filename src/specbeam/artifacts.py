@@ -21,6 +21,7 @@ from .pomdp import PomdpModel
 
 POLICY_FORMAT = "specbeam-policy"
 FORMAT_VERSION = 1
+_HEADER = (("config_hash", str), ("model_digest", str), ("agent", str), ("p", float))
 
 
 class ArtifactError(ValueError):
@@ -85,16 +86,24 @@ def load_policy(path: str, *, expect_config_hash: str | None = None,
         raise ArtifactError(
             f"{path}: unsupported {POLICY_FORMAT} version "
             f"{record.get('version')!r} (expected {FORMAT_VERSION})")
+    for key, kind in (*_HEADER, ("metadata", dict)):
+        if type(record.get(key)) is not kind:
+            raise ArtifactError(f"{path}: field {key!r} is missing or not a {kind.__name__}")
     for key, want in (("config_hash", expect_config_hash),
                       ("model_digest", expect_model_digest)):
         if want is not None and record[key] != want:
             raise ArtifactError(f"{path}: {key.replace('_', ' ')} mismatch "
                                 f"({record[key][:12]}… vs expected {want[:12]}…)")
-    policy = Policy(alpha=np.array(record["alpha"], dtype=float),
-                    actions=np.array(record["actions"], dtype=int),
-                    metadata=record["metadata"])
-    header = {k: record[k] for k in
-              ("format", "version", "config_hash", "model_digest", "agent", "p")}
+    try:
+        alpha, acts = np.array(record.get("alpha"), dtype=float), np.array(record.get("actions"))
+    except (TypeError, ValueError):         # ragged rows, strings, objects
+        alpha = acts = np.array(np.nan)
+    if alpha.ndim != 2 or not alpha.size or not np.isfinite(alpha).all():
+        raise ArtifactError(f"{path}: field 'alpha' is not a finite 2-D float array")
+    if acts.dtype.kind != "i" or acts.shape != alpha.shape[:1]:
+        raise ArtifactError(f"{path}: field 'actions' is not one integer per alpha row")
+    policy = Policy(alpha=alpha, actions=acts, metadata=record["metadata"])
+    header = {k: record[k] for k in ("format", "version", *dict(_HEADER))}
     return policy, header
 
 

@@ -62,6 +62,7 @@ def _metric_row(m: Metrics, band_labels, agent: str, p: float, seed: int,
 def _solve_and_save(cfg: ExperimentConfig, agent: str, p: float, seed: int, out_dir: str):
     """Build the agent's (possibly band-restricted) model, solve it, and write
     its policy and manifest into out_dir; returns (model, policy, path, wall_s)."""
+    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     model = cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
     sol = cfg.raw["solver"]
@@ -104,8 +105,6 @@ def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
         raise artifacts.ArtifactError(
             f"missing policies in {policy_dir}: {listed}; "
             f"run `specbeam solve` for each or pass --solve-missing")
-    if missing:
-        os.makedirs(policy_dir, exist_ok=True)
     runs = []
     for agent in cfg.agent_names():
         path = os.path.join(policy_dir, policy_filename(agent, p))
@@ -116,6 +115,10 @@ def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
             policy, _ = artifacts.load_policy(
                 path, expect_config_hash=cfg_hash,
                 expect_model_digest=artifacts.model_digest(model))
+            acts, n_a = policy.actions, model.num_actions
+            if policy.alpha.shape[1] != model.num_states or not 0 <= acts.min() <= acts.max() < n_a:
+                raise artifacts.ArtifactError(f"{path}: alpha or actions do not fit the model's "
+                                              f"{model.num_states} states and {n_a} actions")
         runs.append((model, PolicyAgent(agent, model, policy)))
     runs.append((runs[0][0], OracleAgent(runs[0][0])))  # agent_names() starts with sm
     return runs
@@ -130,7 +133,6 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"--{exc}") from exc
     check_policy_names(cfg.raw, [("--p", p)])
     seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
-    os.makedirs(args.out, exist_ok=True)
     _, policy, path, wall_s = _solve_and_save(cfg, args.agent, p, seed, args.out)
     stages = policy.metadata["stages"]
     unconverged = sum(not st["converged"] for st in stages)
@@ -212,16 +214,11 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> tuple[tuple[str, ...], lis
         for i, raw in enumerate(reader, start=2):
             row = {}
             for col in got:
-                val = raw[col]
-                if col in ("agent",):
-                    row[col] = val
-                else:
-                    try:
-                        row[col] = float(val)
-                    except ValueError as exc:
-                        raise ConfigError(
-                            f"{path}: row {i}, column {col!r}: "
-                            f"not a number ({val!r})") from exc
+                try:
+                    row[col] = raw[col] if col == "agent" else float(raw[col])
+                except (TypeError, ValueError) as exc:      # TypeError: a short row's None
+                    raise ConfigError(f"{path}: row {i}, column {col!r}: "
+                                      f"not a number ({raw[col]!r})") from exc
             rows.append(row)
     return got, rows
 

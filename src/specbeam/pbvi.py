@@ -75,8 +75,15 @@ bytes under the two from 138 unknowns up. A row whose node does not beat its
 retained value is fixed at its anchor and the rest are solved again, so
 values stay monotone; the nodes left are the values of a finite-state
 controller whose leaves are retained vectors, so they stay lower bounds.
-Larger plan sets keep the evaluation sweeps: raising the limit from 4 to
-8 plans made the 3-stage solves about 1.3 times slower.
+The blocks depend only on the plan structure (actions and successor slots),
+which recurs within a round, so a round keeps its last two eliminations: an
+equal structure replays one on its new right-hand side, and pivot k reuses a
+kept inverse where rows 0..k have the same actions and successors among
+0..k. A replay applies the same operands in the same order, so nodes keep
+their bytes; keeping every structure of a round caught few more repeats and
+cost 5 MB more peak memory. Larger plan sets keep the evaluation sweeps:
+raising the limit from 4 to 8 plans made the 3-stage solves about 1.3 times
+slower.
 """
 
 from __future__ import annotations
@@ -273,27 +280,43 @@ def _evaluate_plans(model: PomdpModel, beliefs: np.ndarray, anchors: np.ndarray,
 
 
 def _plan_nodes(model: PomdpModel, anchors: np.ndarray, rows: np.ndarray,
-                acts: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+                acts: np.ndarray, nxt: np.ndarray, kept: list) -> np.ndarray:
     """The nodes (m, S) of the plans of `rows`, with every other belief's
     node fixed at its anchor, by elimination over the module docstring's
-    (S, S) blocks delta_kj I - discount * T diag(W_kj)."""
+    (S, S) blocks delta_kj I - discount * T diag(W_kj). `kept` holds the
+    round's last two eliminations (acts, slot, inverses, blocks), newest first."""
     m = len(rows)
     disc = model.discount
     where = np.full(len(anchors), m)
     where[rows] = np.arange(m)
     slot = where[nxt]                                       # (m, Z); m: fixed
     o_t = model.O[acts].transpose(0, 2, 1)                  # (m, Z, S)
-    w = np.matmul((slot[:, None, :] == np.arange(m)[:, None]).astype(float), o_t)
     fixed = np.einsum("kzs,kzs->ks", o_t * (slot == m)[:, :, None], anchors[nxt])
     x = np.matmul(model.T, (model.rbar[acts] + disc * fixed)[:, :, None])   # (m, S, 1)
-    a = model.T * (-disc * w[:, :, None, :])                # (m, m, S, S)
-    diag, s = np.arange(m)[:, None], np.arange(model.num_states)
-    a[diag, diag, s, s] += 1.0
+    def shared(o_acts, o_slot, *_):         # leading pivots in common with a kept one
+        same = [acts[k] == o_acts[k] and np.array_equal(np.minimum(slot[:k + 1], k + 1),
+                np.minimum(o_slot[:k + 1], k + 1)) for k in range(min(m, len(o_acts)))]
+        return (same + [False]).index(False)
+    lead = [shared(*old) for old in kept]
+    n = max(lead, default=0)
+    hit = lead.index(n) if n else None      # the newest kept one sharing n pivots
+    if n == m == len(kept[hit][0]):
+        kept.insert(0, kept.pop(hit))
+    else:
+        w = np.matmul((slot[:, None, :] == np.arange(m)[:, None]).astype(float), o_t)
+        a = model.T * (-disc * w[:, :, None, :])            # (m, m, S, S)
+        diag, s = np.arange(m)[:, None], np.arange(model.num_states)
+        a[diag, diag, s, s] += 1.0
+        invs = kept[hit][2][:n] if n else []
+        for k in range(m):
+            if k >= n:
+                invs.append(np.linalg.inv(a[k, k]))
+            a[k, k + 1:] = np.matmul(invs[k], a[k, k + 1:])
+            a[k + 1:, k + 1:] -= np.matmul(a[k + 1:, k, None], a[k, None, k + 1:])
+        kept[:] = [(acts, slot, invs, a), *kept[:1]]
+    invs, a = kept[0][2:]
     for k in range(m):
-        inv = np.linalg.inv(a[k, k])
-        a[k, k + 1:] = np.matmul(inv, a[k, k + 1:])
-        x[k] = inv @ x[k]
-        a[k + 1:, k + 1:] -= np.matmul(a[k + 1:, k, None], a[k, None, k + 1:])
+        x[k] = invs[k] @ x[k]
         x[k + 1:] -= np.matmul(a[k + 1:, k], x[k])
     for k in range(m - 2, -1, -1):
         x[k] -= np.matmul(a[k, k + 1:], x[k + 1:]).sum(axis=0)
@@ -302,18 +325,18 @@ def _plan_nodes(model: PomdpModel, anchors: np.ndarray, rows: np.ndarray,
 
 def _solve_plans(model: PomdpModel, beliefs: np.ndarray, anchors: np.ndarray,
                  tracked: np.ndarray, planned: np.ndarray, plan_acts: np.ndarray,
-                 succ: np.ndarray, tol: float) -> int:
+                 succ: np.ndarray, tol: float, kept: list) -> int:
     """Exact evaluation of the beliefs' plans; returns the block solves run.
 
     The planned beliefs' nodes are solved for at once (_plan_nodes). A row
     whose node does not beat its tracked value under the rule at `tol` is
     fixed at its anchor and the rest are solved again, until every row left
-    beats and adopts; `anchors` and `tracked` change in place.
+    beats and adopts; `anchors`, `tracked` and `kept` (_plan_nodes) change in place.
     """
     rows = np.flatnonzero(planned)
     solves = 0
     while rows.size:
-        nodes = _plan_nodes(model, anchors, rows, plan_acts[rows], succ[rows])
+        nodes = _plan_nodes(model, anchors, rows, plan_acts[rows], succ[rows], kept)
         solves += 1
         vals = np.einsum("ms,ms->m", beliefs[rows], nodes)
         take = _beats(vals, tracked[rows], tol)
@@ -358,6 +381,7 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
     planned = np.zeros(n_b, dtype=bool)
     plan_acts = np.zeros(n_b, dtype=int)
     succ = np.zeros((n_b, model.num_observations), dtype=int)
+    kept: list = []             # the round's last two block eliminations
     converged = False
     sweeps = eval_sweeps = eval_solves = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -379,7 +403,7 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
                                            tol, max_sweeps)
         elif not converged and planned.any():
             eval_solves += _solve_plans(model, beliefs, anchors, tracked, planned,
-                                        plan_acts, succ, tol)
+                                        plan_acts, succ, tol, kept)
         owner = _dedup_rows(anchors)
         alphas_mat, alpha_actions = anchors[owner], anchor_acts[owner]
         if collect_history:

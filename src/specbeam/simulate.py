@@ -294,7 +294,7 @@ def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
 
 def trial_means(rates: np.ndarray) -> list[float]:
     """Each trial's mean rate; 0.0 for a trial without slots."""
-    return [float(row.mean()) if len(row) else 0.0 for row in rates]
+    return rates.mean(axis=1).tolist() if rates.shape[1] else [0.0] * len(rates)
 
 
 def monte_carlo(runs: list[tuple[PomdpModel, Agent]], num_trials: int,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -508,6 +509,54 @@ def test_cli_sweep_requires_policies(cli_dir, capsys):
     assert "--solve-missing" in err["message"]
 
 
+@pytest.fixture(scope="module")
+def tiny_policies(tmp_path_factory):
+    """The TINY config and a directory of its sweep-p policies."""
+    root = tmp_path_factory.mktemp("tiny_policies")
+    ExperimentConfig.from_dict(TINY).dump(str(root / "exp.json"))
+    assert main(["sweep-p", "--config", str(root / "exp.json"), "--out",
+                 str(root / "sweep.csv"), "--policies", str(root / "policies"),
+                 "--solve-missing"]) == 0
+    return root
+
+
+POLICY_EDITS = {        # a hand edit of a saved policy record, in place
+    "config_hash deleted": lambda r: r.pop("config_hash"),
+    "config_hash null": lambda r: r.update(config_hash=None),
+    "p a string": lambda r: r.update(p="0.6"),
+    "metadata deleted": lambda r: r.pop("metadata"),
+    "alpha deleted": lambda r: r.pop("alpha"),
+    "alpha one short row": lambda r: r.update(alpha=[[1.0, 2.0]]),
+    "alpha ragged": lambda r: r["alpha"][0].pop(),
+    "alpha not finite": lambda r: r["alpha"][0].__setitem__(0, math.inf),
+    "actions floats": lambda r: r.update(actions=[float(a) for a in r["actions"]]),
+    "actions one short": lambda r: r["actions"].pop(),
+    # these load, and the model rejects them
+    "alpha a state short": lambda r: r.update(alpha=[row[:-1] for row in r["alpha"]]),
+    "action past the last": lambda r: r["actions"].__setitem__(0, 10 ** 6),
+    "action negative": lambda r: r["actions"].__setitem__(0, -1),
+}
+
+
+@pytest.mark.parametrize("edit", POLICY_EDITS.values(), ids=POLICY_EDITS.keys())
+def test_cli_names_a_policy_file_with_a_bad_field(tiny_policies, tmp_path, capsys, edit):
+    """sweep-p on a policy with a missing or mistyped field: exit 2 and one
+    JSON line whose message names the file."""
+    pol = tmp_path / "policies"
+    shutil.copytree(tiny_policies / "policies", pol)
+    path = pol / policy_filename("sm", 0.6)
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    rc = main(["sweep-p", "--config", str(tiny_policies / "exp.json"),
+               "--out", str(tmp_path / "sweep.csv"), "--policies", str(pol)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    got = json.loads(err)
+    assert got["error"] == "ArtifactError" and str(path) in got["message"]
+
+
 def test_cli_sweep_deterministic(cli_dir, capsys):
     cfg_path = str(cli_dir / "exp.json")
     pol_dir = str(cli_dir / "policies")
@@ -672,6 +721,14 @@ def test_cli_report_rejects_malformed_csv(cli_dir, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert "row 2" in err["message"] and "mean_rate_bps" in err["message"]
+
+    short = str(cli_dir / "short.csv")               # a row with agent and p only
+    with open(short, "w") as fh:
+        fh.write(good[0] + "\n" + ",".join(good[1].split(",")[:2]) + "\n")
+    assert main(["report", "--sweep", short]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "row 2" in err and "mean_rate_bps" in json.loads(err)["message"]
 
 
 def _csv_variant(cli_dir, name, source, keep=lambda row: True, edit=None, extra=()):

@@ -539,10 +539,10 @@ def _exact_calls():
     full = CFG.build_model(p=0.95)
     calls = []
 
-    def spy(model, beliefs, anchors, tracked, planned, plan_acts, succ, tol):
+    def spy(model, beliefs, anchors, tracked, planned, plan_acts, succ, tol, kept):
         args = tuple(x.copy() for x in (beliefs, anchors, tracked, planned, plan_acts, succ))
         calls.append((args, exact(model, beliefs, anchors, tracked, planned,
-                                  plan_acts, succ, tol)))
+                                  plan_acts, succ, tol, kept)))
         return calls[-1][1]
 
     exact = pbvi._solve_plans
@@ -565,7 +565,7 @@ def _plan_set(size):
             continue
         before = tracked.copy()
         pbvi._solve_plans(full, beliefs, anchors, tracked, planned, plan_acts, succ,
-                          tie_tolerance(full))
+                          tie_tolerance(full), [])
         if (tracked > before)[planned].all():
             return full, *(x.copy() for x in args)
     raise AssertionError(f"no {size}-belief plan set adopted in one solve")
@@ -590,7 +590,7 @@ def test_solve_plans_match_iterated_limit(size):
                                   succ, 0.0, tol, 20_000)
     assert sweeps < 20_000
     assert pbvi._solve_plans(full, beliefs, anchors, tracked, planned, plan_acts,
-                             succ, tol) == 1
+                             succ, tol, []) == 1
     print(f"{size} beliefs: {sweeps} sweeps, largest relative difference "
           f"{np.abs(swept - anchors).max() / np.abs(anchors).max():.2e}")
     assert np.allclose(anchors, swept, rtol=1e-9, atol=0.0)
@@ -603,7 +603,7 @@ def test_solve_plans_on_geometric_sum():
     anchors, tracked = np.array([[30.0]]), np.array([30.0])
     assert pbvi._solve_plans(tiny, np.array([[1.0]]), anchors, tracked, np.array([True]),
                              np.array([1]), np.zeros((1, 2), dtype=int),
-                             tie_tolerance(tiny)) == 1
+                             tie_tolerance(tiny), []) == 1
     assert anchors[0, 0] == pytest.approx(70.0, rel=1e-12)
     assert tracked[0] == anchors[0, 0]
 
@@ -616,21 +616,103 @@ def test_solve_plans_fix_a_row_that_does_not_beat():
     rows = np.flatnonzero(planned)
     first_vals = tracked.copy()
     pbvi._solve_plans(full, beliefs, anchors.copy(), first_vals, planned, plan_acts,
-                      succ, tol)
+                      succ, tol, [])
     stuck = rows[1]
     tracked[stuck] = first_vals[stuck] * (1.0 + 1e-6)       # out of its node's reach
     got, got_vals = anchors.copy(), tracked.copy()
     assert pbvi._solve_plans(full, beliefs, got, got_vals, planned, plan_acts,
-                             succ, tol) == 2
+                             succ, tol, []) == 2
     assert np.array_equal(got[stuck], anchors[stuck]) and got_vals[stuck] == tracked[stuck]
     rest = planned.copy()
     rest[stuck] = False
     want, want_vals = anchors.copy(), tracked.copy()
     assert pbvi._solve_plans(full, beliefs, want, want_vals, rest, plan_acts,
-                             succ, tol) == 1
+                             succ, tol, []) == 1
     assert got.tobytes() == want.tobytes() and got_vals.tobytes() == want_vals.tobytes()
     assert not np.array_equal(got[rows], anchors[rows])
     assert (got_vals >= tracked).all()
+
+
+def _count_inverses(monkeypatch) -> list[int]:
+    """Count np.linalg.inv calls from here to the test's end, in a one-item list."""
+    count, inv = [0], np.linalg.inv
+
+    def counted(a):
+        count[0] += 1
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return count
+
+
+def test_kept_eliminations_match_fresh_ones_on_pipeline_solves(monkeypatch):
+    """Every _solve_plans call of the benchmark pipeline config's 20 one-stage
+    solves (5 p values, 4 planners) gives the same bytes with the round's kept
+    eliminations as with a fresh list, inverts fewer pivots over all, and
+    keeps at most two eliminations. Each round starts from an empty list, so
+    no elimination outlives its round's model and beliefs."""
+    cfg = ExperimentConfig.from_dict({"solver": {"num_stages": 1},
+                                      "simulation": {"num_trials": 20}})
+    exact, stage, inverses = pbvi._solve_plans, pbvi.backup_stage, _count_inverses(monkeypatch)
+    seen = {"calls": 0, "fresh": 0, "kept": 0, "rounds": 0, "checked": 0}
+
+    def counted_stage(*args, **kwargs):
+        seen["rounds"] += 1
+        return stage(*args, **kwargs)
+
+    def spy(model, beliefs, anchors, tracked, planned, plan_acts, succ, tol, kept):
+        if seen["checked"] != seen["rounds"]:       # the round's first exact evaluation
+            assert kept == []
+            seen["checked"] = seen["rounds"]
+        want, want_vals, before = anchors.copy(), tracked.copy(), inverses[0]
+        solves = exact(model, beliefs, want, want_vals, planned, plan_acts, succ, tol, [])
+        seen["fresh"] += inverses[0] - before
+        before = inverses[0]
+        assert exact(model, beliefs, anchors, tracked, planned, plan_acts, succ, tol,
+                     kept) == solves
+        seen["kept"] += inverses[0] - before
+        assert len(kept) <= 2
+        assert anchors.tobytes() == want.tobytes() and tracked.tobytes() == want_vals.tobytes()
+        seen["calls"] += 1
+        return solves
+
+    monkeypatch.setattr(pbvi, "_solve_plans", spy)
+    monkeypatch.setattr(pbvi, "backup_stage", counted_stage)
+    for p in cfg.raw["simulation"]["p_grid"]:
+        for agent in cfg.agent_names():
+            model = cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
+            solve(model, initial_belief(model.states), num_stages=1)
+    print(f"{seen['calls']} calls: {seen['fresh']} pivot inverses fresh, "
+          f"{seen['kept']} with kept eliminations")
+    assert seen["calls"] > 0 and seen["kept"] < seen["fresh"]
+
+
+def test_kept_elimination_replays_after_a_row_that_does_not_beat(monkeypatch):
+    """A row that does not beat, the re-solve of the other rows, then the
+    first structure again: the re-solve reuses pivot 0's inverse, the last
+    call replays the kept elimination without inverting, and both give the
+    bytes of a fresh elimination."""
+    full, beliefs, anchors, tracked, planned, plan_acts, succ = _plan_set(4)
+    tol = tie_tolerance(full)
+    rows = np.flatnonzero(planned)
+    first_vals = tracked.copy()
+    pbvi._solve_plans(full, beliefs, anchors.copy(), first_vals, planned, plan_acts,
+                      succ, tol, [])
+    tracked[rows[1]] = first_vals[rows[1]] * (1.0 + 1e-6)    # out of its node's reach
+    inverses = _count_inverses(monkeypatch)
+    kept, got, got_vals = [], anchors.copy(), tracked.copy()
+    assert pbvi._solve_plans(full, beliefs, got, got_vals, planned, plan_acts,
+                             succ, tol, kept) == 2
+    assert [len(acts) for acts, *_ in kept] == [3, 4] and inverses[0] <= 4 + 2
+    rest = np.delete(rows, 1)
+    want = pbvi._plan_nodes(full, anchors, rest, plan_acts[rest], succ[rest], [])
+    assert got[rest].tobytes() == want.tobytes()
+    before = inverses[0]
+    nodes = pbvi._plan_nodes(full, got, rows, plan_acts[rows], succ[rows], kept)
+    assert inverses[0] == before and [len(acts) for acts, *_ in kept] == [4, 3]
+    want = pbvi._plan_nodes(full, got, rows, plan_acts[rows], succ[rows], [])
+    assert inverses[0] == before + 4
+    assert nodes.tobytes() == want.tobytes()
 
 
 def test_plans_follow_the_backup_picks(model, monkeypatch):

@@ -115,6 +115,18 @@ def test_horizon_zero_and_empty_metrics(model):
         monte_carlo([(model, FixedActionAgent(0))], 0, 10, 0)
 
 
+def test_trial_means_match_the_per_row_loop():
+    """Each row's mean has the bytes of row.mean(), on whole arrays and on row
+    blocks sliced from a larger one, and a row without slots means 0.0."""
+    rng = np.random.default_rng(0)
+    for h in (1, 2, 8, 9, 127, 128, 129, 200, 345, 1000):
+        rates = rng.random((7, h)) * 1e9
+        for block in (rates, rates[2:5]):
+            assert (np.array(simulate.trial_means(block)).tobytes()
+                    == np.array([row.mean() for row in block]).tobytes())
+    assert simulate.trial_means(np.empty((3, 0))) == [0.0] * 3
+
+
 def test_fixed_path_kinematics():
     scene = CFG.scene()
     # 72 km/h = 20 m/s: 5 m per slot, one 20 m cell every 4 slots, 48 slots
