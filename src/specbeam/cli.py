@@ -62,9 +62,10 @@ def _metric_row(m: Metrics, band_labels, agent: str, p: float, seed: int,
 def _solve_and_save(cfg: ExperimentConfig, agent: str, p: float, seed: int, out_dir: str):
     """Build the agent's (possibly band-restricted) model, solve it, and write
     its policy and manifest into out_dir; returns (model, policy, path, wall_s)."""
+    band = cfg.band_label_for_agent(agent)      # an unknown agent makes no out_dir
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    model = cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
+    model = cfg.build_model(p=p, band_label=band)
     sol = cfg.raw["solver"]
     policy = pbvi.solve(model, initial_belief(model.states),
                         num_stages=sol["num_stages"],
@@ -132,7 +133,7 @@ def cmd_solve(args) -> int:
     except ValueError as exc:           # "p: ..." from MobilityModel
         raise ConfigError(f"--{exc}") from exc
     check_policy_names(cfg.raw, [("--p", p)])
-    seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
+    seed = cfg.seed(args.seed)
     _, policy, path, wall_s = _solve_and_save(cfg, args.agent, p, seed, args.out)
     stages = policy.metadata["stages"]
     unconverged = sum(not st["converged"] for st in stages)
@@ -147,7 +148,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep_p(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
+    seed = cfg.seed(args.seed)
     sim = cfg.raw["simulation"]
     labels = cfg.band_labels()
     rows = []
@@ -163,7 +164,7 @@ def cmd_sweep_p(args) -> int:
 
 def cmd_robustness(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.raw["solver"]["seed"]
+    seed = cfg.seed(args.seed)
     sim = cfg.raw["simulation"]
     scene = cfg.scene()
     labels = cfg.band_labels()

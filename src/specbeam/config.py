@@ -91,6 +91,9 @@ def _require_int(cfg: dict, path: str, lo: int, message: str | None = None) -> N
     _require(cfg, path, ok, message or f"must be an integer >= {lo}")
 
 
+_SEED_RULE = "must be a nonnegative integer"      # solver.seed and the --seed flag
+
+
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -168,7 +171,7 @@ def validate_config(cfg: dict[str, Any]) -> None:
     if eps is not None and not (_is_num(eps) and eps > 0):
         raise ConfigError(f"solver.epsilon: must be null or positive (got {eps!r})")
     _require_int(cfg, "solver.max_sweeps", 1)
-    _require_int(cfg, "solver.seed", 0, "must be a nonnegative integer")
+    _require_int(cfg, "solver.seed", 0, _SEED_RULE)
     _require(cfg, "solver.metric", lambda v: v in ("l1", "l2"), "must be 'l1' or 'l2'")
     _require_int(cfg, "simulation.num_trials", 1)
     _require_int(cfg, "simulation.horizon", 1)
@@ -266,6 +269,13 @@ class ExperimentConfig:
     def mobility(self, p: float | None = None) -> MobilityModel:
         m = self.raw["mobility"]
         return MobilityModel(**(m if p is None else {**m, "p": p}))
+
+    def seed(self, flag: int | None = None) -> int:
+        """The solver seed: solver.seed, or the --seed flag checked by the same rule."""
+        if flag is None:
+            return self.raw["solver"]["seed"]
+        _require_int({"--seed": flag}, "--seed", 0, _SEED_RULE)
+        return flag
 
     def band_labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.bands())

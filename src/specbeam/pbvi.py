@@ -51,13 +51,20 @@ the vector the backup picked for z (the incoming set's vectors have no
 owner, so a stage's first sweep makes no plans). An evaluation sweep
 recomputes every planned belief's node from the retained vectors,
 
-    node_k = T (rbar[a_k] + discount * sum_z O[a_k, :, z] * node[succ[k, z]]),
+    node_k = T (rbar[a_k] + discount * sum_z O[a_k, :, z] * node[succ[k, z]])
+           = T (rbar[a_k] + discount * sum_j W_kj * node[j]),
 
-at a cost of N * (|S| * M_z + |S|^2), against the N * V * C * L score
-product of a backup sweep over its L <= |A| * M_z live columns. Each node
-is the value of a finite plan whose leaves are retained vectors, and
-those are values of plans too, so every node is still a lower bound. A belief adopts its node under
-the same rule, so per-belief values stay monotone.
+W_kj the sum of O[a_k, :, z] over the z with succ[k, z] = j, the weights
+of the block solve below too. A call groups each plan's observations by
+successor once, keeping its J <= M_z distinct successors (about 10 on the
+default model, against M_z = 25) padded with zero weights, so a sweep
+costs N * (J * |S| + |S|^2) against the N * V * C * L score product of a
+backup sweep over its L <= |A| * M_z live columns. The grouped sum is
+the same sum, factored and reordered, so nodes differ from a sum over z
+only by rounding. Each node is the value of a finite plan whose leaves
+are retained vectors, and those are values of plans too, so every node
+is still a lower bound. A belief adopts its node under the same rule, so
+per-belief values stay monotone.
 
 Each evaluation sweep closes only about 1 - discount of the evaluation's
 own gap, so on the 2-4 belief plan sets of small rounds, where backups
@@ -66,15 +73,15 @@ A sweep that leaves at most _EXACT_PLANS planned beliefs evaluates their
 plans exactly instead (_solve_plans), as point-based policy iteration
 does: the nodes solve the m |S| linear system above, with every
 unplanned successor fixed at its anchor. Its (|S|, |S|) blocks
-delta_kj I - discount * T diag(W_kj), W_kj the sum of O[a_k, :, z] over
-the z with succ[k, z] = j, form an M-matrix, so block elimination needs
-no pivoting between blocks. It uses only (|S|, |S|) inverses and stacked
-(|S|, |S|) products, whose bytes held under one and two OpenBLAS threads
-on the default model; one dense solve of the whole system gave other
-bytes under the two from 138 unknowns up. A row whose node does not beat its
-retained value is fixed at its anchor and the rest are solved again, so
-values stay monotone; the nodes left are the values of a finite-state
-controller whose leaves are retained vectors, so they stay lower bounds.
+delta_kj I - discount * T diag(W_kj), with W_kj as above, form an
+M-matrix, so block elimination needs no pivoting between blocks. It uses
+only (|S|, |S|) inverses and stacked (|S|, |S|) products, whose bytes held
+under one and two OpenBLAS threads on the default model; one dense solve
+of the whole system gave other bytes under the two from 138 unknowns up.
+A row whose node does not beat its retained value is fixed at its anchor
+and the rest are solved again, so values stay monotone; the nodes left
+are the values of a finite-state controller whose leaves are retained
+vectors, so they stay lower bounds.
 The blocks depend only on the plan structure (actions and successor slots),
 which recurs within a round, so a round keeps its last two eliminations: an
 equal structure replays one on its new right-hand side, and pivot k reuses a
@@ -247,6 +254,12 @@ def _prune_dominated(mat: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, 
     return mat[keep], actions[keep]
 
 
+def _successor_weights(o_t: np.ndarray, keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """W[k, j] = sum of o_t[k, z] over the z with keys[k, z] == targets[k, j]:
+    (m, J, S) from o_t (m, Z, S), keys (m, Z) and targets broadcast to (m, J)."""
+    return np.matmul((keys[:, None, :] == targets[..., None]).astype(float), o_t)
+
+
 def _evaluate_plans(model: PomdpModel, beliefs: np.ndarray, anchors: np.ndarray,
                     tracked: np.ndarray, planned: np.ndarray, plan_acts: np.ndarray,
                     succ: np.ndarray, epsilon: float, tol: float,
@@ -258,15 +271,23 @@ def _evaluate_plans(model: PomdpModel, beliefs: np.ndarray, anchors: np.ndarray,
     (node_k in the module docstring), and a belief adopts its node where
     the rule at `tol` prefers it; `anchors` and `tracked` change in place.
     Sweeps stop once one adopts nothing or gains less than `epsilon`.
+    Each row's distinct successors uniq[k, :J] and weights W_kj are formed
+    once per call; a short row is padded with successor 0 at weight 0.
     """
     rows = np.flatnonzero(planned)
     acts = plan_acts[rows]
-    o_t = model.O[acts].transpose(0, 2, 1).copy()           # (m, Z, S)
+    nxt = np.sort(succ[rows], axis=1)
+    first = np.ones(nxt.shape, dtype=bool)
+    first[:, 1:] = nxt[:, 1:] != nxt[:, :-1]
+    j = first.cumsum(axis=1) - 1                            # slot of each sorted successor
+    uniq = np.full((len(rows), j.max() + 1), -1)            # -1 matches no z: zero weights
+    uniq[np.arange(len(rows))[:, None], j] = nxt
+    w = _successor_weights(model.O[acts].transpose(0, 2, 1), succ[rows], uniq)  # (m, J, S)
+    uniq[uniq < 0] = 0
     r = model.rbar[acts]
-    nxt = succ[rows]
     b = beliefs[rows]
     for sweep in range(1, max_sweeps + 1):
-        pre = r + model.discount * np.einsum("mzs,mzs->ms", o_t, anchors[nxt])
+        pre = r + model.discount * np.einsum("mjs,mjs->ms", w, anchors.take(uniq, axis=0))
         nodes = pre @ model.T.T
         vals = np.einsum("ms,ms->m", b, nodes)
         gain = vals - tracked[rows]
@@ -303,7 +324,7 @@ def _plan_nodes(model: PomdpModel, anchors: np.ndarray, rows: np.ndarray,
     if n == m == len(kept[hit][0]):
         kept.insert(0, kept.pop(hit))
     else:
-        w = np.matmul((slot[:, None, :] == np.arange(m)[:, None]).astype(float), o_t)
+        w = _successor_weights(o_t, slot, np.arange(m))
         a = model.T * (-disc * w[:, :, None, :])            # (m, m, S, S)
         diag, s = np.arange(m)[:, None], np.arange(model.num_states)
         a[diag, diag, s, s] += 1.0

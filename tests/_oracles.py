@@ -11,12 +11,12 @@ Other references keep earlier package code verbatim so a faster rewrite can
 be held to it, bit for bit or within a stated tolerance: the quadrature
 expected rate, the per-(action, cell) model tables, the scalar belief
 update, the per-proposal belief expansion, the sequential dominance pruning,
-the backup kernel, the backup stage without evaluation sweeps and the
-per-trial episode loop, with the metrics of its traces; a recording agent
-shows the beliefs the simulator hands an agent. Those that decide (a
-vector, an action or an adoption) restate the package's tie rule in their
-own code: the lowest index whose score is within a relative tolerance of
-the maximum.
+the backup kernel, the backup stage without evaluation sweeps, the
+per-observation evaluation sweeps and the per-trial episode loop, with the
+metrics of its traces; a recording agent shows the beliefs the simulator
+hands an agent. Those that decide (a vector, an action or an adoption)
+restate the package's tie rule in their own code: the lowest index whose
+score is within a relative tolerance of the maximum.
 """
 
 from __future__ import annotations
@@ -524,6 +524,36 @@ def reference_backup_stage(model, beliefs: np.ndarray, alphas_mat: np.ndarray,
     if collect_history:
         info["value_history"] = np.stack(history)
     return alphas_mat, alpha_actions, tracked, info
+
+
+def reference_evaluate_plans(model, beliefs: np.ndarray, anchors: np.ndarray,
+                             tracked: np.ndarray, planned: np.ndarray,
+                             plan_acts: np.ndarray, succ: np.ndarray, epsilon: float,
+                             tol: float, max_sweeps: int) -> int:
+    """The solver's evaluation sweeps before successor grouping, kept as the reference.
+
+    Every sweep gathers each planned belief's successor node per
+    observation, (m, Z, |S|), and sums its Z observation terms. It differs
+    from that code only in deciding by this module's adoption rule.
+    """
+    rows = np.flatnonzero(planned)
+    acts = plan_acts[rows]
+    o_t = model.O[acts].transpose(0, 2, 1).copy()           # (m, Z, S)
+    r = model.rbar[acts]
+    nxt = succ[rows]
+    b = beliefs[rows]
+    for sweep in range(1, max_sweeps + 1):
+        pre = r + model.discount * np.einsum("mzs,mzs->ms", o_t, anchors[nxt])
+        nodes = pre @ model.T.T
+        vals = np.einsum("ms,ms->m", b, nodes)
+        gain = vals - tracked[rows]
+        take = adopts(vals, tracked[rows], tol)
+        adopt = rows[take]
+        anchors[adopt] = nodes[take]
+        tracked[adopt] = vals[take]
+        if not adopt.size or gain[take].max() < epsilon:
+            return sweep
+    return max_sweeps
 
 
 def mdp_upper_bound(T: np.ndarray, rbar: np.ndarray, discount: float,

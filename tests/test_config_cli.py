@@ -252,6 +252,37 @@ def test_cli_solve_rejects_p_out_of_range_under_its_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_solve_rejects_an_unknown_agent_before_making_out(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(TINY))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 "--agent", "bogus"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ConfigError" and "'bogus'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--out", "out"],
+    ["sweep-p", "--out", "sweep.csv", "--policies", "pol", "--solve-missing"],
+    ["robustness", "--out", "rob.csv", "--policies", "pol", "--solve-missing",
+     "--traces", "t.jsonl"],
+], ids=["solve", "sweep-p", "robustness"])
+def test_cli_rejects_a_negative_seed_flag_before_writing(command, tmp_path, capsys,
+                                                         monkeypatch):
+    """--seed obeys solver.seed's rule and is checked before any file or
+    directory is made (out/, pol/ and t.jsonl were left empty before)."""
+    (tmp_path / "exp.json").write_text(json.dumps(TINY))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--config", "exp.json", "--seed", "-1", *command[1:]]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ConfigError",
+                                "message": "--seed: must be a nonnegative integer (got -1)"}
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 def test_config_with_a_tiny_lowest_snr_edge_builds_and_solves():
     """G/s^2 over the lowest edge (10^-308) overflows to inf; its bin
     probability is the limit exp(-inf) = 0, without an overflow warning."""

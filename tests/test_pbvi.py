@@ -23,8 +23,8 @@ import _oracles
 from _oracles import (backup_at, bruteforce_backup, edge_margins,
                       freudenthal_weights, lowest_in_band, mdp_upper_bound,
                       projections, reference_backup_block, reference_backup_stage,
-                      reference_expand_beliefs, reference_prune_dominated,
-                      simplex_grid)
+                      reference_evaluate_plans, reference_expand_beliefs,
+                      reference_prune_dominated, simplex_grid)
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -292,6 +292,69 @@ def test_solve_bytes_do_not_depend_on_chunk(band, p, monkeypatch):
     for chunk in (1, 16, 64):
         monkeypatch.setattr(_oracles, "REFERENCE_CHUNK", chunk)
         _assert_solve_matches_reference(band, p, monkeypatch)
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluated_plan_sets():
+    """The model and, per round of 8, 16, 32 and 64 beliefs of the benchmark's
+    3-stage sm solve at p=0.95, copies of the array arguments of the round's
+    first _evaluate_plans call (some beliefs still unplanned) and of its last."""
+    full = CFG.build_model(p=0.95)
+    sets: dict[int, list] = {}
+
+    def spy(model, beliefs, anchors, tracked, planned, plan_acts, succ, *rest):
+        args = tuple(x.copy() for x in (beliefs, anchors, tracked, planned, plan_acts, succ))
+        sets.setdefault(len(beliefs), [args, None])[1] = args
+        return evaluate(model, beliefs, anchors, tracked, planned, plan_acts, succ, *rest)
+
+    evaluate = pbvi._evaluate_plans
+    pbvi._evaluate_plans = spy
+    try:
+        solve(full, initial_belief(full.states), num_stages=3)
+    finally:
+        pbvi._evaluate_plans = evaluate
+    return full, sets
+
+
+@pytest.mark.parametrize("size", [8, 16, 32, 64])
+def test_grouped_evaluation_sweep_matches_reference(size):
+    """One sweep over each row's distinct successors gives the nodes of the
+    per-observation sweep to a relative 1e-12, on a round's first plan set,
+    where some successors are unplanned beliefs held at their anchors, and on
+    its last, where every belief is planned. A tracked value of -inf makes
+    every planned row adopt its node."""
+    full, sets = _evaluated_plan_sets()
+    first, last = sets[size]
+    assert first[3].sum() < size == last[3].sum()
+    assert (~first[3][first[5][first[3]]]).any()            # successors left unplanned
+    tol = tie_tolerance(full)
+    for beliefs, anchors, tracked, planned, plan_acts, succ in (first, last):
+        tracked = np.where(planned, -np.inf, tracked)
+        got, got_vals = anchors.copy(), tracked.copy()
+        want, want_vals = anchors.copy(), tracked.copy()
+        assert pbvi._evaluate_plans(full, beliefs, got, got_vals, planned, plan_acts,
+                                    succ, 0.0, tol, 1) == 1
+        assert reference_evaluate_plans(full, beliefs, want, want_vals, planned,
+                                        plan_acts, succ, 0.0, tol, 1) == 1
+        assert got[~planned].tobytes() == anchors[~planned].tobytes()
+        assert not np.array_equal(got[planned], anchors[planned])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(got_vals, want_vals, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("band, p", _SOLVE_CASES, ids=["0.35", "0.95", "39ghz-0.95"])
+def test_solve_matches_reference_evaluation_sweeps(band, p, monkeypatch):
+    """Whole 2-stage solves with the per-observation sweeps patched in take
+    the same actions and log, and reach V(b0) within a relative 1e-9."""
+    full, got = _live_solve(band, p)
+    with monkeypatch.context() as mp:
+        mp.setattr(pbvi, "_evaluate_plans", reference_evaluate_plans)
+        want = solve(full, initial_belief(full.states), num_stages=2)
+    assert sum(st["eval_sweeps"] for st in got.metadata["stages"]) > 0
+    assert np.array_equal(got.actions, want.actions)
+    assert got.metadata["stages"] == want.metadata["stages"]
+    b0 = initial_belief(full.states)
+    assert got.value(b0) == pytest.approx(want.value(b0), rel=1e-9, abs=0.0)
 
 
 def test_tie_rule_matches_oracle():
