@@ -95,17 +95,23 @@ def _solve_and_save(cfg: ExperimentConfig, agent: str, p: float, seed: int, out_
     return model, policy, path, wall_s
 
 
-def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
-                 solve_missing: bool):
-    """(model, PolicyAgent) per planner plus the oracle; raises on gaps."""
-    cfg_hash = cfg.content_hash()
-    missing = [(agent, p) for agent in cfg.agent_names()
+def _require_policies(cfg: ExperimentConfig, policy_dir: str, ps, solve_missing: bool) -> None:
+    """Raise, naming every gap, unless each planner's policy at each p is on
+    disk or may be solved."""
+    missing = [(agent, p) for p in ps for agent in cfg.agent_names()
                if not os.path.exists(os.path.join(policy_dir, policy_filename(agent, p)))]
     if missing and not solve_missing:
         listed = ", ".join(f"({a}, p={pv:g})" for a, pv in missing)
         raise artifacts.ArtifactError(
             f"missing policies in {policy_dir}: {listed}; "
             f"run `specbeam solve` for each or pass --solve-missing")
+
+
+def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
+                 solve_missing: bool):
+    """(model, PolicyAgent) per planner plus the oracle; raises on gaps."""
+    cfg_hash = cfg.content_hash()
+    _require_policies(cfg, policy_dir, (p,), solve_missing)
     runs = []
     for agent in cfg.agent_names():
         path = os.path.join(policy_dir, policy_filename(agent, p))
@@ -169,6 +175,7 @@ def cmd_robustness(args) -> int:
     scene = cfg.scene()
     labels = cfg.band_labels()
     rows = []
+    _require_policies(cfg, args.policies, ROBUSTNESS_P, args.solve_missing)  # before any trace
     with open(args.traces, "w") if args.traces else contextlib.nullcontext() as trace_fh:
         for p in ROBUSTNESS_P:
             runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)

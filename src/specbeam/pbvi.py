@@ -36,10 +36,43 @@ Because observation rows depend on a state only through its current cell,
 the score b . proj[v, a, z] contracts over the handful of cells rather
 than the full state space, and the projection tensor itself is never
 formed. A sweep projects every belief on every vector per cell in one
-product, then scores one belief at a time on the live (action,
-observation) columns, those some cell can produce, keeping only the max
-over vectors. From those maxima it picks every belief's action at once,
-and it rescores only the chosen action's columns to pick among vectors.
+float64 product (Ht). It then screens the actions: one belief at a time,
+it scores the live (action, observation) columns, those some cell can
+produce, in float32, keeps only the max over vectors and totals each
+action. The actions whose screen total lies within rho of the belief's
+top one are its candidates: 1.04 per belief on the default model, where
+3.6% of the beliefs hold more than one. Only the candidates' columns are
+rescored in float64, all beliefs' together; the rule picks each belief's
+action among their totals and, per observation, the vector under each
+candidate.
+
+The screen cannot drop the rule's choice. A float32 score sums, over C
+cells, nonnegative products of h and oz, each cast from float64, so it
+rounds C + 2 times (two casts, a product, C - 1 additions) and lies
+within gamma_{C+2} = (C+2) u / (1 - (C+2) u), u = 2^-24, of the sum of
+the float64 inputs' products, relatively (Higham 2002, Lemmas 3.1, 3.3).
+A max rounds nothing. Summing an action's at most M_z maxima in float64,
+the discount and the reward's addition round M_z + 1 times more, with
+u' = 2^-53, so a screen total lies within eps X_a of the exact total
+X_a over the float64 inputs, eps = _screen_error = gamma_{C+2} +
+2 gamma'_{M_z+1}. Float32 subnormals would make the products slow, so
+Ht is scaled by the power of two 2^s that puts its maximum in
+[2^59, 2^60) (s <= 1023), and its entries below 1 and OZ's below 2^-60
+are set to 0: every nonzero product is then at least 2^-60. Each zeroed
+product was below one scaled unit 2^-s, so a total moves by less than
+C M_z 2^-s, and the band's floor drops 2 C M_z 2^-s more; scaling back
+is exact, or off by at most 2^-1075 where it underflows. By
+tie_tolerance, an action in the rule's band has X_a >= x - 6 gamma_k
+max(x, 2^-969), x the top exact total, so its screen total lies within
+2 eps x + 6 gamma_k max(x, 2^-969), plus the flush terms, of the top
+screen total. The band, rho = 4 eps measured from max(|top|, 2^-969),
+covers that whenever 6 gamma_k <= 2 eps, which holds for k below
+10^8 (C + 2), so for any model that fits in memory; on the default model
+it is twice what is needed. So the rule's band, its top total included,
+lies among the candidates, and the rule picks among them what it would
+pick among all actions. The float32 errors of the default model's
+screens stay below 0.22 eps (tests/tie_edges.py), and most beliefs keep
+one candidate.
 
 With discount 0.99 a backup sweep closes only about 1% of the remaining
 value gap, so between backup (improvement) sweeps the stage runs cheap
@@ -104,6 +137,7 @@ import numpy as np
 from .pomdp import PomdpModel, belief_update, inverse_cdf
 
 _EXACT_PLANS = 4        # at most this many planned beliefs: _solve_plans
+_SCREEN_BAND = 4        # the action screen's band, in units of _screen_error
 
 
 @dataclass
@@ -176,17 +210,54 @@ def default_epsilon(model: PomdpModel) -> float:
 
 def _cell_tensors(model: PomdpModel
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(E, OZ, OZ_live, live_at): the state->cell one-hot (|S|, C), the
-    per-cell rows (C, |A|*M_z), OZ's nonzero columns (C, L) and, per column
-    of OZ, its index among them, or L where the column is zero."""
+    """(E, OZ, OZ32, first): the state->cell one-hot (|S|, C), the per-cell
+    rows (C, |A|*M_z), OZ's live columns (those some cell can produce) in
+    float32 with entries below 2^-60 set to 0, (C, L), and the index of
+    each action's first column among them (|A|,)."""
     cells = model.states.cells()
     labels = np.unique(cells)
     e = (cells[:, None] == labels[None, :]).astype(float)
     reps = np.array([int(np.flatnonzero(cells == c)[0]) for c in labels])
     oz = model.O[:, reps, :].transpose(1, 0, 2).reshape(len(labels), -1)
     live = oz.any(axis=0)
-    live_at = np.where(live, np.cumsum(live) - 1, live.sum())
-    return e, oz, oz[:, live], live_at
+    per_action = live.reshape(model.num_actions, -1).sum(axis=1)    # >= 1: O's rows sum to 1
+    oz_live = oz[:, live]
+    oz32 = np.where(oz_live < 2.0 ** -60, 0.0, oz_live).astype(np.float32)
+    return e, oz, oz32, np.cumsum(per_action) - per_action
+
+
+def _screen_error(cells: int, observations: int) -> float:
+    """The action screen's relative error bound: gamma_{C+2} in float32 plus
+    2 gamma_{M_z+1} in float64 (module docstring)."""
+    k32 = (cells + 2) * 2.0 ** -24
+    k64 = (observations + 1) * 2.0 ** -53
+    return k32 / (1.0 - k32) + 2.0 * k64 / (1.0 - k64)
+
+
+def _screen(model: PomdpModel, cells: tuple[np.ndarray, ...], ht: np.ndarray,
+            reward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The action screen of a backup: float32 totals (N, |A|) and the floor
+    (N, 1) of each belief's band; the candidates reach it.
+
+    Ht is scaled by 2^s and flushed as the module docstring sets out, each
+    belief's live columns are scored and maximized over vectors in float32,
+    and each action's maxima are summed in float64 and scaled back. The
+    floor lies rho = _SCREEN_BAND * _screen_error below the top total,
+    relative to max(|top|, 2^-969), and 2 C M_z 2^-s lower for the flushes.
+    """
+    oz32, first = cells[2:]
+    n_b, n_c, _ = ht.shape
+    n_z = model.num_observations
+    shift = min(60 - int(np.frexp(ht.max())[1]), 1023)
+    h32 = np.multiply(ht, 2.0 ** shift, out=np.empty(ht.shape, np.float32))  # no float64 copy
+    h32[h32 < 1.0] = 0.0
+    best = np.empty((n_b, oz32.shape[1]), dtype=np.float32)
+    for k in range(n_b):
+        (h32[k].T @ oz32).max(axis=0, out=best[k])
+    unit = 2.0 ** -shift
+    totals = reward + model.discount * (np.add.reduceat(best, first, axis=1, dtype=float) * unit)
+    rho = _SCREEN_BAND * _screen_error(n_c, n_z)
+    return totals, _band_floor(totals.max(axis=1, keepdims=True), rho) - 2.0 * n_c * n_z * unit
 
 
 def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
@@ -197,36 +268,41 @@ def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
     `tb` carries the one-step predicted beliefs (beliefs @ T), which is all
     the backup needs, and `cells` is _cell_tensors(model). The projection
     Ht[n, c, v] = sum_{s' in cell c} tb[n, s'] alpha[v, s'] is formed once,
-    and b_n . proj[v, a, z] = (Ht[n]^T @ OZ)[v, (a, z)]. Each belief's live
-    columns are scored and maximized over vectors; a dead column scores 0
-    for every vector and enters its action's total as a 0, in its place.
-    picks[n, z] is the row of `alpha_mat` chosen for observation z under
-    the chosen action, rescored on that action's columns in blocks no
-    larger than one belief's scores. Actions and picks are first_near_max
-    decisions at `tol`, each made once for all rows.
+    and b_n . proj[v, a, z] = (Ht[n]^T @ OZ)[v, (a, z)]. The action screen
+    (_screen) leaves each belief the candidate actions that the rule's band
+    could hold (module docstring). Each (belief, candidate) pair's columns
+    are rescored in float64, in blocks no larger than one belief's (V, L)
+    scores, then maximized over vectors and totalled, a dead column entering
+    as a 0. The rule picks each belief's action among its candidates'
+    totals, the others standing at -inf, and each pair's vector per
+    observation; picks[n, z] is the row of `alpha_mat` so chosen for
+    observation z under the chosen action. Actions are one first_near_max
+    decision at `tol` for all rows, picks one per block of pairs.
     """
-    e, oz, oz_live, live_at = cells
+    e, oz, oz32, _ = cells
     n_b, n_s = tb.shape
-    n_c, n_l = oz_live.shape
+    n_c = len(oz)
     n_a, _, n_z = model.O.shape
     disc = model.discount
     ht = ((tb[:, None, :] * e.T).reshape(n_b * n_c, n_s) @ alpha_mat.T
           ).reshape(n_b, n_c, -1)                           # (N, C, V)
-    best = np.zeros((n_b, n_l + 1))         # its last column stands for the dead ones
-    for k in range(n_b):
-        (ht[k].T @ oz_live).max(axis=0, out=best[k, :n_l])
-    maxima = best.take(live_at, axis=1).reshape(n_b, n_a, n_z)
-    totals = tb @ model.rbar.T + disc * maxima.sum(axis=2)
-    del best, maxima                    # free their memory before the picks
+    reward = tb @ model.rbar.T                              # (N, A)
+    screen, floor = _screen(model, cells, ht, reward)
+    pair_b, pair_a = np.nonzero(screen >= floor)            # candidates, belief by belief
+    oz3 = oz.reshape(n_c, n_a, n_z)
+    future = np.empty(len(pair_b))
+    pair_picks = np.empty((len(pair_b), n_z), dtype=int)
+    step = max(1, oz32.shape[1] // n_z)  # (step, V, Z) scores fit in one (V, L) block
+    for lo in range(0, len(pair_b), step):
+        k, a = pair_b[lo:lo + step], pair_a[lo:lo + step]
+        scores = np.matmul(ht[k].transpose(0, 2, 1), oz3[:, a].transpose(1, 0, 2))  # (n, V, Z)
+        future[lo:lo + step] = scores.max(axis=1).sum(axis=1)
+        pair_picks[lo:lo + step] = first_near_max(scores, tol, axis=1)
+    totals = np.full((n_b, n_a), -np.inf)                   # -inf: screened out
+    totals[pair_b, pair_a] = reward[pair_b, pair_a] + disc * future
     acts = first_near_max(totals, tol, axis=1)              # (N,)
-    oz_acts = oz.reshape(n_c, n_a, n_z).take(acts, axis=1)  # (C, N, Z)
-    picks = np.empty((n_b, n_z), dtype=int)
-    step = max(1, n_l // n_z)          # (step, V, Z) scores fit in one (V, L) block
-    for lo in range(0, n_b, step):
-        scores = np.matmul(ht[lo:lo + step].transpose(0, 2, 1),
-                           oz_acts[:, lo:lo + step].transpose(1, 0, 2))  # (n, V, Z)
-        picks[lo:lo + step] = first_near_max(scores, tol, axis=1)
-    del ht                              # and ht's before the (N, Z, S) gathers
+    picks = pair_picks[pair_a == acts[pair_b]]              # the pair of each belief's action
+    del ht                              # free its memory before the (N, Z, S) gathers
     g = alpha_mat.take(picks, axis=0)
     phi = (model.O[acts] * g.transpose(0, 2, 1)).sum(axis=2)
     pre = model.rbar[acts] + disc * phi

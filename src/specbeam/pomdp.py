@@ -155,7 +155,8 @@ def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
         states=states,
         actions=actions,
         T=transition_matrix(mobility, states),
-        O=observation_probs(gains, sigma_sq, thr)[:, cell, :],
+        # contiguous, so that a gather of actions' rows copies whole blocks
+        O=np.ascontiguousarray(observation_probs(gains, sigma_sq, thr)[:, cell, :]),
         rbar=expected_rate(bw, gains, sigma_sq)[:, cell],
         gains=gains,
         thresholds=thr,

@@ -668,6 +668,31 @@ def test_cli_robustness_with_traces(cli_dir, capsys):
     assert open(plain).read() == open(csv_path).read()
 
 
+@pytest.mark.parametrize("present", [(), (0.35,)], ids=["no policies", "p=0.35 only"])
+def test_cli_robustness_checks_every_policy_before_tracing(tmp_path, capsys, present):
+    """Without --solve-missing, a policy missing at any p of ROBUSTNESS_P
+    exits 2 with one JSON line before the trace file is opened: no file,
+    so no trace lines of an earlier p either."""
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict(TINY).dump(cfg_path)
+    pol = str(tmp_path / "policies")
+    for p in present:
+        for agent in ("sm", "sf15", "sf39", "sf60"):
+            assert main(["solve", "--config", cfg_path, "--out", pol,
+                         "--agent", agent, "--p", str(p)]) == 0
+    capsys.readouterr()
+    traces = tmp_path / "traces.jsonl"
+    rc = main(["robustness", "--config", cfg_path, "--out", str(tmp_path / "robust.csv"),
+               "--policies", pol, "--traces", str(traces)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    got = json.loads(err)
+    assert got["error"] == "ArtifactError" and "missing policies" in got["message"]
+    for p in ROBUSTNESS_P:
+        assert ("(sm, p=%g)" % p in got["message"]) == (p not in present)
+    assert not traces.exists()
+
+
 def test_cli_trace_lines_are_full_trace_records(cli_dir, capsys):
     """Each line is the reference loop's trial record without SNRs and rates."""
     cfg_path, pol_dir = str(cli_dir / "exp.json"), str(cli_dir / "policies")

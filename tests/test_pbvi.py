@@ -191,6 +191,92 @@ def test_backup_block_picks_row_0_on_dead_columns():
     assert (picks[~on_dead] != 0).all()                     # row 0 never wins a live one
 
 
+def _screen_spy(monkeypatch) -> list:
+    """Record the arguments and results of every pbvi._screen call from now on."""
+    seen, screen = [], pbvi._screen
+
+    def spy(model, cells, ht, reward):
+        totals, floor = screen(model, cells, ht, reward)
+        seen.append((model, cells, ht, reward, totals, floor))
+        return totals, floor
+    monkeypatch.setattr(pbvi, "_screen", spy)
+    return seen
+
+
+@pytest.mark.parametrize("power", [200, -200])
+def test_backup_block_screen_at_scaled_rewards(power):
+    """Rewards, and so vectors and projections, scaled by 2^+-200: the
+    screen's power-of-two shift brings them into float32's range."""
+    sub = CFG.build_model(p=0.6)
+    scaled = dataclasses.replace(sub, rbar=sub.rbar * 2.0 ** power)
+    rng = np.random.default_rng(24)
+    for tb in (_point_heavy_beliefs(scaled, 30, rng) @ scaled.T,
+               rng.dirichlet(np.ones(scaled.num_states), size=30)):
+        _assert_kernels_agree(scaled, tb, _tied_alphas(scaled, tb, rng, 40))
+
+
+def test_backup_block_screen_on_zero_vectors_and_zero_beliefs():
+    """All-zero alpha rows, and rows of tb (and so of Ht) that are all 0:
+    every action ties on its reward or on 0, and the rule decides."""
+    sub = CFG.build_model(p=0.6)
+    rng = np.random.default_rng(25)
+    tb = rng.dirichlet(np.ones(sub.num_states), size=12)
+    tb[[0, 5, 11]] = 0.0
+    alpha_mat = _tied_alphas(sub, tb, rng, 10)
+    alpha_mat[[0, 4]] = 0.0
+    _assert_kernels_agree(sub, tb, alpha_mat)
+    _, acts, _ = _assert_kernels_agree(sub, tb, np.zeros((3, sub.num_states)))
+    assert (acts[[0, 5, 11]] == 0).all()
+
+
+def test_backup_block_screen_on_vanishing_beliefs():
+    """Predicted beliefs of mass 1e-300 down to subnormal: the shift is
+    capped, so both the projections' flush and OZ's flush set entries to 0."""
+    sub = CFG.build_model(p=0.6)
+    rng = np.random.default_rng(26)
+    base = np.vstack([_point_heavy_beliefs(sub, 9, rng),
+                      rng.dirichlet(np.ones(sub.num_states), size=9)]) @ sub.T
+    for mass in (1e-300, 1e-310, 5e-324):
+        tb = base * mass
+        _assert_kernels_agree(sub, tb, _tied_alphas(sub, tb, rng, 30))
+
+
+def test_backup_block_screen_band_edges(monkeypatch):
+    """Actions whose totals lie rho/4 and 4 rho below the top, rho the
+    screen band: the first is a candidate and the second is not."""
+    x, v = 1e12, 3e11
+    tiny = _tiny_model(np.zeros((3, 1)), discount=0.9)
+    rho = pbvi._SCREEN_BAND * pbvi._screen_error(1, tiny.num_observations)
+    totals = x * np.array([1.0 - rho / 4, 1.0 - 4 * rho, 1.0])
+    tiny = dataclasses.replace(tiny, rbar=(totals - 0.9 * v)[:, None])
+    seen = _screen_spy(monkeypatch)
+    _, acts, _ = _assert_kernels_agree(tiny, np.array([[1.0]]), np.array([[v], [v / 2]]))
+    screened, floor = seen[0][4:]
+    assert (screened >= floor).tolist() == [[True, False, True]]
+    assert acts.tolist() == [2]
+
+
+@pytest.mark.parametrize("p", [0.95, 0.35])
+def test_screen_keeps_every_action_in_the_rule_band(p, monkeypatch):
+    """Every backup of a 2-stage default solve: each action that the rule's
+    band holds, by the float64 totals over all columns the kernel computed
+    before the screen, is a screen candidate, and some beliefs hold several."""
+    model = CFG.build_model(p=p)
+    seen = _screen_spy(monkeypatch)
+    solve(model, initial_belief(model.states), num_stages=2)
+    tol, several = tie_tolerance(model), 0
+    for _, cells, ht, reward, screened, floor in seen:
+        oz = cells[1]
+        maxima = np.stack([(h.T @ oz).max(axis=0) for h in ht])
+        exact = reward + model.discount * maxima.reshape(*reward.shape, -1).sum(axis=2)
+        top = exact.max(axis=1, keepdims=True)
+        in_band = exact >= top - _oracles.band_width(top, tol)
+        candidate = screened >= floor
+        assert not (in_band & ~candidate).any()
+        several += int((candidate.sum(axis=1) > 1).sum())
+    assert len(seen) > 20 and several > 0
+
+
 @pytest.mark.parametrize("p", [0.95, 0.35])
 def test_solve_improvement_path_matches_reference_stage(p, monkeypatch):
     """With both evaluation paths adopting nothing, solves match the stage without them.
