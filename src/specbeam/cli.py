@@ -107,16 +107,16 @@ def _require_policies(cfg: ExperimentConfig, policy_dir: str, ps, solve_missing:
             f"run `specbeam solve` for each or pass --solve-missing")
 
 
-def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, seed: int,
-                 solve_missing: bool):
-    """(model, PolicyAgent) per planner plus the oracle; raises on gaps."""
+def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, solve_missing: bool):
+    """(model, PolicyAgent) per planner plus the oracle; raises on gaps. A
+    missing policy is solved with solver.seed, as `solve` without --seed does."""
     cfg_hash = cfg.content_hash()
     _require_policies(cfg, policy_dir, (p,), solve_missing)
     runs = []
     for agent in cfg.agent_names():
         path = os.path.join(policy_dir, policy_filename(agent, p))
         if not os.path.exists(path):
-            model, policy = _solve_and_save(cfg, agent, p, seed, policy_dir)[:2]
+            model, policy = _solve_and_save(cfg, agent, p, cfg.seed(), policy_dir)[:2]
         else:
             model = cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
             policy, _ = artifacts.load_policy(
@@ -159,7 +159,7 @@ def cmd_sweep_p(args) -> int:
     labels = cfg.band_labels()
     rows = []
     for p in sim["p_grid"]:
-        runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
+        runs = _load_agents(cfg, args.policies, p, args.solve_missing)
         metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed)
         for (_, agent), m in zip(runs, metrics):
             rows.append(_metric_row(m, labels, agent.label, p, seed))
@@ -175,10 +175,10 @@ def cmd_robustness(args) -> int:
     scene = cfg.scene()
     labels = cfg.band_labels()
     rows = []
-    _require_policies(cfg, args.policies, ROBUSTNESS_P, args.solve_missing)  # before any trace
+    _require_policies(cfg, args.policies, ROBUSTNESS_P, args.solve_missing)  # names every gap
+    runs_by_p = [_load_agents(cfg, args.policies, p, args.solve_missing) for p in ROBUSTNESS_P]
     with open(args.traces, "w") if args.traces else contextlib.nullcontext() as trace_fh:
-        for p in ROBUSTNESS_P:
-            runs = _load_agents(cfg, args.policies, p, seed, args.solve_missing)
+        for p, runs in zip(ROBUSTNESS_P, runs_by_p):
             for speed in sim["speed_grid_kmh"]:
                 dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
                 log = simulate_slots(runs, dyn, dyn.n_slots, sim["num_trials"], seed)

@@ -37,7 +37,7 @@ class MobilityModel:
         for name in ("kappa1", "kappa2"):
             if not 0.0 <= (value := getattr(self, name)) <= 1.0:
                 raise ValueError(f"{name}: must lie in [0, 1] (got {value!r})")
-        if isinstance(self.window, bool) or self.window not in (1, 2):
+        if type(self.window) is not int or self.window not in (1, 2):
             raise ValueError(f"window: must be 1 or 2 (got {self.window!r})")
 
 

@@ -6,13 +6,13 @@ the uniform lower bound
 
     alpha_0[s] = min_{s', a} rbar[a, s'] / (1 - discount),
 
-the solver alternates belief-set expansion (one stochastic forward
-simulation per action per belief, keeping the candidate farthest from the
-set) with stages of point-based backup sweeps. Beliefs are the rows of an
-(N, |S|) array; expansion updates all N * |A| proposals of a round in one
-pomdp.belief_update call, and only its farthest-point picks run in turn.
-A backup at belief b picks, per (action, observation), the best projected
-vector
+the solver runs num_stages * expansions_per_stage rounds, each a belief-set
+expansion (one stochastic forward simulation per action per belief, keeping
+the candidate farthest from the set) and a stage of point-based backup
+sweeps; only the product matters. Beliefs are the rows of an (N, |S|)
+array; expansion updates all N * |A| proposals of a round in one
+pomdp.belief_update call, and only its farthest-point picks run in turn. A
+backup at belief b picks, per (action, observation), the best projected vector
 
     proj[v, a, z, s] = sum_{s'} T[s, s'] * O[a, s', z] * alpha[v, s']
 
@@ -116,14 +116,12 @@ and the rest are solved again, so values stay monotone; the nodes left
 are the values of a finite-state controller whose leaves are retained
 vectors, so they stay lower bounds.
 The blocks depend only on the plan structure (actions and successor slots),
-which recurs within a round, so a round keeps its last two eliminations: an
-equal structure replays one on its new right-hand side, and pivot k reuses a
-kept inverse where rows 0..k have the same actions and successors among
-0..k. A replay applies the same operands in the same order, so nodes keep
-their bytes; keeping every structure of a round caught few more repeats and
-cost 5 MB more peak memory. Larger plan sets keep the evaluation sweeps:
-raising the limit from 4 to 8 plans made the 3-stage solves about 1.3 times
-slower.
+which recurs within a round, so a round keeps its last two eliminations, and
+an equal structure replays one on its new right-hand side. A replay applies
+the same operands in the same order, so nodes keep their bytes; keeping
+every structure of a round caught few more repeats and cost 5 MB more peak
+memory. Larger plan sets keep the evaluation sweeps: raising the limit from
+4 to 8 plans made the 3-stage solves about 1.3 times slower.
 """
 
 from __future__ import annotations
@@ -390,24 +388,18 @@ def _plan_nodes(model: PomdpModel, anchors: np.ndarray, rows: np.ndarray,
     o_t = model.O[acts].transpose(0, 2, 1)                  # (m, Z, S)
     fixed = np.einsum("kzs,kzs->ks", o_t * (slot == m)[:, :, None], anchors[nxt])
     x = np.matmul(model.T, (model.rbar[acts] + disc * fixed)[:, :, None])   # (m, S, 1)
-    def shared(o_acts, o_slot, *_):         # leading pivots in common with a kept one
-        same = [acts[k] == o_acts[k] and np.array_equal(np.minimum(slot[:k + 1], k + 1),
-                np.minimum(o_slot[:k + 1], k + 1)) for k in range(min(m, len(o_acts)))]
-        return (same + [False]).index(False)
-    lead = [shared(*old) for old in kept]
-    n = max(lead, default=0)
-    hit = lead.index(n) if n else None      # the newest kept one sharing n pivots
-    if n == m == len(kept[hit][0]):
-        kept.insert(0, kept.pop(hit))
+    hit = [i for i, old in enumerate(kept)
+           if np.array_equal(old[0], acts) and np.array_equal(old[1], slot)]
+    if hit:
+        kept.insert(0, kept.pop(hit[0]))
     else:
         w = _successor_weights(o_t, slot, np.arange(m))
         a = model.T * (-disc * w[:, :, None, :])            # (m, m, S, S)
         diag, s = np.arange(m)[:, None], np.arange(model.num_states)
         a[diag, diag, s, s] += 1.0
-        invs = kept[hit][2][:n] if n else []
+        invs = []
         for k in range(m):
-            if k >= n:
-                invs.append(np.linalg.inv(a[k, k]))
+            invs.append(np.linalg.inv(a[k, k]))
             a[k, k + 1:] = np.matmul(invs[k], a[k, k + 1:])
             a[k + 1:, k + 1:] -= np.matmul(a[k + 1:, k, None], a[k, None, k + 1:])
         kept[:] = [(acts, slot, invs, a), *kept[:1]]
@@ -570,25 +562,21 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
     alphas_mat = initial_bound(model)[None, :]
     alpha_actions = np.array([0])
     beliefs = np.asarray(b0, dtype=float)[None, :]
-    tracked: np.ndarray | None = None
+    tracked = np.empty(0)
     stage_log: list[dict] = []
     stage_wall_s: list[float] = []
-    round_id = 0
-    for _ in range(num_stages):
-        for _ in range(expansions_per_stage):
-            round_id += 1
-            t0 = time.perf_counter()
-            beliefs = expand_beliefs(model, beliefs,
-                                     np.random.SeedSequence((seed, round_id)),
-                                     metric=metric)
-            if tracked is not None:     # backup_stage values the new beliefs
-                tracked = np.append(tracked, np.full(len(beliefs) - len(tracked), -np.inf))
-            alphas_mat, alpha_actions, tracked, info = backup_stage(
-                model, beliefs, alphas_mat, alpha_actions, eps, max_sweeps,
-                tracked=tracked, collect_history=collect_history)
-            stage_log.append({"round": round_id, "num_beliefs": len(beliefs),
-                              "num_alphas": len(alphas_mat), **info})
-            stage_wall_s.append(time.perf_counter() - t0)
+    for round_id in range(1, num_stages * expansions_per_stage + 1):
+        t0 = time.perf_counter()
+        beliefs = expand_beliefs(model, beliefs, np.random.SeedSequence((seed, round_id)),
+                                 metric=metric)
+        # -inf: backup_stage values the new beliefs
+        tracked = np.append(tracked, np.full(len(beliefs) - len(tracked), -np.inf))
+        alphas_mat, alpha_actions, tracked, info = backup_stage(
+            model, beliefs, alphas_mat, alpha_actions, eps, max_sweeps,
+            tracked=tracked, collect_history=collect_history)
+        stage_log.append({"round": round_id, "num_beliefs": len(beliefs),
+                          "num_alphas": len(alphas_mat), **info})
+        stage_wall_s.append(time.perf_counter() - t0)
     metadata = {"seed": seed, "num_stages": num_stages,
                 "expansions_per_stage": expansions_per_stage,
                 "epsilon": eps, "max_sweeps": max_sweeps, "metric": metric,

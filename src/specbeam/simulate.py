@@ -67,7 +67,6 @@ class PolicyAgent(Agent):
 
     def __init__(self, label: str, model: PomdpModel, policy: Policy):
         self.label = label
-        self.model = model
         self.policy = policy
         self.tol = tie_tolerance(model)
 
@@ -106,7 +105,6 @@ class OracleAgent(Agent):
     label = "oracle"
 
     def __init__(self, model: PomdpModel):
-        self.model = model
         self._by_cell = np.array(
             [oracle_action(model, cell) for cell in range(1, len(model.road) + 1)])
 

@@ -120,8 +120,10 @@ def test_config_rejects_bad_values():
             {"bands": [{"f_hz": 15.0e9, "bandwidth_hz": 90.0e6, "typo": 1}]})
     with pytest.raises(ConfigError, match=r"^solver\.seed: must be a nonnegative integer"):
         ExperimentConfig.from_dict({"solver": {"seed": True}})
-    with pytest.raises(ConfigError, match=r"^mobility\.window: must be 1 or 2"):
-        ExperimentConfig.from_dict({"mobility": {"window": True}})
+    for window in (True, 2.0):          # 2.0 would build window 2's model under another digest
+        with pytest.raises(ConfigError,
+                           match=rf"^mobility\.window: must be 1 or 2 \(got {window}\)$"):
+            ExperimentConfig.from_dict({"mobility": {"window": window}})
     for bad, path in UNRUNNABLE:
         with pytest.raises(ConfigError, match="^" + path.replace(".", r"\.") + ": "):
             ExperimentConfig.from_dict(bad)
@@ -693,6 +695,59 @@ def test_cli_robustness_checks_every_policy_before_tracing(tmp_path, capsys, pre
     assert not traces.exists()
 
 
+def _solve_robustness_policies(cfg_path: str, pol: str) -> None:
+    """Every planner's policy at each p of ROBUSTNESS_P, solved with solver.seed."""
+    for p in ROBUSTNESS_P:
+        for agent in ("sm", "sf15", "sf39", "sf60"):
+            assert main(["solve", "--config", cfg_path, "--out", pol,
+                         "--agent", agent, "--p", str(p)]) == 0
+
+
+BROKEN_POLICIES = {
+    "fields missing": lambda r: {"format": "specbeam-policy", "version": 1},
+    "config hash mismatch": lambda r: {**r, "config_hash": "0" * 64},
+}
+
+
+@pytest.mark.parametrize("breaks", BROKEN_POLICIES.values(), ids=BROKEN_POLICIES.keys())
+def test_cli_robustness_loads_every_policy_before_tracing(tmp_path, capsys, breaks):
+    """A later p's policy that exists but does not load exits 2 with one JSON
+    line naming it, before the trace file is opened: no earlier p's lines."""
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict(TINY).dump(cfg_path)
+    pol = str(tmp_path / "policies")
+    _solve_robustness_policies(cfg_path, pol)
+    path = tmp_path / "policies" / policy_filename("sf39", ROBUSTNESS_P[-1])
+    path.write_text(json.dumps(breaks(json.loads(path.read_text()))))
+    capsys.readouterr()
+    traces = tmp_path / "traces.jsonl"
+    rc = main(["robustness", "--config", cfg_path, "--out", str(tmp_path / "robust.csv"),
+               "--policies", pol, "--traces", str(traces)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    got = json.loads(err)
+    assert got["error"] == "ArtifactError" and str(path) in got["message"]
+    assert not traces.exists()
+
+
+def test_cli_seed_flag_seeds_only_the_monte_carlo(tmp_path, capsys):
+    """robustness --seed S --solve-missing solves with solver.seed, so an
+    empty policy directory and one that `solve` filled give the same bytes."""
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict(TINY).dump(cfg_path)
+    _solve_robustness_policies(cfg_path, str(tmp_path / "filled"))
+    for pol in ("empty", "filled"):
+        assert main(["robustness", "--config", cfg_path, "--seed", "7", "--solve-missing",
+                     "--policies", str(tmp_path / pol), "--out", str(tmp_path / f"{pol}.csv"),
+                     "--traces", str(tmp_path / f"{pol}.jsonl")]) == 0
+    capsys.readouterr()
+    for ext in ("csv", "jsonl"):
+        assert (tmp_path / f"empty.{ext}").read_bytes() == (tmp_path / f"filled.{ext}").read_bytes()
+    for f in sorted(os.listdir(tmp_path / "filled")):
+        if f.endswith(".policy.json"):
+            assert (tmp_path / "empty" / f).read_bytes() == (tmp_path / "filled" / f).read_bytes()
+
+
 def test_cli_trace_lines_are_full_trace_records(cli_dir, capsys):
     """Each line is the reference loop's trial record without SNRs and rates."""
     cfg_path, pol_dir = str(cli_dir / "exp.json"), str(cli_dir / "policies")
@@ -700,7 +755,7 @@ def test_cli_trace_lines_are_full_trace_records(cli_dir, capsys):
     sim, seed = cfg.raw["simulation"], cfg.raw["solver"]["seed"]
     want = []
     for p in ROBUSTNESS_P:
-        runs = _load_agents(cfg, pol_dir, p, seed, solve_missing=False)
+        runs = _load_agents(cfg, pol_dir, p, solve_missing=False)
         for speed in sim["speed_grid_kmh"]:
             dyn = FixedPathDynamics(cfg.scene(), speed, sim["slot_s"])
             for model, agent in runs:

@@ -838,7 +838,7 @@ def test_kept_eliminations_match_fresh_ones_on_pipeline_solves(monkeypatch):
 
 def test_kept_elimination_replays_after_a_row_that_does_not_beat(monkeypatch):
     """A row that does not beat, the re-solve of the other rows, then the
-    first structure again: the re-solve reuses pivot 0's inverse, the last
+    first structure again: the re-solve eliminates its rows afresh, the last
     call replays the kept elimination without inverting, and both give the
     bytes of a fresh elimination."""
     full, beliefs, anchors, tracked, planned, plan_acts, succ = _plan_set(4)
@@ -852,7 +852,7 @@ def test_kept_elimination_replays_after_a_row_that_does_not_beat(monkeypatch):
     kept, got, got_vals = [], anchors.copy(), tracked.copy()
     assert pbvi._solve_plans(full, beliefs, got, got_vals, planned, plan_acts,
                              succ, tol, kept) == 2
-    assert [len(acts) for acts, *_ in kept] == [3, 4] and inverses[0] <= 4 + 2
+    assert [len(acts) for acts, *_ in kept] == [3, 4] and inverses[0] == 4 + 3
     rest = np.delete(rows, 1)
     want = pbvi._plan_nodes(full, anchors, rest, plan_acts[rest], succ[rest], [])
     assert got[rest].tobytes() == want.tobytes()
@@ -976,6 +976,19 @@ def test_solve_determinism_and_metadata():
     c = solve(sub, b0, num_stages=2, expansions_per_stage=1, seed=6)
     assert c.alpha.shape != a.alpha.shape or a.alpha.tobytes() != c.alpha.tobytes()
     assert a.value(b0) > initial_bound(sub)[0]
+
+
+def test_solve_rounds_depend_only_on_their_count():
+    """num_stages and expansions_per_stage act only through their product:
+    (2, 2), (4, 1) and (1, 4) run the same rounds, and the metadata keeps both."""
+    full, want = _live_solve(None, 0.95)
+    for stages, per in ((4, 1), (1, 4)):
+        got = solve(full, initial_belief(full.states), num_stages=stages,
+                    expansions_per_stage=per)
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.actions.tobytes() == want.actions.tobytes()
+        assert got.metadata["stages"] == want.metadata["stages"]
+        assert (got.metadata["num_stages"], got.metadata["expansions_per_stage"]) == (stages, per)
 
 
 def test_extract_action_rules(model):
