@@ -158,6 +158,7 @@ def cmd_sweep_p(args) -> int:
     sim = cfg.raw["simulation"]
     labels = cfg.band_labels()
     rows = []
+    _require_policies(cfg, args.policies, sim["p_grid"], args.solve_missing)  # names every gap
     for p in sim["p_grid"]:
         runs = _load_agents(cfg, args.policies, p, args.solve_missing)
         metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed)

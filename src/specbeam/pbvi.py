@@ -186,7 +186,12 @@ def _band_floor(top: np.ndarray, tol: float) -> np.ndarray:
 def first_near_max(scores: np.ndarray, tol: float, axis: int = -1) -> np.ndarray:
     """The decision rule: the lowest index along `axis` whose score is at
     least top - tol * max(|top|, 2^-969), top the computed maximum."""
-    top = scores.max(axis=axis, keepdims=True)
+    if scores.ndim == 2 and axis in (1, -1) and scores.shape[1] <= 16 and len(scores) >= 32:
+        # numpy reduces a short last axis row by row; over a transposed copy the max is a
+        # few whole-row passes, with the same values (a max rounds nothing)
+        top = np.ascontiguousarray(scores.T).max(axis=0)[:, None]
+    else:
+        top = scores.max(axis=axis, keepdims=True)
     return (scores >= _band_floor(top, tol)).argmax(axis=axis)
 
 

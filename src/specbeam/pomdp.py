@@ -18,7 +18,9 @@ whose likelihoods O[a, :, z] the caller gathers: the simulator runs it once
 per slot over all trials of every agent, and belief expansion once per
 round over all (belief, action) proposals. Each row's T^T b is a per-row
 product stacked by np.matmul; a batched B @ T rounds differently, and one
-ulp changes recorded beliefs and can flip a later expansion pick.
+ulp changes recorded beliefs and can flip a later expansion pick. The
+likelihoods multiply into those predicted rows in place, and each row is
+divided by its sum, the order of the filter above.
 """
 
 from __future__ import annotations
@@ -196,11 +198,17 @@ def belief_update(model: PomdpModel, beliefs: np.ndarray, likelihood: np.ndarray
 
     Returns (posteriors (n, |S|), impossible (n,)): rows whose observation
     has probability <= 1e-300 under the belief are uniform and flagged.
+    Only when some row is impossible does the division run under
+    np.errstate: such a row may sum to 0.
     """
-    post = likelihood * np.matmul(model.T.T, beliefs[:, :, None])[..., 0]
+    post = np.matmul(model.T.T, beliefs[:, :, None])[..., 0]
+    post *= likelihood
     norm = post.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        post /= norm[:, None]
     impossible = norm <= _NORMALIZER_FLOOR
+    if not impossible.any():
+        post /= norm[:, None]
+        return post, impossible
+    with np.errstate(divide="ignore", invalid="ignore"):    # their rows are reset below
+        post /= norm[:, None]
     post[impossible] = 1.0 / model.num_states
     return post, impossible

@@ -14,18 +14,21 @@ and noise draws are one array shared by every run, not equal copies.
 
 The beliefs of all runs are the rows of one matrix, a block of trials per
 run, and all trials advance one slot at a time. Per slot, one PolicyBank
-rule call decides every PolicyAgent row (a bank per agent if the padded
-scores would outgrow the beliefs), other agents act on their own blocks,
-gains, noise and likelihood rows O[a, :, z] come from the runs' stacked
-tables, and one pomdp.belief_update call updates every row; rates are
-formed from the stored SNRs after the loop. Paths and noise do not depend
-on actions, so they are drawn before the loop (Generator.random(h) equals
-h single draws; fixed paths draw nothing). Every slot is bit-identical to
-a per-trial, per-agent loop: pomdp.belief_update stacks per-row
-matrix-vector products with np.matmul (a batched B @ T rounds the beliefs
-differently), the logs are math.log1p/math.log2, which differ from the
-numpy ufuncs in the last bit, and each decision is the rule's arithmetic
-on the scores an agent forms alone from its unchanged row block.
+rule call decides every PolicyAgent row into one reused action vector (a
+bank per agent, sharing one score buffer, if the padded scores would
+outgrow the beliefs), other agents act on their own blocks, gains and
+noise come from the runs' stacked tables, likelihood rows O[a, :, z] are
+contiguous rows of one (A, Z, S) stack, and one pomdp.belief_update call
+updates every row; rates are formed from the stored SNRs after the loop.
+Paths and noise do not depend on actions, so they are drawn before the
+loop (Generator.random(h) equals h single draws; fixed paths draw nothing;
+a Markov step draws over the state's successors, MarkovDynamics). Every
+slot is bit-identical to a per-trial, per-agent loop:
+pomdp.belief_update stacks per-row matrix-vector products with np.matmul
+(a batched B @ T rounds the beliefs differently), the logs are
+math.log1p/math.log2, which differ from the numpy ufuncs in the last bit,
+and each decision is the rule's arithmetic on the scores an agent forms
+alone from its unchanged row block.
 
 The runner keeps each agent-slot's action, rate and reset flag, about 10
 bytes, next to the shared cells (one row on a fixed path) and noise draws;
@@ -80,22 +83,30 @@ class PolicyBank:
     Agent i's scores, the product b_i @ alpha_i.T it forms alone, fill rows
     i*n, ..., i*n + n - 1 of one matrix padded with -inf to the longest
     alpha set; one first_near_max call, each row with its agent's
-    tolerance, picks every row's vector, so each decision is the agent's own."""
+    tolerance, picks every row's vector, so each decision is the agent's own.
+    The matrix is allocated, and padded, once. A bank of one agent needs no
+    padding, so such banks may share one (n, >= width) `scores` buffer."""
 
-    def __init__(self, agents: list[PolicyAgent], blocks: list[slice]):
-        self.alphas, self.blocks = [a.policy.alpha for a in agents], blocks
+    def __init__(self, agents: list[PolicyAgent], blocks: list[slice],
+                 scores: np.ndarray | None = None):
+        alphas, sizes = [a.policy.alpha for a in agents], [len(a.policy.actions) for a in agents]
         self.rows = np.r_[tuple(blocks)]
-        self.n, sizes = len(self.rows) // len(agents), [len(a.policy.actions) for a in agents]
+        self.n, self.width = len(self.rows) // len(agents), max(sizes)
         self.tol = np.repeat([a.tol for a in agents], self.n)[:, None]
         self.first = np.repeat(np.cumsum([0] + sizes[:-1]), self.n)
-        self.actions, self.width = np.concatenate([a.policy.actions for a in agents]), max(sizes)
+        self.actions = np.concatenate([a.policy.actions for a in agents])
+        if scores is None:
+            scores = np.full((len(self.rows), self.width), -np.inf)
+        self.scores = scores[:, :self.width]
+        n = self.n
+        self._terms = [(block, alpha.T, self.scores[i * n:(i + 1) * n, :len(alpha)])
+                       for i, (alpha, block) in enumerate(zip(alphas, blocks))]
 
     def act(self, beliefs: np.ndarray) -> np.ndarray:
         """Actions of the belief rows self.rows, in that order."""
-        scores, n = np.empty((len(self.rows), self.width)), self.n
-        for i, (alpha, block) in enumerate(zip(self.alphas, self.blocks)):
-            np.matmul(beliefs[block], alpha.T, out=scores[i * n:(i + 1) * n, :len(alpha)])
-            scores[i * n:(i + 1) * n, len(alpha):] = -np.inf
+        scores = self.scores
+        for block, alpha_t, out in self._terms:
+            np.matmul(beliefs[block], alpha_t, out=out)
         return self.actions[self.first + first_near_max(scores, self.tol, axis=1)]
 
 
@@ -122,20 +133,34 @@ def oracle_action(model: PomdpModel, true_cell: int) -> int:
 
 
 class MarkovDynamics:
-    """Ground-truth window dynamics drawn from the model's own chain."""
+    """Ground-truth window dynamics drawn from the model's own chain.
+
+    A step draws over the state's successors, the nonzero entries of its T
+    row, with their entries of the full row's cumsum: the first entry of a
+    non-decreasing cumsum above u is a successor's, so the draw equals
+    inverse_cdf over the full row, and a draw at or above the row's last
+    entry (one rounded below 1) lands on the last state, as its cap does."""
 
     def __init__(self, model: PomdpModel):
         self._b0_cum = initial_belief(model.states).cumsum()
-        self._t_cum = model.T.cumsum(axis=1)
+        n_s = model.num_states
+        rows, cols = np.nonzero(model.T)
+        rank = np.arange(rows.size) - rows.searchsorted(rows)   # among the row's successors
+        # column s: state s's successors' cumsum entries, then +inf; row s of _next: the
+        # successors, then the last state for a draw above them all
+        self._cum = np.full((rank.max() + 2, n_s), np.inf)
+        self._cum[rank, rows] = model.T.cumsum(axis=1)[rows, cols]
+        self._next = np.full((n_s, rank.max() + 2), n_s - 1)
+        self._next[rows, rank] = cols
 
     def states(self, u: np.ndarray) -> np.ndarray:
         """(n, h) states of n paths; u (n, h + 1) uniforms, column 0 the start."""
         state = inverse_cdf(self._b0_cum, u[:, 0])
-        out = np.empty((u.shape[0], u.shape[1] - 1), dtype=int)
-        for t in range(out.shape[1]):
-            state = inverse_cdf(self._t_cum[state], u[:, t + 1])
-            out[:, t] = state
-        return out
+        out = np.empty((u.shape[1] - 1, u.shape[0]), dtype=int)     # slot-major
+        for t, u_t in enumerate(np.ascontiguousarray(u[:, 1:].T)):
+            state = self._next[state, (self._cum.take(state, axis=1) <= u_t).sum(axis=0)]
+            out[t] = state
+        return out.T
 
 
 def fixed_path_slots(road_m: float, speed_kmh: float, slot_s: float) -> int:
@@ -261,7 +286,9 @@ def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
     models = list({id(m): m for m, _ in runs}.values())
     start = dict(zip(map(id, models), np.cumsum([0] + [len(m.actions) for m in models[:-1]])))
     base = np.repeat([start[id(m)] for m, _ in runs], n)
-    gains, obs = np.vstack([m.gains for m in models]), np.concatenate([m.O for m in models])
+    gains = np.vstack([m.gains for m in models])
+    # likelihood rows O[a, :, z] are contiguous rows of one (A, Z, S) stack
+    obs = np.ascontiguousarray(np.concatenate([m.O for m in models]).transpose(0, 2, 1))
     bw = [np.array([band.bandwidth_hz for band in m.bands])[m.actions.band_idx] for m in models]
     width, sigma = np.concatenate(bw), np.concatenate(
         [m.consts.noise_variance_w(w) for m, w in zip(models, bw)])
@@ -269,21 +296,27 @@ def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
     banked = [r for r, (_, agent) in enumerate(runs) if isinstance(agent, PolicyAgent)]
     others = [r for r in range(len(runs)) if r not in banked]
     b = np.tile(initial_belief(first.states), (rows, 1))
-    # one bank, unless its padded scores outgrow the beliefs: the update's peak stays the peak
+    # one bank, unless its padded scores outgrow the beliefs: the update's peak stays the
+    # peak; then a bank per agent, all writing their scores into one buffer
     widest = max((len(runs[r][1].policy.actions) for r in banked), default=0)
-    groups = [banked] if len(banked) * n * widest <= b.size else [[r] for r in banked]
-    banks = [PolicyBank([runs[r][1] for r in g], [blocks[r] for r in g]) for g in groups if g]
+    shared = np.empty((n, widest)) if len(banked) * n * widest > b.size else None
+    groups = [banked] if shared is None else [[r] for r in banked]
+    banks = [PolicyBank([runs[r][1] for r in g], [blocks[r] for r in g], shared)
+             for g in groups if g]
+    act, a = np.empty(rows, int), np.empty(rows, int)   # each slot's actions: own, stacked
+    a_run = a.reshape(len(runs), n)
+    cell_idx = (cells.T - 1).astype(np.min_scalar_type(len(first.road) - 1))
     for t in range(horizon):
-        cell, e = cells[:, t], draws[:, t]
         for bank in banks:
-            log.actions[bank.rows, t] = bank.act(b)
+            act[bank.rows] = bank.act(b)
         for r in others:
-            log.actions[blocks[r], t] = runs[r][1].act(b[blocks[r]], cell)
-        a = (log.actions[:, t] + base).reshape(len(runs), n)
-        log.rates[:, t] = snr = (gains[a, cell - 1] / (sigma[a] * e)).ravel()
+            act[blocks[r]] = runs[r][1].act(b[blocks[r]], cells[:, t])
+        log.actions[:, t] = act
+        np.add(act, base, out=a)
+        log.rates[:, t] = snr = (gains[a_run, cell_idx[t]] / (sigma[a_run] * draws[:, t])).ravel()
         z = first.thresholds.searchsorted(snr, side="right")
-        b, log.resets[:, t] = belief_update(first, b, obs[a.ravel(), :, z])
-    step = max(1, rows // max(horizon, 1))     # rates from the SNRs, a slot's cells a block
+        b, log.resets[:, t] = belief_update(first, b, obs[a, z])
+    step = max(1, 2 ** 12 // max(horizon, 1))    # rates from the SNRs, ~2^12 values a block
     for blk in (slice(lo, lo + step) for lo in range(0, rows, step)):
         log.rates[blk] = (width[log.actions[blk] + base[blk, None]]
                           * _elementwise(math.log2, 1.0 + log.rates[blk]))

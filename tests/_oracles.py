@@ -246,6 +246,19 @@ def reference_belief_update(model, b: np.ndarray, a: int, z: int) -> np.ndarray:
 
 # ------------------------------------------------------------------ pbvi ---
 
+def sequential_successor_weights(o_t: np.ndarray, keys: np.ndarray,
+                                 targets: np.ndarray) -> np.ndarray:
+    """W[k, j] of pbvi._successor_weights, summed one term at a time from 0.0
+    in ascending z: o_t[k, z] over the z with keys[k, z] == targets[k, j].
+    (m, J, S) from o_t (m, Z, S), keys (m, Z) and targets broadcast to (m, J)."""
+    targets = np.broadcast_to(targets, (len(keys), np.shape(targets)[-1]))
+    w = np.zeros((len(o_t), targets.shape[1], o_t.shape[2]))
+    for z in range(keys.shape[1]):
+        k, j = np.nonzero(keys[:, z, None] == targets)
+        w[k, j] += o_t[k, z]
+    return w
+
+
 UNDERFLOW_SCALE = math.ldexp(1.0, -969)    # smallest normal / unit roundoff
 
 

@@ -542,6 +542,29 @@ def test_cli_sweep_requires_policies(cli_dir, capsys):
     assert "--solve-missing" in err["message"]
 
 
+def test_cli_sweep_names_every_missing_policy_before_simulating(tmp_path, capsys):
+    """With policies on disk at one p of the grid, sweep-p exits 2 naming the
+    missing planners at both other p values, and writes no CSV."""
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict({**TINY, "simulation": {
+        **TINY["simulation"], "p_grid": [0.35, 0.5, 0.6]}}).dump(cfg_path)
+    pol = str(tmp_path / "policies")
+    for agent in ("sm", "sf15", "sf39", "sf60"):
+        assert main(["solve", "--config", cfg_path, "--out", pol,
+                     "--agent", agent, "--p", "0.35"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-p", "--config", cfg_path, "--out", str(out), "--policies", pol])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    got = json.loads(err)
+    assert got["error"] == "ArtifactError" and "missing policies" in got["message"]
+    for agent in ("sm", "sf15", "sf39", "sf60"):
+        assert f"({agent}, p=0.35)" not in got["message"]
+        assert f"({agent}, p=0.5)" in got["message"] and f"({agent}, p=0.6)" in got["message"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_policies(tmp_path_factory):
     """The TINY config and a directory of its sweep-p policies."""
@@ -749,8 +772,13 @@ def test_cli_seed_flag_seeds_only_the_monte_carlo(tmp_path, capsys):
 
 
 def test_cli_trace_lines_are_full_trace_records(cli_dir, capsys):
-    """Each line is the reference loop's trial record without SNRs and rates."""
+    """Each line is the reference loop's trial record without SNRs and rates.
+    The test solves what it reads, so it passes alone or in any order."""
     cfg_path, pol_dir = str(cli_dir / "exp.json"), str(cli_dir / "policies")
+    trace_path = cli_dir / "traces_full.jsonl"
+    assert main(["robustness", "--config", cfg_path, "--out", str(cli_dir / "robust_full.csv"),
+                 "--policies", pol_dir, "--solve-missing", "--traces", str(trace_path)]) == 0
+    capsys.readouterr()
     cfg = ExperimentConfig.load(cfg_path)
     sim, seed = cfg.raw["simulation"], cfg.raw["solver"]["seed"]
     want = []
@@ -768,7 +796,7 @@ def test_cli_trace_lines_are_full_trace_records(cli_dir, capsys):
                     "noise_draws": tr.noise_draws.tolist(),
                     "mean_rate_bps": float(tr.rates.mean()) if len(tr.rates) else 0.0,
                 }, sort_keys=True) for trial, tr in enumerate(traces)]
-    assert open(str(cli_dir / "traces.jsonl")).read().splitlines() == want
+    assert trace_path.read_text().splitlines() == want
 
 
 def test_cli_report(cli_dir, capsys):

@@ -24,7 +24,8 @@ from _oracles import (backup_at, bruteforce_backup, edge_margins,
                       freudenthal_weights, lowest_in_band, mdp_upper_bound,
                       projections, reference_backup_block, reference_backup_stage,
                       reference_evaluate_plans, reference_expand_beliefs,
-                      reference_prune_dominated, simplex_grid)
+                      reference_prune_dominated, sequential_successor_weights,
+                      simplex_grid)
 
 CFG = ExperimentConfig.from_dict({})
 
@@ -834,6 +835,26 @@ def test_kept_eliminations_match_fresh_ones_on_pipeline_solves(monkeypatch):
     print(f"{seen['calls']} calls: {seen['fresh']} pivot inverses fresh, "
           f"{seen['kept']} with kept eliminations")
     assert seen["calls"] > 0 and seen["kept"] < seen["fresh"]
+
+
+def test_successor_weights_are_sequential_sums_on_the_solve_pair(monkeypatch):
+    """Every pbvi._successor_weights call of the benchmark's solve pair (3-stage
+    sm at p=0.95 and 0.35) has the bytes of a sum in ascending z, one term at a
+    time (_oracles.sequential_successor_weights). The one-hot product leaves
+    the order to BLAS, so a build or an operand layout that sums in another
+    order fails here instead of moving policy bytes."""
+    weights, same = pbvi._successor_weights, []
+
+    def spy(o_t, keys, targets):
+        w = weights(o_t, keys, targets)
+        same.append(w.tobytes() == sequential_successor_weights(o_t, keys, targets).tobytes())
+        return w
+
+    monkeypatch.setattr(pbvi, "_successor_weights", spy)
+    for p in (0.95, 0.35):
+        model = CFG.build_model(p=p)
+        solve(model, initial_belief(model.states), num_stages=3)
+    assert len(same) > 200 and all(same), same.count(False)
 
 
 def test_kept_elimination_replays_after_a_row_that_does_not_beat(monkeypatch):

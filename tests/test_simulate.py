@@ -13,7 +13,7 @@ from specbeam.arrays import aligned_gain, expected_rate, gain
 from specbeam.config import ExperimentConfig
 from specbeam import simulate
 from specbeam.pbvi import Policy, first_near_max, solve
-from specbeam.pomdp import initial_belief
+from specbeam.pomdp import initial_belief, inverse_cdf
 from specbeam.geometry import containing_cell
 from specbeam.simulate import (FixedPathDynamics, MarkovDynamics, OracleAgent,
                                PolicyAgent, fixed_path_eval, fixed_path_slots,
@@ -106,6 +106,47 @@ def test_common_random_numbers_across_agents(model, sub15):
     # the restricted model shares the same chain, so paths coincide too
     assert np.array_equal(a.cells, c.cells)
     assert np.array_equal(a.noise_draws, c.noise_draws)
+
+
+def full_row_states(model, u: np.ndarray) -> np.ndarray:
+    """(n, h) states drawn by inverse_cdf over whole T.cumsum rows, capped at the
+    last state; u (n, h + 1) uniforms, column 0 the start."""
+    t_cum = model.T.cumsum(axis=1)
+    state = inverse_cdf(initial_belief(model.states).cumsum(), u[:, 0])
+    out = []
+    for t in range(1, u.shape[1]):
+        state = inverse_cdf(t_cum[state], u[:, t])
+        out.append(state)
+    return np.array(out).reshape(-1, len(u)).T
+
+
+@pytest.mark.parametrize("p", [0.35, 0.95])
+def test_markov_states_match_full_row_draws(p):
+    """The successor-list sampler draws the states of inverse_cdf over full
+    rows: on uniforms, and on draws equal to every cumsum entry of T."""
+    model = CFG.build_model(p=p)
+    t_cum = model.T.cumsum(axis=1)
+    rng = np.random.default_rng(11)
+    edges = np.unique(t_cum[t_cum < 1.0])
+    for u in (rng.random((64, 301)), rng.choice(edges, size=(64, 301))):
+        assert np.array_equal(MarkovDynamics(model).states(u), full_row_states(model, u))
+
+
+def test_markov_states_cap_a_row_that_sums_below_one(model):
+    """A T row whose cumsum ends below 1: a draw at or above its end lands on
+    the last state, as inverse_cdf's cap over the full row puts it."""
+    start = int(inverse_cdf(initial_belief(model.states).cumsum(), np.zeros(1))[0])
+    t = model.T.copy()
+    t[start] *= 0.75
+    short = replace(model, T=t)
+    end = t[start].cumsum()[-1]
+    firsts = [np.nextafter(end, 0.0), end, (end + 1.0) / 2, np.nextafter(1.0, 0.0), 0.1, 0.0]
+    u = np.zeros((len(firsts), 3))
+    u[:, 1], u[:, 2] = firsts, 0.5
+    got = MarkovDynamics(short).states(u)
+    assert np.array_equal(got, full_row_states(short, u))
+    assert np.array_equal(got[1:4, 0], [model.num_states - 1] * 3)
+    assert got[0, 0] != model.num_states - 1
 
 
 def test_horizon_zero_and_empty_metrics(model):
@@ -333,6 +374,25 @@ def test_banked_policy_agents_match_reference(agents_by_p, p, wide, monkeypatch)
                 assert np.array_equal(log.actions[row], want.actions), (agent.label, t)
                 assert log.rates[row].tobytes() == want.rates.tobytes(), (agent.label, t)
                 assert np.array_equal(log.resets[row], want.resets), (agent.label, t)
+
+
+def test_fallback_banks_share_one_scores_buffer(agents_by_p, monkeypatch):
+    """Where one bank's padded scores would outgrow the beliefs, each policy
+    run decides in a bank of its own, and all of them write their scores into
+    one buffer of n rows by the widest alpha set."""
+    made, bank = [], simulate.PolicyBank
+    monkeypatch.setattr(simulate, "PolicyBank", lambda *a: made.append(bank(*a)) or made[-1])
+    sm, sf39, ties, oracle, _ = agents_by_p[0.95]
+    wide = Policy(alpha=np.tile(sm[1].policy.alpha, (30, 1)),
+                  actions=np.tile(sm[1].policy.actions, 30))
+    runs = [sm, oracle, sf39, (sm[0], PolicyAgent("sm-wide", sm[0], wide)), ties]
+    n, widest = 7, len(wide.actions)
+    simulate_slots(runs, MarkovDynamics(sm[0]), 5, n, seed=1)
+    assert len(made) == 4 and all(b.scores.base is made[0].scores.base for b in made)
+    assert made[0].scores.base.shape == (n, widest)
+    made.clear()
+    simulate_slots(runs[:3], MarkovDynamics(sm[0]), 5, n, seed=1)     # one bank
+    assert len(made) == 1 and made[0].scores.shape == (2 * n, made[0].width)
 
 
 def test_lockstep_matches_reference_with_resets(model):
