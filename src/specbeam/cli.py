@@ -17,11 +17,13 @@ import sys
 import time
 
 from . import artifacts, pbvi
-from .config import ROBUSTNESS_P, ConfigError, ExperimentConfig, check_policy_names
+from .config import ConfigError, ExperimentConfig
 from .pomdp import initial_belief
 from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
                        SlotLog, monte_carlo, perfect_info_rates, simulate_slots,
                        trial_means)
+
+ROBUSTNESS_P = (0.35, 0.95)     # the mobility p of the fixed-path study
 
 
 def _util_column(band_label: str) -> str:
@@ -35,8 +37,13 @@ def result_columns(band_labels, *point: str) -> tuple[str, ...]:
             *map(_util_column, band_labels), "num_trials", "seed", "reset_fraction")
 
 
+def _p_text(p: float) -> str:
+    """The shortest round-trip text of p: distinct p values never share it."""
+    return repr(float(p))
+
+
 def policy_filename(agent: str, p: float) -> str:
-    return f"{agent}_p{p:g}.policy.json"
+    return f"{agent}_p{_p_text(p)}.policy.json"
 
 
 def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
@@ -101,17 +108,16 @@ def _require_policies(cfg: ExperimentConfig, policy_dir: str, ps, solve_missing:
     missing = [(agent, p) for p in ps for agent in cfg.agent_names()
                if not os.path.exists(os.path.join(policy_dir, policy_filename(agent, p)))]
     if missing and not solve_missing:
-        listed = ", ".join(f"({a}, p={pv:g})" for a, pv in missing)
+        listed = ", ".join(f"({a}, p={_p_text(pv)})" for a, pv in missing)
         raise artifacts.ArtifactError(
             f"missing policies in {policy_dir}: {listed}; "
             f"run `specbeam solve` for each or pass --solve-missing")
 
 
-def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float, solve_missing: bool):
-    """(model, PolicyAgent) per planner plus the oracle; raises on gaps. A
-    missing policy is solved with solver.seed, as `solve` without --seed does."""
+def _load_agents(cfg: ExperimentConfig, policy_dir: str, p: float):
+    """(model, PolicyAgent) per planner plus the oracle, once _require_policies
+    passed: a missing policy is solved with solver.seed, as `solve` without --seed does."""
     cfg_hash = cfg.content_hash()
-    _require_policies(cfg, policy_dir, (p,), solve_missing)
     runs = []
     for agent in cfg.agent_names():
         path = os.path.join(policy_dir, policy_filename(agent, p))
@@ -138,12 +144,11 @@ def cmd_solve(args) -> int:
         cfg.mobility(p)
     except ValueError as exc:           # "p: ..." from MobilityModel
         raise ConfigError(f"--{exc}") from exc
-    check_policy_names(cfg.raw, [("--p", p)])
     seed = cfg.seed(args.seed)
     _, policy, path, wall_s = _solve_and_save(cfg, args.agent, p, seed, args.out)
     stages = policy.metadata["stages"]
     unconverged = sum(not st["converged"] for st in stages)
-    print(f"solved {args.agent} at p={p:g}: |B|={policy.metadata['num_beliefs']}, "
+    print(f"solved {args.agent} at p={_p_text(p)}: |B|={policy.metadata['num_beliefs']}, "
           f"|V|={policy.alpha.shape[0]}, unconverged rounds: {unconverged}, "
           f"sweeps: {sum(st['sweeps'] for st in stages)} backup + "
           f"{sum(st['eval_sweeps'] for st in stages)} evaluation, "
@@ -160,7 +165,7 @@ def cmd_sweep_p(args) -> int:
     rows = []
     _require_policies(cfg, args.policies, sim["p_grid"], args.solve_missing)  # names every gap
     for p in sim["p_grid"]:
-        runs = _load_agents(cfg, args.policies, p, args.solve_missing)
+        runs = _load_agents(cfg, args.policies, p)
         metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed)
         for (_, agent), m in zip(runs, metrics):
             rows.append(_metric_row(m, labels, agent.label, p, seed))
@@ -177,7 +182,7 @@ def cmd_robustness(args) -> int:
     labels = cfg.band_labels()
     rows = []
     _require_policies(cfg, args.policies, ROBUSTNESS_P, args.solve_missing)  # names every gap
-    runs_by_p = [_load_agents(cfg, args.policies, p, args.solve_missing) for p in ROBUSTNESS_P]
+    runs_by_p = [_load_agents(cfg, args.policies, p) for p in ROBUSTNESS_P]
     with open(args.traces, "w") if args.traces else contextlib.nullcontext() as trace_fh:
         for p, runs in zip(ROBUSTNESS_P, runs_by_p):
             for speed in sim["speed_grid_kmh"]:
@@ -241,9 +246,9 @@ def _pct(num: float, den: float, spec: str) -> str:
     return format(100 * num / den, spec) if den else "n/a"
 
 
-def _reset_lines(rows: list[dict], keys: tuple[str, ...]) -> list[str]:
+def _reset_lines(rows: list[dict], *point: str) -> list[str]:
     """One line naming every row whose belief-reset fraction is nonzero."""
-    hits = [" ".join([r["agent"], *(f"{k}={r[k]:g}" for k in keys)])
+    hits = [" ".join([r["agent"], f"p={_p_text(r['p'])}", *(f"{k}={r[k]:g}" for k in point)])
             + f" ({r['reset_fraction']:.4g})" for r in rows if r["reset_fraction"]]
     return [f"Nonzero belief-reset fraction: {', '.join(hits)}", ""] if hits else []
 
@@ -253,7 +258,7 @@ def _robustness_row(path: str, rows: list[dict], agent: str, p: float,
     for r in rows:
         if r["agent"] == agent and r["speed_kmh"] == speed:
             return r
-    raise ConfigError(f"{path}: p={p:g}: no {agent!r} row at speed_kmh={speed:g}")
+    raise ConfigError(f"{path}: p={_p_text(p)}: no {agent!r} row at speed_kmh={speed:g}")
 
 
 def cmd_report(args) -> int:
@@ -269,15 +274,15 @@ def cmd_report(args) -> int:
             sub = _by_agent([r for r in rows if r["p"] == p])
             for agent in ("sm", "oracle"):
                 if agent not in sub:
-                    raise ConfigError(f"{args.sweep}: p={p:g}: no {agent!r} row")
+                    raise ConfigError(f"{args.sweep}: p={_p_text(p)}: no {agent!r} row")
             singles = {a: r for a, r in sub.items() if a.startswith("sf")}
             if not singles:
-                raise ConfigError(f"{args.sweep}: p={p:g}: no single-band (sf*) row")
+                raise ConfigError(f"{args.sweep}: p={_p_text(p)}: no single-band (sf*) row")
             best_a = max(singles, key=lambda a: singles[a]["mean_rate_bps"])
             sm = sub["sm"]["mean_rate_bps"]
             best = singles[best_a]["mean_rate_bps"]
             orc = sub["oracle"]["mean_rate_bps"]
-            out.append(f"| {p:g} | {sm / 1e9:.4f} | {best / 1e9:.4f} ({best_a}) "
+            out.append(f"| {_p_text(p)} | {sm / 1e9:.4f} | {best / 1e9:.4f} ({best_a}) "
                        f"| {_pct(sm - best, best, '+.2f')} | {orc / 1e9:.4f} "
                        f"| {_pct(orc - sm, orc, '.2f')} |")
         out += ["", "### Channel utilization of the joint planner", "",
@@ -285,8 +290,8 @@ def cmd_report(args) -> int:
                 "|---|" + "---|" * len(utils)]
         for p in ps:
             sm = _by_agent([r for r in rows if r["p"] == p])["sm"]
-            out.append(f"| {p:g} | " + " | ".join(f"{sm[c]:.3f}" for c in utils) + " |")
-        out += ["", *_reset_lines(rows, ("p",))]
+            out.append(f"| {_p_text(p)} | " + " | ".join(f"{sm[c]:.3f}" for c in utils) + " |")
+        out += ["", *_reset_lines(rows)]
     if args.robustness:
         _, rows = _read_csv(args.robustness, result_columns((), "speed_kmh"))
         out += ["## Fixed-path robustness (end-to-end drop, slowest to fastest)",
@@ -302,9 +307,9 @@ def cmd_report(args) -> int:
                           for v in (vmin, vmax))
                 drop = _pct(lo["mean_rate_bps"] - hi["mean_rate_bps"],
                             lo["mean_rate_bps"], ".2f")
-                out.append(f"| {p:g} | {agent} | {lo['mean_rate_bps'] / 1e9:.4f} "
+                out.append(f"| {_p_text(p)} | {agent} | {lo['mean_rate_bps'] / 1e9:.4f} "
                            f"| {hi['mean_rate_bps'] / 1e9:.4f} | {drop} |")
-        out += ["", *_reset_lines(rows, ("p", "speed_kmh"))]
+        out += ["", *_reset_lines(rows, "speed_kmh")]
     if args.config:
         cfg = ExperimentConfig.load(args.config)
         rates = perfect_info_rates(cfg.build_model())

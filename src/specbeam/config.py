@@ -23,8 +23,6 @@ from .mobility import MobilityModel
 from .pomdp import PomdpModel, band_gains, build_model, gain_table, snr_thresholds
 from .simulate import fixed_path_slots
 
-ROBUSTNESS_P = (0.35, 0.95)     # the mobility p of the fixed-path study
-
 
 def default_config_dict() -> dict[str, Any]:
     """Mid-band urban-road scenario: three channels, 12 cells, 0.25 s slots."""
@@ -114,20 +112,6 @@ def _build(path: str, make):
         raise ConfigError(f"{path}.{exc}") from exc
 
 
-def check_policy_names(cfg: dict[str, Any], extra=()) -> None:
-    """Raise ConfigError if two distinct p values share a policy file name, f"{p:g}"
-    (cli.policy_filename). Checks the robustness pair, mobility.p, simulation.p_grid,
-    then the (name, p) pairs of extra, and names the later of the two."""
-    first_with_p_name = {f"{v:g}": (f"robustness p={v!r}", v) for v in ROBUSTNESS_P}
-    for path, v in [("mobility.p", cfg["mobility"]["p"]),
-                    *((f"simulation.p_grid.{i}", v)
-                      for i, v in enumerate(cfg["simulation"]["p_grid"])), *extra]:
-        first, u = first_with_p_name.setdefault(f"{v:g}", (path, v))
-        if u != v:
-            raise ConfigError(f"{path}: has the policy file name p{v:g} of {first} "
-                              f"(got {v!r})")
-
-
 def validate_config(cfg: dict[str, Any]) -> None:
     """Raise ConfigError naming the first offending field path. A section that
     a model object takes is checked by building it: its constructor states the
@@ -182,7 +166,6 @@ def validate_config(cfg: dict[str, Any]) -> None:
         for i, v in enumerate(grid):
             if not (_is_num(v) and (0.0 < v < 1.0 if key == "p_grid" else v > 0)):
                 raise ConfigError(f"simulation.{key}.{i}: out of range (got {v!r})")
-    check_policy_names(cfg)
     _require(cfg, "simulation.slot_s", lambda v: v > 0, "must be a positive number")
     for i, v in enumerate(_get(cfg, "simulation.speed_grid_kmh")):
         if fixed_path_slots(scene.road_length_m, v, _get(cfg, "simulation.slot_s")) < 1:

@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracles import FixedActionAgent, dead_bin_model, reference_run_trial
-from specbeam import artifacts, cli, config
+from specbeam import artifacts
 from specbeam.cli import (ROBUSTNESS_P, _load_agents, _metric_row, build_parser, main,
                           policy_filename)
 from specbeam.arrays import (ApertureSpec, BandConfig, PropagationConstants,
@@ -67,8 +66,7 @@ def test_config_rejects_unknown_keys():
 
 
 # configs that passed validation and then failed in snr_thresholds, in
-# ExperimentConfig.constants (OverflowError), in PropagationConstants or,
-# for two p values with one policy file name, at loading a policy
+# ExperimentConfig.constants (OverflowError) or in PropagationConstants
 UNRUNNABLE = [
     ({"discretization": {"num_levels": 25, "low_db": 10, "high_db": 10}},
      "discretization.high_db"),
@@ -80,11 +78,12 @@ UNRUNNABLE = [
     ({"propagation": {"path_loss_exp": 400}}, "bands.0"),
     ({"bands": [{"f_hz": 1.0e3, "bandwidth_hz": 1.0}], "propagation": {"k_const": 1e300}},
      "bands.0"),
-    ({"simulation": {"p_grid": [0.4000001, 0.4000002]}}, "simulation.p_grid.1"),
+    # SNR edges of a dB range whose width overflows (NaN and inf), with which the
+    # model was built and numpy warned
+    ({"discretization": {"low_db": -1e308, "high_db": 1e308}}, "discretization.low_db"),
     # a road whose length overflows, on which validation itself raised OverflowError;
     # SNR edges that underflow to 0 or round to one value, which observation_probs
-    # rejected naming no field; and edges that overflow to inf or NaN, with which
-    # the model was built and numpy warned
+    # rejected naming no field; and edges that overflow to inf, built as above
     ({"scene": {"road_y_min_m": -1e308, "road_y_max_m": 1e308}}, "scene.road_y_max_m"),
     ({"discretization": {"num_levels": 3, "low_db": -5000, "high_db": -4000}},
      "discretization.low_db"),
@@ -92,7 +91,6 @@ UNRUNNABLE = [
      "discretization.high_db"),
     ({"discretization": {"num_levels": 3, "low_db": 4000, "high_db": 5000}},
      "discretization.low_db"),
-    ({"discretization": {"low_db": -1e308, "high_db": 1e308}}, "discretization.low_db"),
 ]
 
 
@@ -210,38 +208,47 @@ def test_config_rejects_speed_without_slots():
     assert FixedPathDynamics(cfg.scene(), 3400.0, 0.25).n_slots == 1
 
 
-def test_config_rejects_colliding_policy_names():
-    """Policy files are named by p in %g format; two p values may not share a name."""
-    cases = [({"simulation": {"p_grid": [0.4000001, 0.4000002]}},
-              "simulation.p_grid.1: has the policy file name p0.4 of simulation.p_grid.0 "),
-             ({"mobility": {"p": 0.3500001}},
-              "mobility.p: has the policy file name p0.35 of robustness p=0.35 "),
-             ({"mobility": {"p": 0.6}, "simulation": {"p_grid": [0.5, 0.6000001]}},
-              "simulation.p_grid.1: has the policy file name p0.6 of mobility.p ")]
-    for bad, message in cases:
-        with pytest.raises(ConfigError, match="^" + re.escape(message)):
-            ExperimentConfig.from_dict(bad)
-    ExperimentConfig.from_dict({"mobility": {"p": 0.35}, "simulation": {"p_grid": [0.35, 0.35]}})
-    assert cli.ROBUSTNESS_P is config.ROBUSTNESS_P
+def test_policy_filename_keeps_the_g_name_of_every_configured_p():
+    """Policy files are named by p's shortest round-trip text. For the p values
+    of the default config, the fixed-path study and the benchmark it is the
+    name f"{p:g}" gave, so their policy files keep their names."""
+    default = default_config_dict()
+    bench_p_pair = (0.95, 0.35)
+    for p in (*default["simulation"]["p_grid"], *ROBUSTNESS_P, default["mobility"]["p"],
+              *bench_p_pair):
+        for value in (float(p), np.float64(p)):
+            assert policy_filename("sm", value) == f"sm_p{p:g}.policy.json"
+    assert policy_filename("sf39", np.float64(0.4000001)) == "sf39_p0.4000001.policy.json"
 
 
-def test_cli_solve_rejects_p_with_a_taken_policy_name(tmp_path, capsys):
-    """solve --p may not write the policy file of another configured p, which
-    the next sweep-p would reject with a model digest mismatch."""
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({**TINY, "simulation": {**TINY["simulation"],
-                                                           "p_grid": [0.4]}}))
-    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--p"]
-    for p, taken in (("0.4000001", "p0.4 of simulation.p_grid.0"),
-                     ("0.3500001", "p0.35 of robustness p=0.35"),
-                     ("0.6000001", "p0.6 of mobility.p")):
-        assert main([*argv, p]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ConfigError", "message":
-                       f"--p: has the policy file name {taken} (got {float(p)!r})"}
-    assert not (tmp_path / "out").exists()
-    assert main([*argv, "0.4"]) == 0
-    assert (tmp_path / "out" / policy_filename("sm", 0.4)).exists()
+def test_cli_runs_p_values_that_share_a_g_text(tmp_path, capsys):
+    """p values that read alike in %g, among them and next to the fixed-path
+    study's 0.35, each get their own policy file, CSV rows and report rows."""
+    cfg_path = str(tmp_path / "exp.json")
+    ExperimentConfig.from_dict({**TINY, "mobility": {"p": 0.3500001}, "simulation": {
+        **TINY["simulation"], "p_grid": [0.4, 0.4000001, 0.4000002]}}).dump(cfg_path)
+    pol = tmp_path / "policies"
+    assert main(["solve", "--config", cfg_path, "--out", str(pol), "--p", "0.4"]) == 0
+    at_04 = (pol / "sm_p0.4.policy.json").read_bytes()
+    assert main(["solve", "--config", cfg_path, "--out", str(pol), "--p", "0.4000001"]) == 0
+    assert main(["solve", "--config", cfg_path, "--out", str(pol)]) == 0
+    for cmd in ("sweep-p", "robustness"):
+        assert main([cmd, "--config", cfg_path, "--out", str(tmp_path / f"{cmd}.csv"),
+                     "--policies", str(pol), "--solve-missing"]) == 0
+    assert (pol / "sm_p0.4.policy.json").read_bytes() == at_04
+    grid = (0.4, 0.4000001, 0.4000002)
+    assert sorted(f for f in os.listdir(pol) if f.endswith(".policy.json")) == sorted(
+        [policy_filename("sm", 0.3500001)] + [policy_filename(a, p) for p in (*grid, 0.35, 0.95)
+                                              for a in ("sm", "sf15", "sf39", "sf60")])
+    sweep = open(tmp_path / "sweep-p.csv").read().splitlines()[1:]
+    assert sorted(line.split(",")[1] for line in sweep) == [repr(p) for p in grid for _ in range(5)]
+    capsys.readouterr()
+    assert main(["report", "--sweep", str(tmp_path / "sweep-p.csv"),
+                 "--robustness", str(tmp_path / "robustness.csv")]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| 0.")]
+    assert len(rows) == 2 * 3 + 2 * 5 == len(set(rows))
+    for p in grid:
+        assert sum(line.startswith(f"| {p!r} | ") for line in rows) == 2
 
 
 def test_cli_solve_rejects_p_out_of_range_under_its_flag(tmp_path, capsys):
@@ -783,7 +790,7 @@ def test_cli_trace_lines_are_full_trace_records(cli_dir, capsys):
     sim, seed = cfg.raw["simulation"], cfg.raw["solver"]["seed"]
     want = []
     for p in ROBUSTNESS_P:
-        runs = _load_agents(cfg, pol_dir, p, solve_missing=False)
+        runs = _load_agents(cfg, pol_dir, p)
         for speed in sim["speed_grid_kmh"]:
             dyn = FixedPathDynamics(cfg.scene(), speed, sim["slot_s"])
             for model, agent in runs:
