@@ -22,8 +22,8 @@ from .pomdp import (ActionSpace, PomdpModel, belief_update, build_model,
                     enumerate_actions, initial_belief, snr_thresholds)
 from .simulate import (Agent, FixedPathDynamics, MarkovDynamics, Metrics,
                        OracleAgent, PolicyAgent, SlotLog, fixed_path_eval,
-                       monte_carlo, oracle_action, perfect_info_rates,
-                       simulate_slots, trial_means)
+                       lockstep_groups, monte_carlo, oracle_action, perfect_info_rates,
+                       simulate_points, simulate_slots, trial_means)
 
 __version__ = "0.1.0"
 

@@ -19,9 +19,9 @@ import time
 from . import artifacts, pbvi
 from .config import ConfigError, ExperimentConfig
 from .pomdp import initial_belief
-from .simulate import (FixedPathDynamics, Metrics, OracleAgent, PolicyAgent,
-                       SlotLog, monte_carlo, perfect_info_rates, simulate_slots,
-                       trial_means)
+from .simulate import (FixedPathDynamics, MarkovDynamics, Metrics, OracleAgent,
+                       PolicyAgent, SlotLog, lockstep_groups, perfect_info_rates,
+                       simulate_points, trial_means)
 
 ROBUSTNESS_P = (0.35, 0.95)     # the mobility p of the fixed-path study
 
@@ -161,14 +161,18 @@ def cmd_sweep_p(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     seed = cfg.seed(args.seed)
     sim = cfg.raw["simulation"]
+    grid, n, horizon = sim["p_grid"], sim["num_trials"], sim["horizon"]
     labels = cfg.band_labels()
     rows = []
-    _require_policies(cfg, args.policies, sim["p_grid"], args.solve_missing)  # names every gap
-    for p in sim["p_grid"]:
-        runs = _load_agents(cfg, args.policies, p)
-        metrics = monte_carlo(runs, sim["num_trials"], sim["horizon"], seed)
-        for (_, agent), m in zip(runs, metrics):
-            rows.append(_metric_row(m, labels, agent.label, p, seed))
+    _require_policies(cfg, args.policies, grid, args.solve_missing)  # names every gap
+    per_point = (len(cfg.agent_names()) + 1) * n
+    for group in lockstep_groups([(per_point, horizon)] * len(grid)):  # loaded group by group
+        points = [(runs, MarkovDynamics(runs[0][0]), horizon)
+                  for runs in (_load_agents(cfg, args.policies, grid[k]) for k in group)]
+        metrics = [log.metrics() for log in simulate_points(points, n, seed)]
+        for k, (runs, _, _), point_metrics in zip(group, points, metrics):
+            for (_, agent), m in zip(runs, point_metrics):
+                rows.append(_metric_row(m, labels, agent.label, grid[k], seed))
     _write_csv(args.out, result_columns(labels), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -183,17 +187,22 @@ def cmd_robustness(args) -> int:
     rows = []
     _require_policies(cfg, args.policies, ROBUSTNESS_P, args.solve_missing)  # names every gap
     runs_by_p = [_load_agents(cfg, args.policies, p) for p in ROBUSTNESS_P]
+    points = [(p, speed, runs, FixedPathDynamics(scene, speed, sim["slot_s"]))
+              for p, runs in zip(ROBUSTNESS_P, runs_by_p) for speed in sim["speed_grid_kmh"]]
+    n = sim["num_trials"]
     with open(args.traces, "w") if args.traces else contextlib.nullcontext() as trace_fh:
-        for p, runs in zip(ROBUSTNESS_P, runs_by_p):
-            for speed in sim["speed_grid_kmh"]:
-                dyn = FixedPathDynamics(scene, speed, sim["slot_s"])
-                log = simulate_slots(runs, dyn, dyn.n_slots, sim["num_trials"], seed)
+        for group in lockstep_groups([(len(runs) * n, dyn.n_slots)
+                                      for _, _, runs, dyn in points]):
+            logs = simulate_points([(runs, dyn, dyn.n_slots)
+                                    for _, _, runs, dyn in (points[k] for k in group)], n, seed)
+            for k, log in zip(group, logs):
+                p, speed, runs, _ = points[k]
                 for (_, agent), m in zip(runs, log.metrics()):
                     rows.append(_metric_row(m, labels, agent.label, p, seed,
                                             speed_kmh=speed))
                 if trace_fh is not None:
                     _write_traces(trace_fh, log, p, speed)
-                del log                 # one point's slots in memory at a time
+            del logs, log           # one group's slots in memory at a time
     _write_csv(args.out, result_columns(labels, "speed_kmh"), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -16,10 +16,12 @@ import math
 from functools import cached_property
 from typing import Any
 
+import numpy as np
+
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants, aligned_gain,
                      make_band)
 from .geometry import SceneConfig, build_road
-from .mobility import MobilityModel
+from .mobility import MobilityModel, transition_matrix
 from .pomdp import PomdpModel, band_gains, build_model, gain_table, snr_thresholds
 from .simulate import fixed_path_slots
 
@@ -60,6 +62,11 @@ def default_config_dict() -> dict[str, Any]:
             "slot_s": 0.25,
         },
     }
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 class ConfigError(ValueError):
@@ -270,13 +277,36 @@ class ExperimentConfig:
         Gains do not depend on p, and every build, one-band builds too,
         takes its rows from this table.
         """
-        table = gain_table(build_road(self.scene()), self.bands(), self.constants())
-        table.setflags(write=False)
-        return table
+        return _frozen(gain_table(build_road(self.scene()), self.bands(), self.constants()))
+
+    @cached_property
+    def _band_models(self) -> dict:
+        """The model built first per band label; its O, rbar and gains serve every p."""
+        return {}
+
+    @cached_property
+    def _chains(self) -> dict:
+        """transition_matrix per MobilityModel; one T serves every band."""
+        return {}
 
     def build_model(self, p: float | None = None,
                     band_label: str | None = None) -> PomdpModel:
-        """Full model, optionally overriding p or restricting to one band."""
+        """Full model, optionally overriding p or restricting to one band.
+
+        Models of one config share their tables, read-only: O, rbar and the
+        gains per band, which do not depend on p, and T per p, which does not
+        depend on the band.
+        """
+        mob = self.mobility(p)
+        model = self._band_models.get(band_label)
+        if model is None:
+            model = self._band_models[band_label] = self._build(mob, band_label)
+            self._chains.setdefault(mob, model.T)
+        if mob not in self._chains:
+            self._chains[mob] = _frozen(transition_matrix(mob, model.states))
+        return dataclasses.replace(model, T=self._chains[mob], mobility=mob)
+
+    def _build(self, mob: MobilityModel, band_label: str | None) -> PomdpModel:
         bands, gains = self.bands(), self._gain_table
         if band_label is not None:
             labels = [b.label for b in bands]
@@ -288,17 +318,21 @@ class ExperimentConfig:
             gains = band_gains(gains, len(bands), q)
             bands = (bands[q],)
         d = self.raw["discretization"]
-        return build_model(
+        model = build_model(
             road=build_road(self.scene()),
             bands=bands,
             consts=self.constants(),
-            mobility=self.mobility(p),
+            mobility=mob,
             num_levels=d["num_levels"],
             low_db=d["low_db"],
             high_db=d["high_db"],
             discount=self.raw["solver"]["discount"],
             gains=gains,
+            T=self._chains.get(mob),
         )
+        for table in (model.T, model.O, model.rbar, model.gains, model.thresholds):
+            table.setflags(write=False)
+        return model
 
     def agent_names(self) -> tuple[str, ...]:
         """Planner names: joint agent plus one per single frequency."""

@@ -292,15 +292,16 @@ def _backup_block(model: PomdpModel, tb: np.ndarray, alpha_mat: np.ndarray,
     reward = tb @ model.rbar.T                              # (N, A)
     screen, floor = _screen(model, cells, ht, reward)
     pair_b, pair_a = np.nonzero(screen >= floor)            # candidates, belief by belief
-    oz3 = oz.reshape(n_c, n_a, n_z)
+    oz_t = oz.reshape(n_c, n_a, n_z).transpose(1, 2, 0)    # (A, Z, C)
     future = np.empty(len(pair_b))
     pair_picks = np.empty((len(pair_b), n_z), dtype=int)
-    step = max(1, oz32.shape[1] // n_z)  # (step, V, Z) scores fit in one (V, L) block
+    step = max(1, oz32.shape[1] // n_z)  # (step, Z, V) scores fit in one (V, L) block
     for lo in range(0, len(pair_b), step):
         k, a = pair_b[lo:lo + step], pair_a[lo:lo + step]
-        scores = np.matmul(ht[k].transpose(0, 2, 1), oz3[:, a].transpose(1, 0, 2))  # (n, V, Z)
-        future[lo:lo + step] = scores.max(axis=1).sum(axis=1)
-        pair_picks[lo:lo + step] = first_near_max(scores, tol, axis=1)
+        scores = np.matmul(oz_t[a], ht[k])                  # (n, Z, V)
+        top = scores.max(axis=2)        # one max serves the future values and the picks' band
+        future[lo:lo + step] = top.sum(axis=1)
+        pair_picks[lo:lo + step] = (scores >= _band_floor(top[:, :, None], tol)).argmax(axis=2)
     totals = np.full((n_b, n_a), -np.inf)                   # -inf: screened out
     totals[pair_b, pair_a] = reward[pair_b, pair_a] + disc * future
     acts = first_near_max(totals, tol, axis=1)              # (N,)

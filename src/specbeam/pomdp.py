@@ -15,12 +15,13 @@ Belief updates condition the observation on the successor state:
 
 belief_update is the one implementation of this filter, batched over rows
 whose likelihoods O[a, :, z] the caller gathers: the simulator runs it once
-per slot over all trials of every agent, and belief expansion once per
-round over all (belief, action) proposals. Each row's T^T b is a per-row
-product stacked by np.matmul; a batched B @ T rounds differently, and one
-ulp changes recorded beliefs and can flip a later expansion pick. The
-likelihoods multiply into those predicted rows in place, and each row is
-divided by its sum, the order of the filter above.
+per slot over all trials of every agent and point, and belief expansion once
+per round over all (belief, action) proposals. Each row's T^T b is a
+per-row product stacked by np.matmul, one call per block of rows that share
+a chain; a batched B @ T rounds differently, and one ulp changes recorded
+beliefs and can flip a later expansion pick. The likelihoods multiply into
+those predicted rows in place, and each row is divided by its sum, the
+order of the filter above.
 """
 
 from __future__ import annotations
@@ -139,11 +140,13 @@ class PomdpModel:
 def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
                 consts: PropagationConstants, mobility: MobilityModel,
                 num_levels: int, low_db: float, high_db: float,
-                discount: float, gains: np.ndarray | None = None) -> PomdpModel:
+                discount: float, gains: np.ndarray | None = None,
+                T: np.ndarray | None = None) -> PomdpModel:
     """Assemble the full POMDP from physical parameters.
 
     `gains` may pass in the gain_table of these bands (or band_gains of a
-    larger one) when the caller already has it.
+    larger one), and `T` the transition_matrix of this mobility, when the
+    caller already has them.
     """
     states = enumerate_states(len(road), mobility.window)
     actions = enumerate_actions(road, bands)
@@ -156,7 +159,7 @@ def build_model(road: tuple[CellCoord, ...], bands: tuple[BandConfig, ...],
     return PomdpModel(
         states=states,
         actions=actions,
-        T=transition_matrix(mobility, states),
+        T=transition_matrix(mobility, states) if T is None else T,
         # contiguous, so that a gather of actions' rows copies whole blocks
         O=np.ascontiguousarray(observation_probs(gains, sigma_sq, thr)[:, cell, :]),
         rbar=expected_rate(bw, gains, sigma_sq)[:, cell],
@@ -188,20 +191,24 @@ def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cum <= u[:, None]).sum(axis=-1), cum.shape[-1] - 1)
 
 
-def belief_update(model: PomdpModel, beliefs: np.ndarray, likelihood: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def belief_update(model: PomdpModel, beliefs: np.ndarray, likelihood: np.ndarray,
+                  chains=None) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors of beliefs (n, |S|) given likelihood rows (n, |S|).
 
     Row i of the likelihood is O[a_i, :, z_i] of row i's action and
-    observation, gathered by the caller, possibly from other models that
-    share model.T: the simulator updates the rows of every agent in one call.
+    observation, gathered by the caller, possibly from other models with the
+    same states: the simulator updates the rows of every agent in one call.
+    `chains` lists (rows, T) pairs, each block of rows predicted through its
+    own T; by default every row moves by model.T.
 
     Returns (posteriors (n, |S|), impossible (n,)): rows whose observation
     has probability <= 1e-300 under the belief are uniform and flagged.
     Only when some row is impossible does the division run under
     np.errstate: such a row may sum to 0.
     """
-    post = np.matmul(model.T.T, beliefs[:, :, None])[..., 0]
+    post = np.empty(beliefs.shape)
+    for rows, t in chains or ((slice(None), model.T),):
+        np.matmul(t.T, beliefs[rows, :, None], out=post[rows, :, None])
     post *= likelihood
     norm = post.sum(axis=1)
     impossible = norm <= _NORMALIZER_FLOOR

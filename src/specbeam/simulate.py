@@ -6,36 +6,49 @@ previous position (it must predict the move); the oracle reads the new cell
 directly, so its beam is always aligned. The sampled SNR is quantized into
 the observation that drives the belief update.
 
-One runner, simulate_slots, steps a list of (model, agent) runs whose
-models share the chain T, the SNR bins and the states. Agents are compared
-under common random numbers, which hold by construction: trial t's
-streams, spawned from SeedSequence((seed, t)), are drawn once, so its path
-and noise draws are one array shared by every run, not equal copies.
+One runner, simulate_points, steps points together. A point is a list of
+(model, agent) runs with its dynamics and horizon: one p of `sweep-p`, one
+(p, speed) of `robustness`; simulate_slots runs one point. The runs of a
+point share the chain T, and all runs of all points the SNR bins and the
+states. Agents are compared under common random numbers, which hold by
+construction: trial t's streams, spawned from SeedSequence((seed, t)), are
+drawn once, for the longest horizon, so its path and noise draws are one
+array shared by every run and every point reads a prefix of it
+(Generator.random(h) is a prefix of a longer draw), not equal copies. A
+Markov point's path moves through its own T.
 
-The beliefs of all runs are the rows of one matrix, a block of trials per
-run, and all trials advance one slot at a time. Per slot, one PolicyBank
-rule call decides every PolicyAgent row into one reused action vector (a
-bank per agent, sharing one score buffer, if the padded scores would
-outgrow the beliefs), other agents act on their own blocks, gains and
-noise come from the runs' stacked tables, likelihood rows O[a, :, z] are
-contiguous rows of one (A, Z, S) stack, and one pomdp.belief_update call
-updates every row; rates are formed from the stored SNRs after the loop.
+The beliefs of all runs are the rows of one matrix, point by point and a
+block of trials per run, the longest horizon first, and all trials advance
+one slot at a time; a point's rows drop out when its path ends, so the
+live rows are a prefix. Per slot, one PolicyBank rule call decides every
+PolicyAgent row into one reused action vector (a bank per agent, sharing
+one score buffer, if the padded scores would outgrow the beliefs), an
+oracle reads its cell table, other agents act on their own blocks, gains
+and noise come from the runs' stacked tables (models that share their
+tables, as ExperimentConfig's builds do, once), likelihood rows
+O[a, :, z] are contiguous rows of one (A, Z, S) stack, and one
+pomdp.belief_update call updates every row, each point's rows predicted
+through its own T; rates are formed from the stored SNRs after the loop.
 Paths and noise do not depend on actions, so they are drawn before the
-loop (Generator.random(h) equals h single draws; fixed paths draw nothing;
-a Markov step draws over the state's successors, MarkovDynamics). Every
-slot is bit-identical to a per-trial, per-agent loop:
-pomdp.belief_update stacks per-row matrix-vector products with np.matmul
-(a batched B @ T rounds the beliefs differently), the logs are
-math.log1p/math.log2, which differ from the numpy ufuncs in the last bit,
-and each decision is the rule's arithmetic on the scores an agent forms
-alone from its unchanged row block.
+loop (fixed paths draw nothing; a Markov step draws over the state's
+successors, MarkovDynamics). Every slot is bit-identical to a per-trial,
+per-agent loop: pomdp.belief_update stacks per-row matrix-vector products
+with np.matmul (a batched B @ T rounds the beliefs differently), the logs
+are math.log1p/math.log2, which differ from the numpy ufuncs in the last
+bit, each decision is the rule's arithmetic on the scores an agent forms
+alone from its unchanged row block, and every other step is per row, so no
+byte depends on which points step together.
 
-The runner keeps each agent-slot's action, rate and reset flag, about 10
-bytes, next to the shared cells (one row on a fixed path) and noise draws;
-observations and beliefs last one slot. SlotLog.metrics gives each run's
-mean rate with its 95% interval, band utilization and reset share: the
-rows of monte_carlo, fixed_path_eval and the CLI's CSVs. The CLI's trace
-log is written from the same log.
+Each point's SlotLog keeps each agent-slot's action, rate and reset flag,
+about 10 bytes, next to the point's cells (one row on a fixed path) and
+noise draws; each slot's values pass through small staging rows, so a log
+holds just its point's slots. Observations and beliefs last one slot.
+lockstep_groups caps what steps together at the rows and agent-slots of
+one point of the default config, so the CLI's default runs step one point
+at a time, as before. SlotLog.metrics gives each run's mean rate with its
+95% interval, band utilization and reset share: the rows of monte_carlo,
+fixed_path_eval and the CLI's CSVs. The CLI's trace log is written from
+the same logs.
 
 A fixed path's slot count is fixed_path_slots, which config validation
 checks as well.
@@ -203,19 +216,22 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _check_shared_chain(runs: list[tuple[PomdpModel, Agent]]) -> None:
-    """Raise unless every run's model has the first run's T, SNR bins and states."""
-    first = runs[0][0]
-    for i, (model, agent) in enumerate(runs[1:], start=1):
-        for name, same in (("states", model.states == first.states),
-                           ("T", np.array_equal(model.T, first.T)),
-                           ("thresholds", np.array_equal(model.thresholds,
-                                                         first.thresholds))):
-            if not same:
-                raise ValueError(
-                    f"run {i} ({agent.label}): its model's {name} differs from "
-                    f"run 0's; runs stepped together share one chain, one set "
-                    f"of SNR bins and one state space")
+def _check_shared_chain(points) -> None:
+    """Raise unless every run of a point has the point's first T, and every run
+    the first run's SNR bins and states."""
+    first = points[0][0][0][0]
+    for k, (runs, _, _) in enumerate(points):
+        where, ref = (f"point {k}, ", "point 0, run 0") if len(points) > 1 else ("", "run 0")
+        for i, (model, agent) in enumerate(runs):
+            for name, same, of in (
+                    ("states", model.states == first.states, ref),
+                    ("T", np.array_equal(model.T, runs[0][0].T), "run 0"),
+                    ("thresholds", np.array_equal(model.thresholds, first.thresholds), ref)):
+                if not same:
+                    raise ValueError(
+                        f"{where}run {i} ({agent.label}): its model's {name} differs "
+                        f"from {of}'s; the runs of a point share one chain, and all "
+                        f"runs one set of SNR bins and one state space")
 
 
 @dataclass
@@ -254,73 +270,169 @@ class SlotLog:
         return out
 
 
+# A lockstep holds at most the rows and the agent-slots of one point of the
+# default config (5 runs x 500 trials, 200 slots): its beliefs and its logs
+# peak no higher than that point's.
+LOCKSTEP_ROWS = 2500
+LOCKSTEP_AGENT_SLOTS = 2500 * 200
+
+
+def lockstep_groups(sizes: list[tuple[int, int]]) -> list[list[int]]:
+    """Consecutive points, given as (rows, slots), grouped within the caps
+    LOCKSTEP_ROWS and LOCKSTEP_AGENT_SLOTS; a larger point runs alone."""
+    groups, rows, held = [], 0, 0
+    for k, (r, h) in enumerate(sizes):
+        rows, held = rows + r, held + r * h
+        if not groups or rows > LOCKSTEP_ROWS or held > LOCKSTEP_AGENT_SLOTS:
+            groups.append([])
+            rows, held = r, r * h
+        groups[-1].append(k)
+    return groups
+
+
 def simulate_slots(runs: list[tuple[PomdpModel, Agent]], dynamics, horizon: int,
                    num_trials: int, seed: int) -> SlotLog:
-    """Trials 0, ..., num_trials - 1 of every run, stepped together.
+    """Trials 0, ..., num_trials - 1 of every run, stepped together: the one
+    point (runs, dynamics, horizon) of simulate_points."""
+    return simulate_points([(runs, dynamics, horizon)], num_trials, seed)[0]
 
-    Trial t is seeded by SeedSequence((seed, t)), whatever the trial count;
-    its two spawned streams draw the path and the noise. A fixed path sets
-    the horizon to its slot count. The runs' models must share T, the SNR
-    bins and the states (ValueError names the first run that does not).
+
+def simulate_points(points: list[tuple[list, object, int]], num_trials: int,
+                    seed: int) -> list[SlotLog]:
+    """The SlotLog of each point (runs, dynamics, horizon), all stepped together.
+
+    Trial t is seeded by SeedSequence((seed, t)), whatever the trial count
+    and the points; its two spawned streams draw the path and the noise. A
+    fixed path sets its point's horizon to its slot count. The runs of a
+    point must share T, and all runs the SNR bins and the states (ValueError
+    names the first that does not).
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
-    _check_shared_chain(runs)
-    first = runs[0][0]
+    _check_shared_chain(points)
+    n, first = num_trials, points[0][0][0][0]
+    slots = [dyn.n_slots if isinstance(dyn, FixedPathDynamics) else h for _, dyn, h in points]
+    cells, draws = _trial_streams(points, slots, n, seed)
+    # rows point by point, longest horizon first: the live rows are a prefix
+    order = sorted(range(len(points)), key=lambda k: -slots[k])
+    flat = [run for k in order for run in points[k][0]]
+    ends = np.cumsum([0] + [len(points[k][0]) * n for k in order])
+    rows, act_type = ends[-1], np.min_scalar_type(max(len(m.actions) for m, _ in flat) - 1)
+    logs = [SlotLog(runs, c, draws[:, :h], actions=np.empty((len(runs) * n, h), act_type),
+                    rates=np.empty((len(runs) * n, h)), resets=np.empty((len(runs) * n, h), bool))
+            for (runs, _, _), c, h in zip(points, cells, slots)]
+    base, gains, obs, width, sigma = _stacked_tables(flat, n)
+    run_point = np.repeat(np.arange(len(order)), [len(points[k][0]) for k in order])
+    cell_idx = np.zeros((max(slots), len(order), n), np.min_scalar_type(len(first.road) - 1))
+    for i, k in enumerate(order):
+        cell_idx[:slots[k], i] = cells[k].T - 1
+    # each slot's actions, SNRs and resets fill a row of the staging buffers, flushed
+    # into the logs every `stage` slots: the logs hold just each point's own slots
+    stage = max(1, 2 ** 14 // rows)
+    staged = (np.empty((stage, rows), act_type), np.empty((stage, rows)),
+              np.empty((stage, rows), bool))
+    b, thresholds = np.tile(initial_belief(first.states), (rows, 1)), first.thresholds
+    act, a = np.empty(rows, int), np.empty(rows, int)   # each slot's actions: own, stacked
+    t = flushed = 0
+    for live in range(len(order), 0, -1):   # the first `live` points step slots t..stop-1
+        stop = slots[order[live - 1]]
+        if stop <= t:
+            continue
+        m = ends[live]
+        n_runs = m // n
+        decide = _decider(flat[:n_runs], n, b.shape[1], run_point)
+        chains = [(slice(ends[i], ends[i + 1]), points[k][0][0][0].T)
+                  for i, k in enumerate(order[:live])]
+        # each row's true cell: its point's; one live point's broadcasts over its runs
+        of_run = slice(0, 1) if live == 1 else run_point[:n_runs]
+        act_m, a_m, base_m, a_run = act[:m], a[:m], base[:m], a[:m].reshape(n_runs, n)
+        st_act, st_snr, st_reset = (buf[:, :m] for buf in staged)
+        for t in range(t, stop):
+            j = t - flushed
+            cells_t = cell_idx[t].astype(np.intp)      # an intp index gathers faster
+            decide(b, act, cells_t)
+            st_act[j], snr = act_m, st_snr[j]
+            np.add(act_m, base_m, out=a_m)
+            cell_run = cells_t[of_run]
+            np.divide(gains[a_run, cell_run], sigma[a_run] * draws[:, t],
+                      out=snr.reshape(n_runs, n))
+            z = thresholds.searchsorted(snr, side="right")
+            b, st_reset[j] = belief_update(first, b[:m], obs[a_m, z], chains)
+            if j == stage - 1 or t == stop - 1:
+                for i, k in enumerate(order[:live]):
+                    for out, buf in zip((logs[k].actions, logs[k].rates, logs[k].resets),
+                                        staged):
+                        out[:, flushed:t + 1] = buf[:j + 1, ends[i]:ends[i + 1]].T
+                flushed = t + 1
+        t = stop
+    for i, k in enumerate(order):
+        log, log_base = logs[k], base[ends[i]:ends[i + 1], None]
+        step = max(1, 2 ** 12 // max(slots[k], 1))    # rates from the SNRs, ~2^12 values a block
+        for blk in (slice(lo, lo + step) for lo in range(0, len(log.rates), step)):
+            log.rates[blk] = (width[log.actions[blk] + log_base[blk]]
+                              * _elementwise(math.log2, 1.0 + log.rates[blk]))
+    return logs
+
+
+def _trial_streams(points, slots: list[int], n: int, seed: int):
+    """Each point's cells (n, h) and the noise draws (n, longest h) of trials
+    0, ..., n - 1. Each trial's path and noise streams draw once, for the
+    longest horizon, and a point reads a prefix: Generator.random(h) is a
+    prefix of a longer draw. A Markov point draws its path through its own T."""
     rngs = [[np.random.default_rng(ss) for ss in np.random.SeedSequence((seed, t)).spawn(2)]
-            for t in range(num_trials)]
-    if isinstance(dynamics, FixedPathDynamics):
-        horizon = dynamics.n_slots
-        cells = np.broadcast_to(dynamics.cells, (num_trials, horizon))  # a view: one path
-    else:
-        cells = first.states.cells()[dynamics.states(
-            np.array([path.random(horizon + 1) for path, _ in rngs]))]
-    draws = -_elementwise(math.log1p, -np.array([noise.random(horizon) for _, noise in rngs]))
-    del rngs
-    rows, n = num_trials * len(runs), num_trials
-    log = SlotLog(runs, cells, draws, rates=np.empty((rows, horizon)),
-                  resets=np.empty((rows, horizon), bool),
-                  actions=np.empty((rows, horizon), np.min_scalar_type(
-                      max(len(m.actions) for m, _ in runs) - 1)))
-    # the distinct models' tables stacked; row i's actions index them from base[i]
-    models = list({id(m): m for m, _ in runs}.values())
-    start = dict(zip(map(id, models), np.cumsum([0] + [len(m.actions) for m in models[:-1]])))
-    base = np.repeat([start[id(m)] for m, _ in runs], n)
-    gains = np.vstack([m.gains for m in models])
-    # likelihood rows O[a, :, z] are contiguous rows of one (A, Z, S) stack
+            for t in range(n)]
+    fixed = [isinstance(dyn, FixedPathDynamics) for _, dyn, _ in points]
+    longest = max((h for h, f in zip(slots, fixed) if not f), default=-1)
+    u = np.array([path.random(longest + 1) for path, _ in rngs]) if longest >= 0 else None
+    cells = [np.broadcast_to(dyn.cells, (n, h)) if f           # a view: one path
+             else runs[0][0].states.cells()[dyn.states(u[:, :h + 1])]
+             for (runs, dyn, _), h, f in zip(points, slots, fixed)]
+    return cells, -_elementwise(math.log1p, -np.array([noise.random(max(slots))
+                                                       for _, noise in rngs]))
+
+
+def _stacked_tables(runs: list[tuple[PomdpModel, Agent]], n: int):
+    """(base, gains, obs, width, sigma): the distinct tables of the runs'
+    models stacked, models that share their tables once, and each row's
+    offset into them (n rows a run). Likelihood rows O[a, :, z] are
+    contiguous rows of the one (A, Z, S) stack `obs`."""
+    key = lambda m: (id(m.O), id(m.gains), m.bands, m.consts)
+    models = list({key(m): m for m, _ in runs}.values())
+    start = dict(zip(map(key, models), np.cumsum([0] + [len(m.actions) for m in models[:-1]])))
     obs = np.ascontiguousarray(np.concatenate([m.O for m in models]).transpose(0, 2, 1))
     bw = [np.array([band.bandwidth_hz for band in m.bands])[m.actions.band_idx] for m in models]
-    width, sigma = np.concatenate(bw), np.concatenate(
-        [m.consts.noise_variance_w(w) for m, w in zip(models, bw)])
+    return (np.repeat([start[key(m)] for m, _ in runs], n), np.vstack([m.gains for m in models]),
+            obs, np.concatenate(bw),
+            np.concatenate([m.consts.noise_variance_w(w) for m, w in zip(models, bw)]))
+
+
+def _decider(runs: list[tuple[PomdpModel, Agent]], n: int, num_states: int, point_of_run):
+    """decide(beliefs, actions, cells) for the rows of `runs`, n trials a run;
+    cells (points, n) holds each point's 0-based true cells at the slot.
+    PolicyAgents decide in one PolicyBank, or, if its padded scores would
+    outgrow the beliefs (the update's peak stays the peak), in a bank per
+    agent, all writing their scores into one buffer; an OracleAgent reads
+    its cell table, and any other agent acts on its own block."""
     blocks = [slice(r * n, (r + 1) * n) for r in range(len(runs))]
     banked = [r for r, (_, agent) in enumerate(runs) if isinstance(agent, PolicyAgent)]
-    others = [r for r in range(len(runs)) if r not in banked]
-    b = np.tile(initial_belief(first.states), (rows, 1))
-    # one bank, unless its padded scores outgrow the beliefs: the update's peak stays the
-    # peak; then a bank per agent, all writing their scores into one buffer
     widest = max((len(runs[r][1].policy.actions) for r in banked), default=0)
-    shared = np.empty((n, widest)) if len(banked) * n * widest > b.size else None
-    groups = [banked] if shared is None else [[r] for r in banked]
+    shared = (np.empty((n, widest)) if len(banked) * n * widest > len(runs) * n * num_states
+              else None)
     banks = [PolicyBank([runs[r][1] for r in g], [blocks[r] for r in g], shared)
-             for g in groups if g]
-    act, a = np.empty(rows, int), np.empty(rows, int)   # each slot's actions: own, stacked
-    a_run = a.reshape(len(runs), n)
-    cell_idx = (cells.T - 1).astype(np.min_scalar_type(len(first.road) - 1))
-    for t in range(horizon):
+             for g in ([banked] if shared is None else [[r] for r in banked]) if g]
+    oracles = [(blocks[r], agent._by_cell, int(point_of_run[r]))
+               for r, (_, agent) in enumerate(runs) if isinstance(agent, OracleAgent)]
+    others = [(blocks[r], agent, int(point_of_run[r])) for r, (_, agent) in enumerate(runs)
+              if r not in banked and not isinstance(agent, OracleAgent)]
+
+    def decide(beliefs: np.ndarray, act: np.ndarray, cells: np.ndarray) -> None:
         for bank in banks:
-            act[bank.rows] = bank.act(b)
-        for r in others:
-            act[blocks[r]] = runs[r][1].act(b[blocks[r]], cells[:, t])
-        log.actions[:, t] = act
-        np.add(act, base, out=a)
-        log.rates[:, t] = snr = (gains[a_run, cell_idx[t]] / (sigma[a_run] * draws[:, t])).ravel()
-        z = first.thresholds.searchsorted(snr, side="right")
-        b, log.resets[:, t] = belief_update(first, b, obs[a, z])
-    step = max(1, 2 ** 12 // max(horizon, 1))    # rates from the SNRs, ~2^12 values a block
-    for blk in (slice(lo, lo + step) for lo in range(0, rows, step)):
-        log.rates[blk] = (width[log.actions[blk] + base[blk, None]]
-                          * _elementwise(math.log2, 1.0 + log.rates[blk]))
-    return log
+            act[bank.rows] = bank.act(beliefs)
+        for block, by_cell, point in oracles:
+            act[block] = by_cell[cells[point]]
+        for block, agent, point in others:
+            act[block] = agent.act(beliefs[block], cells[point].astype(int) + 1)
+    return decide
 
 
 def trial_means(rates: np.ndarray) -> list[float]:

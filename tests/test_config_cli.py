@@ -1002,3 +1002,35 @@ def test_cli_solve_needs_no_scipy(tmp_path):
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "sm_p0.6.policy.json").exists()
+
+
+def test_cli_points_alone_write_the_bytes_of_one_lockstep(tmp_path, capsys, monkeypatch):
+    """sweep-p steps its three p, and robustness its six (p, speed) points, in one
+    lockstep each; with the caps at one row every point runs alone, and both
+    commands write the same CSV and trace bytes."""
+    from specbeam import cli, simulate
+    cfg_path, pol = str(tmp_path / "exp.json"), str(tmp_path / "policies")
+    ExperimentConfig.from_dict({**TINY, "simulation": {
+        **TINY["simulation"], "p_grid": [0.35, 0.6, 0.95],
+        "speed_grid_kmh": [10.0, 90.0, 50.0]}}).dump(cfg_path)
+    calls = []
+    real = cli.simulate_points
+    monkeypatch.setattr(cli, "simulate_points",
+                        lambda points, *a: calls.append(len(points)) or real(points, *a))
+    outputs = {}
+    for tag in ("grouped", "alone"):
+        if tag == "alone":
+            monkeypatch.setattr(simulate, "LOCKSTEP_ROWS", 1)
+        calls.clear()
+        out = {name: str(tmp_path / f"{tag}_{name}")
+               for name in ("sweep.csv", "robust.csv", "traces.jsonl")}
+        assert main(["sweep-p", "--config", cfg_path, "--out", out["sweep.csv"],
+                     "--policies", pol, "--solve-missing"]) == 0
+        assert main(["robustness", "--config", cfg_path, "--out", out["robust.csv"],
+                     "--policies", pol, "--solve-missing",
+                     "--traces", out["traces.jsonl"]]) == 0
+        assert calls == ([3, 6] if tag == "grouped" else [1] * 9)
+        outputs[tag] = {name: open(path, "rb").read() for name, path in out.items()}
+    capsys.readouterr()
+    assert outputs["grouped"] == outputs["alone"]
+    assert len(outputs["alone"]["traces.jsonl"].splitlines()) == 2 * 3 * 5 * 6

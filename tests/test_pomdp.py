@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specbeam import pomdp
+from specbeam import artifacts, pomdp
 from specbeam.arrays import PropagationConstants, expected_rate, gain, make_band
 from specbeam.config import ExperimentConfig
 from specbeam.geometry import SceneConfig, build_road
@@ -325,3 +325,32 @@ def test_config_builds_slice_one_gain_table(monkeypatch):
     table_calls = num_cells * num_bands * num_cells
     uncached_calls = 2 * (table_calls + num_bands * num_cells * num_cells)
     assert len(calls) == table_calls + uncached_calls
+
+
+def test_config_models_share_read_only_tables():
+    """A config's builds share O, rbar and the gains per band across p, and T
+    per p across bands, all read-only; each digest is an uncached build's."""
+    cfg = ExperimentConfig.from_dict({})
+    d = cfg.raw["discretization"]
+    built = {(p, agent): cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
+             for p in (0.35, 0.95) for agent in cfg.agent_names()}
+    for (p, agent), model in built.items():
+        other_p = built[(0.95 if p == 0.35 else 0.35, agent)]
+        assert model.mobility.p == p and model.T is not other_p.T
+        for name in ("O", "rbar", "gains", "thresholds"):
+            assert getattr(model, name) is getattr(other_p, name), (agent, name)
+        assert model.T is built[(p, "sm")].T
+        assert model.states == built[(p, "sm")].states
+        for name in ("T", "O", "rbar", "gains", "thresholds"):
+            table = getattr(model, name)
+            assert not table.flags.writeable, (agent, name)
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 0.0
+        label = cfg.band_label_for_agent(agent)
+        uncached = build_model(build_road(cfg.scene()),
+                               tuple(b for b in cfg.bands() if label in (None, b.label)),
+                               cfg.constants(), cfg.mobility(p), d["num_levels"],
+                               d["low_db"], d["high_db"], cfg.raw["solver"]["discount"])
+        assert artifacts.model_digest(model) == artifacts.model_digest(uncached)
+    again = cfg.build_model(p=0.35)
+    assert again is not built[(0.35, "sm")] and again.O is built[(0.35, "sm")].O

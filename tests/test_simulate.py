@@ -485,3 +485,78 @@ def test_runs_with_another_chain_are_rejected(agents_by_p, model):
     with pytest.raises(ValueError, match="run 1"):
         simulate_slots(fast[:1] + slow[:1], FixedPathDynamics(CFG.scene(), 50.0, 0.25),
                        0, 2, seed=0)
+
+
+# ------------------------------------------------- points in one lockstep
+
+def lockstep_runs(agents_by_p, p, wide):
+    """The runs of test_banked_policy_agents_match_reference at p: policy rows
+    apart, three alpha-set widths, and with `wide` a policy whose padded scores
+    outgrow the beliefs, so each policy run decides in a bank of its own."""
+    sm, (m39, sf39), ties, oracle, blind = agents_by_p[p]
+    short = Policy(alpha=sf39.policy.alpha[:-1], actions=sf39.policy.actions[:-1])
+    runs = [sm, oracle, (m39, PolicyAgent("sf39", m39, short)), blind, ties]
+    if wide:
+        copies = Policy(alpha=np.tile(sm[1].policy.alpha, (30, 1)),
+                        actions=np.concatenate([np.roll(sm[1].policy.actions, k)
+                                                for k in range(30)]))
+        runs.append((sm[0], PolicyAgent("sm-wide", sm[0], copies)))
+    return runs
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_points_in_one_lockstep_match_separate_calls(agents_by_p, wide):
+    """Markov points at two p, each through its own T, and fixed paths at three
+    speeds, stepped together: every point's actions, rates, resets, cells and
+    noise draws are those of its own simulate_slots call."""
+    runs = {p: lockstep_runs(agents_by_p, p, wide) for p in (0.95, 0.35)}
+    scene = CFG.scene()
+    fixed = [(runs[p], FixedPathDynamics(scene, speed, 0.25), 0)
+             for p, speed in ((0.35, 10.0), (0.95, 50.0), (0.35, 90.0))]
+    for n, horizon in ((1, 60), (7, 60), (7, 0)):
+        points = [(runs[p], MarkovDynamics(runs[p][0][0]), horizon) for p in (0.35, 0.95)]
+        for group in (points, points + fixed, fixed[::-1]):
+            logs = simulate.simulate_points(group, n, seed=21)
+            assert len(logs) == len(group)
+            for (point_runs, dyn, h), log in zip(group, logs):
+                alone = simulate_slots(point_runs, dyn, h, n, seed=21)
+                assert log.runs is point_runs
+                for name in ("actions", "rates", "resets", "cells", "noise_draws"):
+                    got, want = getattr(log, name), getattr(alone, name)
+                    assert got.shape == want.shape and got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), (name, n, horizon)
+                assert log.metrics() == alone.metrics()
+
+
+def test_lockstep_groups_hold_at_most_one_default_point():
+    """A group holds at most the rows and agent-slots of one default point."""
+    assert (simulate.LOCKSTEP_ROWS, simulate.LOCKSTEP_AGENT_SLOTS) == (5 * 500, 5 * 500 * 200)
+    groups = simulate.lockstep_groups
+    assert groups([(2500, 200)] * 3) == [[0], [1], [2]]
+    assert groups([(100, 200)] * 5) == [[0, 1, 2, 3, 4]]           # the benchmark's sweep
+    assert groups([(100, h) for h in (345, 115, 69, 49, 38)] * 2) == [list(range(10))]
+    # the default robustness points: each alone, by rows or agent-slots
+    assert groups([(2500, h) for h in (345, 115, 69, 49, 38)]) == [[0], [1], [2], [3], [4]]
+    assert groups([(1000, 345), (1000, 100), (400, 1), (2500, 1), (10, 5)]) == \
+        [[0, 1, 2], [3], [4]]
+    assert groups([(1000, 400), (1000, 101)]) == [[0], [1]]           # 501,000 agent-slots
+    assert groups([]) == []
+
+
+def test_points_with_another_state_space_or_bins_are_rejected(agents_by_p, model):
+    fast, slow = agents_by_p[0.95], agents_by_p[0.35]
+    other_cells = ExperimentConfig.from_dict({"scene": {"num_cells": 4}}).build_model()
+    broken = dead_bin_model(model)
+    dyn = FixedPathDynamics(CFG.scene(), 50.0, 0.25)
+    simulate.simulate_points([(fast, dyn, 0), (slow, dyn, 0)], 2, seed=0)  # T per point
+    cases = [
+        ([(fast, dyn, 0), (slow[:1] + fast[:1], dyn, 0)],
+         "point 1, run 1 (sm): its model's T differs from run 0's"),
+        ([(fast, dyn, 0), ([(other_cells, FixedActionAgent(1))], dyn, 0)],
+         "point 1, run 0 (blind): its model's states differs from point 0, run 0's"),
+        ([(fast, dyn, 0), ([(broken, FixedActionAgent(5, "dead"))], dyn, 0)],
+         "point 1, run 0 (dead): its model's thresholds differs from point 0, run 0's"),
+    ]
+    for points, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate.simulate_points(points, 2, seed=0)
