@@ -21,7 +21,7 @@ import numpy as np
 from .arrays import (ApertureSpec, BandConfig, PropagationConstants, aligned_gain,
                      make_band)
 from .geometry import SceneConfig, build_road
-from .mobility import MobilityModel, transition_matrix
+from .mobility import MobilityModel, enumerate_states, transition_matrix
 from .pomdp import PomdpModel, band_gains, build_model, gain_table, snr_thresholds
 from .simulate import fixed_path_slots
 
@@ -280,13 +280,10 @@ class ExperimentConfig:
         return _frozen(gain_table(build_road(self.scene()), self.bands(), self.constants()))
 
     @cached_property
-    def _band_models(self) -> dict:
-        """The model built first per band label; its O, rbar and gains serve every p."""
-        return {}
-
-    @cached_property
-    def _chains(self) -> dict:
-        """transition_matrix per MobilityModel; one T serves every band."""
+    def _tables(self) -> dict:
+        """The read-only tables the config's models share: transition_matrix
+        per MobilityModel, which serves every band, and per band label the
+        model built first, whose O, rbar and gains serve every p."""
         return {}
 
     def build_model(self, p: float | None = None,
@@ -297,16 +294,16 @@ class ExperimentConfig:
         gains per band, which do not depend on p, and T per p, which does not
         depend on the band.
         """
-        mob = self.mobility(p)
-        model = self._band_models.get(band_label)
-        if model is None:
-            model = self._band_models[band_label] = self._build(mob, band_label)
-            self._chains.setdefault(mob, model.T)
-        if mob not in self._chains:
-            self._chains[mob] = _frozen(transition_matrix(mob, model.states))
-        return dataclasses.replace(model, T=self._chains[mob], mobility=mob)
+        mob, tables = self.mobility(p), self._tables
+        if mob not in tables:
+            states = enumerate_states(self.raw["scene"]["num_cells"], mob.window)
+            tables[mob] = _frozen(transition_matrix(mob, states))
+        if band_label not in tables:
+            tables[band_label] = self._build(mob, band_label, tables[mob])
+        return dataclasses.replace(tables[band_label], T=tables[mob], mobility=mob)
 
-    def _build(self, mob: MobilityModel, band_label: str | None) -> PomdpModel:
+    def _build(self, mob: MobilityModel, band_label: str | None,
+               T: np.ndarray) -> PomdpModel:
         bands, gains = self.bands(), self._gain_table
         if band_label is not None:
             labels = [b.label for b in bands]
@@ -315,7 +312,7 @@ class ExperimentConfig:
                     f"bands: no band labelled {band_label!r} "
                     f"(have {', '.join(labels)})")
             q = labels.index(band_label)
-            gains = band_gains(gains, len(bands), q)
+            gains = _frozen(band_gains(gains, len(bands), q))
             bands = (bands[q],)
         d = self.raw["discretization"]
         model = build_model(
@@ -328,10 +325,10 @@ class ExperimentConfig:
             high_db=d["high_db"],
             discount=self.raw["solver"]["discount"],
             gains=gains,
-            T=self._chains.get(mob),
+            T=T,
         )
-        for table in (model.T, model.O, model.rbar, model.gains, model.thresholds):
-            table.setflags(write=False)
+        for table in (model.O, model.rbar, model.thresholds):
+            _frozen(table)
         return model
 
     def agent_names(self) -> tuple[str, ...]:

@@ -41,8 +41,8 @@ byte depends on which points step together.
 
 Each point's SlotLog keeps each agent-slot's action, rate and reset flag,
 about 10 bytes, next to the point's cells (one row on a fixed path) and
-noise draws; each slot's values pass through small staging rows, so a log
-holds just its point's slots. Observations and beliefs last one slot.
+noise draws; each slot writes its actions, SNRs and resets into column t of
+every live point's log. Observations and beliefs last one slot.
 lockstep_groups caps what steps together at the rows and agent-slots of
 one point of the default config, so the CLI's default runs step one point
 at a time, as before. SlotLog.metrics gives each run's mean rate with its
@@ -217,8 +217,11 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _check_shared_chain(points) -> None:
-    """Raise unless every run of a point has the point's first T, and every run
-    the first run's SNR bins and states."""
+    """Raise unless every point has runs, every run of a point has the point's
+    first T, and every run the first run's SNR bins and states."""
+    for k, (runs, _, _) in enumerate(points):
+        if not runs:
+            raise ValueError(f"point {k} has no runs")
     first = points[0][0][0][0]
     for k, (runs, _, _) in enumerate(points):
         where, ref = (f"point {k}, ", "point 0, run 0") if len(points) > 1 else ("", "run 0")
@@ -303,12 +306,15 @@ def simulate_points(points: list[tuple[list, object, int]], num_trials: int,
 
     Trial t is seeded by SeedSequence((seed, t)), whatever the trial count
     and the points; its two spawned streams draw the path and the noise. A
-    fixed path sets its point's horizon to its slot count. The runs of a
-    point must share T, and all runs the SNR bins and the states (ValueError
-    names the first that does not).
+    fixed path sets its point's horizon to its slot count. An empty list of
+    points gives no logs. Every point needs a run; the runs of a point must
+    share T, and all runs the SNR bins and the states (ValueError names the
+    first that does not).
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
+    if not points:
+        return []
     _check_shared_chain(points)
     n, first = num_trials, points[0][0][0][0]
     slots = [dyn.n_slots if isinstance(dyn, FixedPathDynamics) else h for _, dyn, h in points]
@@ -326,14 +332,10 @@ def simulate_points(points: list[tuple[list, object, int]], num_trials: int,
     cell_idx = np.zeros((max(slots), len(order), n), np.min_scalar_type(len(first.road) - 1))
     for i, k in enumerate(order):
         cell_idx[:slots[k], i] = cells[k].T - 1
-    # each slot's actions, SNRs and resets fill a row of the staging buffers, flushed
-    # into the logs every `stage` slots: the logs hold just each point's own slots
-    stage = max(1, 2 ** 14 // rows)
-    staged = (np.empty((stage, rows), act_type), np.empty((stage, rows)),
-              np.empty((stage, rows), bool))
     b, thresholds = np.tile(initial_belief(first.states), (rows, 1)), first.thresholds
-    act, a = np.empty(rows, int), np.empty(rows, int)   # each slot's actions: own, stacked
-    t = flushed = 0
+    # each slot's actions (own, stacked) and SNRs, written into column t of every live log
+    act, a, snr = np.empty(rows, int), np.empty(rows, int), np.empty(rows)
+    t = 0
     for live in range(len(order), 0, -1):   # the first `live` points step slots t..stop-1
         stop = slots[order[live - 1]]
         if stop <= t:
@@ -343,27 +345,21 @@ def simulate_points(points: list[tuple[list, object, int]], num_trials: int,
         decide = _decider(flat[:n_runs], n, b.shape[1], run_point)
         chains = [(slice(ends[i], ends[i + 1]), points[k][0][0][0].T)
                   for i, k in enumerate(order[:live])]
+        cols = [(logs[k], slice(ends[i], ends[i + 1])) for i, k in enumerate(order[:live])]
         # each row's true cell: its point's; one live point's broadcasts over its runs
         of_run = slice(0, 1) if live == 1 else run_point[:n_runs]
         act_m, a_m, base_m, a_run = act[:m], a[:m], base[:m], a[:m].reshape(n_runs, n)
-        st_act, st_snr, st_reset = (buf[:, :m] for buf in staged)
+        snr_m = snr[:m]
         for t in range(t, stop):
-            j = t - flushed
             cells_t = cell_idx[t].astype(np.intp)      # an intp index gathers faster
             decide(b, act, cells_t)
-            st_act[j], snr = act_m, st_snr[j]
             np.add(act_m, base_m, out=a_m)
-            cell_run = cells_t[of_run]
-            np.divide(gains[a_run, cell_run], sigma[a_run] * draws[:, t],
-                      out=snr.reshape(n_runs, n))
-            z = thresholds.searchsorted(snr, side="right")
-            b, st_reset[j] = belief_update(first, b[:m], obs[a_m, z], chains)
-            if j == stage - 1 or t == stop - 1:
-                for i, k in enumerate(order[:live]):
-                    for out, buf in zip((logs[k].actions, logs[k].rates, logs[k].resets),
-                                        staged):
-                        out[:, flushed:t + 1] = buf[:j + 1, ends[i]:ends[i + 1]].T
-                flushed = t + 1
+            np.divide(gains[a_run, cells_t[of_run]], sigma[a_run] * draws[:, t],
+                      out=snr_m.reshape(n_runs, n))
+            z = thresholds.searchsorted(snr_m, side="right")
+            b, reset = belief_update(first, b[:m], obs[a_m, z], chains)
+            for log, r in cols:
+                log.actions[:, t], log.rates[:, t], log.resets[:, t] = act[r], snr[r], reset[r]
         t = stop
     for i, k in enumerate(order):
         log, log_base = logs[k], base[ends[i]:ends[i + 1], None]

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specbeam import artifacts, pomdp
+from specbeam import artifacts, config, pomdp
 from specbeam.arrays import PropagationConstants, expected_rate, gain, make_band
 from specbeam.config import ExperimentConfig
 from specbeam.geometry import SceneConfig, build_road
@@ -325,6 +325,32 @@ def test_config_builds_slice_one_gain_table(monkeypatch):
     table_calls = num_cells * num_bands * num_cells
     uncached_calls = 2 * (table_calls + num_bands * num_cells * num_cells)
     assert len(calls) == table_calls + uncached_calls
+
+
+def test_config_builds_each_chain_and_band_once(monkeypatch):
+    """Builds in a mixed order make one T per p and one model per band, and
+    each model's digest is an uncached build's."""
+    chains, bands = [], []
+    real_chain, real_build = pomdp.transition_matrix, config.build_model
+    counted = lambda *args: chains.append(args[0].p) or real_chain(*args)
+    monkeypatch.setattr(pomdp, "transition_matrix", counted)
+    monkeypatch.setattr(config, "transition_matrix", counted)
+    monkeypatch.setattr(config, "build_model",
+                        lambda **kw: bands.append(kw["bands"]) or real_build(**kw))
+    cfg = ExperimentConfig.from_dict({})
+    order = [("sf39", 0.35), ("sm", 0.95), ("sm", 0.35), ("sf15", 0.95)]
+    built = [cfg.build_model(p=p, band_label=cfg.band_label_for_agent(agent))
+             for agent, p in order]
+    assert chains == [0.35, 0.95] and len(bands) == 3
+    monkeypatch.undo()
+    d = cfg.raw["discretization"]
+    for (agent, p), model in zip(order, built):
+        label = cfg.band_label_for_agent(agent)
+        uncached = build_model(build_road(cfg.scene()),
+                               tuple(b for b in cfg.bands() if label in (None, b.label)),
+                               cfg.constants(), cfg.mobility(p), d["num_levels"],
+                               d["low_db"], d["high_db"], cfg.raw["solver"]["discount"])
+        assert artifacts.model_digest(model) == artifacts.model_digest(uncached), (agent, p)
 
 
 def test_config_models_share_read_only_tables():

@@ -528,6 +528,20 @@ def test_points_in_one_lockstep_match_separate_calls(agents_by_p, wide):
                 assert log.metrics() == alone.metrics()
 
 
+def test_no_points_give_no_logs_and_a_point_needs_a_run(agents_by_p):
+    """No points give no logs, as monte_carlo([]) gives no metrics; a point
+    without runs is named in a ValueError, not failed on with an IndexError."""
+    runs = agents_by_p[0.95]
+    dyn = MarkovDynamics(runs[0][0])
+    assert simulate.simulate_points([], 2, seed=0) == []
+    with pytest.raises(ValueError, match="num_trials"):
+        simulate.simulate_points([], 0, seed=0)
+    with pytest.raises(ValueError, match=re.escape("point 0 has no runs")):
+        simulate_slots([], dyn, 5, 2, seed=0)
+    with pytest.raises(ValueError, match=re.escape("point 1 has no runs")):
+        simulate.simulate_points([(runs, dyn, 5), ([], dyn, 5)], 2, seed=0)
+
+
 def test_lockstep_groups_hold_at_most_one_default_point():
     """A group holds at most the rows and agent-slots of one default point."""
     assert (simulate.LOCKSTEP_ROWS, simulate.LOCKSTEP_AGENT_SLOTS) == (5 * 500, 5 * 500 * 200)
