@@ -163,7 +163,7 @@ def validate_config(cfg: dict[str, Any]) -> None:
         raise ConfigError(f"solver.epsilon: must be null or positive (got {eps!r})")
     _require_int(cfg, "solver.max_sweeps", 1)
     _require_int(cfg, "solver.seed", 0, _SEED_RULE)
-    _require(cfg, "solver.metric", lambda v: v in ("l1", "l2"), "must be 'l1' or 'l2'")
+    _require(cfg, "solver.metric", lambda v: v == "l1", "must be 'l1'")
     _require_int(cfg, "simulation.num_trials", 1)
     _require_int(cfg, "simulation.horizon", 1)
     for key in ("p_grid", "speed_grid_kmh"):

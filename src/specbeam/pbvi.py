@@ -8,7 +8,7 @@ the uniform lower bound
 
 the solver runs num_stages * expansions_per_stage rounds, each a belief-set
 expansion (one stochastic forward simulation per action per belief, keeping
-the candidate farthest from the set) and a stage of point-based backup
+the candidate farthest from the set in L1) and a stage of point-based backup
 sweeps; only the product matters. Beliefs are the rows of an (N, |S|)
 array; expansion updates all N * |A| proposals of a round in one
 pomdp.belief_update call, and only its farthest-point picks run in turn. A
@@ -514,17 +514,15 @@ def backup_stage(model: PomdpModel, beliefs: np.ndarray, alphas_mat: np.ndarray,
 
 
 def expand_beliefs(model: PomdpModel, beliefs: np.ndarray,
-                   seed_seq: np.random.SeedSequence, metric: str = "l1") -> np.ndarray:
+                   seed_seq: np.random.SeedSequence) -> np.ndarray:
     """Grow the belief set (N, |S|) by at most one new point per existing point.
 
     For every belief, one stochastic forward simulation per action proposes
     a successor belief; the proposal farthest from the current set (minimum
-    distance, in the configured metric) is added unless that distance is 0.
-    Per-belief random streams make the result independent of evaluation
-    order. Each pick is measured against the points added before it.
+    L1 distance) is added unless that distance is 0. Per-belief random
+    streams make the result independent of evaluation order. Each pick is
+    measured against the points added before it.
     """
-    if metric not in ("l1", "l2"):
-        raise ValueError(f"unknown metric {metric!r}")
     n0, n_s = beliefs.shape
     n_a = model.num_actions
     # belief i's stream yields (u_s, u_s', u_z) for actions 0, 1, ... in turn
@@ -533,8 +531,8 @@ def expand_beliefs(model: PomdpModel, beliefs: np.ndarray,
     rows = np.repeat(np.arange(n0), n_a)
     acts = np.tile(np.arange(n_a), n0)
     s = inverse_cdf(beliefs.cumsum(axis=1)[rows], u[:, 0])
-    s2 = inverse_cdf(model.T.cumsum(axis=1)[s], u[:, 1])
-    z = inverse_cdf(model.O.cumsum(axis=2)[acts, s2], u[:, 2])
+    s2 = inverse_cdf(model.T[s].cumsum(axis=1), u[:, 1])
+    z = inverse_cdf(model.O[acts, s2].cumsum(axis=1), u[:, 2])
     cands, impossible = belief_update(model, beliefs[rows], model.O[acts, :, z])
     cands = cands.reshape(n0, n_a, n_s)
     impossible = impossible.reshape(n0, n_a)
@@ -542,11 +540,7 @@ def expand_beliefs(model: PomdpModel, beliefs: np.ndarray,
     pts[:n0] = beliefs
     count = n0
     for i in range(n0):
-        diffs = pts[None, :count] - cands[i][:, None, :]
-        if metric == "l1":
-            dist = np.abs(diffs).sum(axis=2).min(axis=1)
-        else:
-            dist = np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+        dist = np.abs(pts[None, :count] - cands[i][:, None, :]).sum(axis=2).min(axis=1)
         dist[impossible[i]] = 0.0
         k = int(dist.argmax())              # the first of equal maxima
         if dist[k] > 0.0:
@@ -559,7 +553,9 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
           expansions_per_stage: int = 2, epsilon: float | None = None,
           max_sweeps: int = 500, seed: int = 0, metric: str = "l1",
           collect_history: bool = False) -> Policy:
-    """Run the full expansion/backup schedule from the initial belief."""
+    """Run the full expansion/backup schedule from the initial belief; `metric` is "l1"."""
+    if metric != "l1":
+        raise ValueError(f"metric must be 'l1' (got {metric!r})")
     if num_stages < 0 or expansions_per_stage < 1:
         raise ValueError("num_stages must be >= 0 and expansions_per_stage >= 1")
     if (epsilon is not None and not epsilon > 0) or max_sweeps < 1:
@@ -573,8 +569,7 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
     stage_wall_s: list[float] = []
     for round_id in range(1, num_stages * expansions_per_stage + 1):
         t0 = time.perf_counter()
-        beliefs = expand_beliefs(model, beliefs, np.random.SeedSequence((seed, round_id)),
-                                 metric=metric)
+        beliefs = expand_beliefs(model, beliefs, np.random.SeedSequence((seed, round_id)))
         # -inf: backup_stage values the new beliefs
         tracked = np.append(tracked, np.full(len(beliefs) - len(tracked), -np.inf))
         alphas_mat, alpha_actions, tracked, info = backup_stage(
@@ -585,7 +580,7 @@ def solve(model: PomdpModel, b0: np.ndarray, *, num_stages: int = 4,
         stage_wall_s.append(time.perf_counter() - t0)
     metadata = {"seed": seed, "num_stages": num_stages,
                 "expansions_per_stage": expansions_per_stage,
-                "epsilon": eps, "max_sweeps": max_sweeps, "metric": metric,
+                "epsilon": eps, "max_sweeps": max_sweeps, "metric": "l1",
                 "discount": model.discount, "stages": stage_log,
                 "num_beliefs": len(beliefs)}
     return Policy(alpha=alphas_mat, actions=alpha_actions, metadata=metadata,

@@ -317,8 +317,7 @@ def adopts(fresh: np.ndarray, kept: np.ndarray, tol: float) -> np.ndarray:
 
 
 def reference_expand_beliefs(model, beliefs: np.ndarray,
-                             seed_seq: np.random.SeedSequence,
-                             metric: str = "l1") -> np.ndarray:
+                             seed_seq: np.random.SeedSequence) -> np.ndarray:
     """The solver's earlier expansion, one proposal at a time.
 
     Per belief and action: three scalar draws, searchsorted inverse-CDF
@@ -348,11 +347,7 @@ def reference_expand_beliefs(model, beliefs: np.ndarray,
                 cand = reference_belief_update(model, b, a, z)
             except ImpossibleObservation:
                 continue
-            diffs = pts[:count] - cand
-            if metric == "l1":
-                dist = float(np.abs(diffs).sum(axis=1).min())
-            else:
-                dist = float(np.sqrt((diffs ** 2).sum(axis=1)).min())
+            dist = float(np.abs(pts[:count] - cand).sum(axis=1).min())
             if dist > best_dist:
                 best_cand, best_dist = cand, dist
         if best_cand is not None:

@@ -1,13 +1,16 @@
-"""Acceptance gate: ten end-to-end checks at the shipped tolerances.
+"""Acceptance gate: ten end-to-end checks at the shipped tolerances, and a
+bracket of the simulated return between the solver's bounds.
 
-Every check prints a single `criterion NN: PASS/FAIL - ...` verdict line
-before asserting, so the verdict is visible in captured output either way.
+Every criterion prints a single `criterion NN: PASS/FAIL - ...` verdict
+line before asserting, and the bracket a `bracket: PASS/FAIL - ...` line,
+so the verdict is visible in captured output either way.
 Solved policies are shared through a session-scoped store that records
 per-policy solve wall times; the wall-clock-limited criteria charge
 themselves for every solve they depend on, whether or not an earlier
 criterion already triggered it.
 
-Grid: solver seed 0, simulation seed 123, 500 trials, horizon 200 slots.
+Grid: solver seed 0, simulation seed 123, 500 trials, horizon 200 slots
+(the bracket: seed 7, 400 trials, 1,200 slots).
 """
 
 import math
@@ -18,7 +21,7 @@ import pytest
 import scipy.stats
 
 from _oracles import (double_sum_response, grid_value_iteration,
-                      perfect_info_mc)
+                      mdp_upper_bound, perfect_info_mc)
 from specbeam.arrays import (PropagationConstants, gain, make_band,
                              observation_probs)
 from specbeam.config import ExperimentConfig
@@ -373,3 +376,30 @@ def test_c10_utilization_bands(store):
     assert _verdict(
         10, ok, f"15 GHz share {mid:.1%} at p=0.55 (need 5-30%), "
                 f"{hi:.2%} at p=0.95 (need <5%)")
+
+
+def test_simulated_return_lies_between_the_solver_bounds(store):
+    """The default sm policy's simulated discounted return, 400 trials of
+    1,200 slots (gamma^1200 = 5.8e-6 of the tail cut off), lies at or above
+    its PBVI lower bound V(b0) - 3 SE and at or below the MDP upper bound
+    at b0 + 3 SE. The solver pays a slot's rate at the successor state and
+    the simulator pays it there, so a rate or a reward convention that
+    differs between them moves the return out of the bracket."""
+    lines = []
+    ok = True
+    for p in (0.95, 0.35):
+        model, policy = _policy(store, "sm", p)
+        b0 = initial_belief(model.states)
+        log = simulate_slots([(model, PolicyAgent("sm", model, policy))],
+                             MarkovDynamics(model), 1200, 400, 7)
+        returns = log.rates @ model.discount ** np.arange(1200)
+        mean = float(returns.mean())
+        se = float(returns.std(ddof=1)) / math.sqrt(len(returns))
+        lower = policy.value(b0)
+        upper = float(b0 @ mdp_upper_bound(model.T, model.rbar, model.discount))
+        ok = ok and lower - 3.0 * se <= mean <= upper + 3.0 * se
+        lines.append(f"p={p:g} return {mean:.6e}: {(mean - lower) / se:+.1f} SE above "
+                     f"V(b0) {lower:.6e}, {(upper - mean) / se:+.1f} SE below "
+                     f"the MDP bound {upper:.6e}")
+    print("bracket: " + ("PASS" if ok else "FAIL") + " - " + "; ".join(lines))
+    assert ok

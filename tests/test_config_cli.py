@@ -1,5 +1,6 @@
 """Config validation, artifact round-trips, and the CLI end to end."""
 
+import hashlib
 import json
 import math
 import os
@@ -118,6 +119,8 @@ def test_config_rejects_bad_values():
             {"bands": [{"f_hz": 15.0e9, "bandwidth_hz": 90.0e6, "typo": 1}]})
     with pytest.raises(ConfigError, match=r"^solver\.seed: must be a nonnegative integer"):
         ExperimentConfig.from_dict({"solver": {"seed": True}})
+    with pytest.raises(ConfigError, match=r"^solver\.metric: must be 'l1' \(got 'l2'\)$"):
+        ExperimentConfig.from_dict({"solver": {"metric": "l2"}})
     for window in (True, 2.0):          # 2.0 would build window 2's model under another digest
         with pytest.raises(ConfigError,
                            match=rf"^mobility\.window: must be 1 or 2 \(got {window}\)$"):
@@ -1034,3 +1037,44 @@ def test_cli_points_alone_write_the_bytes_of_one_lockstep(tmp_path, capsys, monk
     capsys.readouterr()
     assert outputs["grouped"] == outputs["alone"]
     assert len(outputs["alone"]["traces.jsonl"].splitlines()) == 2 * 3 * 5 * 6
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_pipeline.json")
+
+
+def test_cli_pipeline_config_writes_the_recorded_outputs(tmp_path, capsys):
+    """solve, sweep-p --solve-missing, robustness --traces and report on a
+    config of one-stage solves and 20 trials write the sha256s recorded in
+    golden_pipeline.json. Policies are pinned by their actions and V(b0),
+    not their bytes: pbvi._successor_weights' one-hot products may round
+    differently under another BLAS build, and the tie rule keeps decisions,
+    and so every other output, stable under such rounding. A change that
+    means to move an output records the new values and says why."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    cfg = ExperimentConfig.from_dict(golden["config"])
+    cfg_path = str(tmp_path / "config.json")
+    cfg.dump(cfg_path)
+    c = ["--config", cfg_path]
+    out = {name: str(tmp_path / name) for name in golden["sha256"]}
+    pol = str(tmp_path / "policies")
+    for argv in (["solve", *c, "--out", pol],
+                 ["sweep-p", *c, "--out", out["sweep.csv"], "--policies", pol, "--solve-missing"],
+                 ["robustness", *c, "--out", out["robustness.csv"], "--policies", pol,
+                  "--solve-missing", "--traces", out["traces.jsonl"]],
+                 ["report", *c, "--sweep", out["sweep.csv"],
+                  "--robustness", out["robustness.csv"], "--out", out["report.md"]]):
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
+    got = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+           for name, path in out.items()}
+    assert got == golden["sha256"]
+    names = sorted(f for f in os.listdir(pol) if f.endswith(".policy.json"))
+    assert names == sorted(golden["policies"])
+    b0 = initial_belief(cfg.build_model(p=cfg.raw["mobility"]["p"]).states)
+    for name in names:
+        policy, _ = artifacts.load_policy(os.path.join(pol, name))
+        want = golden["policies"][name]
+        assert policy.actions.tolist() == want["actions"], name
+        assert policy.value(b0) == pytest.approx(want["value_b0"], rel=1e-9, abs=0), name
+        assert policy.metadata["metric"] == "l1", name
